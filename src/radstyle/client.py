@@ -71,11 +71,9 @@ class FixedReplyTransport:
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.requests: list[dict] = []
 
     def post(self, url: str, headers: dict[str, str], payload: str,
              timeout: float) -> TransportResponse:
-        self.requests.append(json.loads(payload))
         return TransportResponse(200, _completion_body(self.text))
 
 
@@ -89,12 +87,10 @@ class EchoReportTransport:
 
     def __init__(self, mapping: dict[str, str] | None = None) -> None:
         self.mapping = mapping or {}
-        self.requests: list[dict] = []
 
     def post(self, url: str, headers: dict[str, str], payload: str,
              timeout: float) -> TransportResponse:
         doc = json.loads(payload)
-        self.requests.append(doc)
         users = [m for m in doc.get("messages", ())
                  if m.get("role") == "user"]
         if not users:

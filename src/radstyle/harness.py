@@ -27,9 +27,10 @@ from .errors import ConfigError, InputError, IoError, SchemaError
 from .graph import RadGraph, radgraph_from_document
 from .metrics import (MetricReport, PathologyVector, ZTestResult,
                       as_pathology_vector, bert_score, bleu2,
-                      chexbert_similarity, load_embeddings,
-                      load_pathology_vectors, mean_ci, radcliq, radgraph_f1,
-                      tokenize, z_test_proportion)
+                      chexbert_similarity, graph_keys, load_embeddings,
+                      load_pathology_vectors, mean_ci, ngram_counts,
+                      normed_vector, radcliq, radgraph_f1, tokenize,
+                      unit_rows, z_test_proportion)
 from .prompting import (PromptChain, StylePair, build_prompt,
                         derive_selection_seed, select_examples)
 from .serialize import serialize
@@ -183,6 +184,16 @@ class Scorer:
 
     A metric whose inputs are unavailable scores None and is excluded
     from that metric's aggregate, shrinking its effective n.
+
+    The features each metric reads of a report (n-gram counts, graph
+    keys, unit embedding rows, vector norms) are prepared on first use
+    and kept for the life of the scorer: reference features by study id,
+    candidate features by text when the text is a known reference report
+    (found in the resources' text lookups). Other generations are
+    prepared afresh on every call, so the memo holds at most two entries
+    per study and metric. A candidate whose text, graph or vector is the
+    reference's own shares the reference's features. A study id must
+    name one record throughout, as ``load_dataset`` guarantees.
     """
 
     def __init__(self, cfg: MetricsConfig, resources: Resources) -> None:
@@ -195,39 +206,86 @@ class Scorer:
                     f"composite weight references unknown metric {name!r}")
         self.cfg = cfg
         self.resources = resources
+        needed = {n for n in cfg.names if n != "radcliq"}
+        if "radcliq" in cfg.names:
+            needed.update(cfg.radcliq_weights)
+        self._needed = sorted(needed)
+        # metric name -> study id (references) or text (candidates)
+        # -> prepared features
+        self._references: dict[str, dict] = {n: {} for n in _BASE_METRICS}
+        self._candidates: dict[str, dict] = {n: {} for n in _BASE_METRICS}
+
+    def _known(self, text: str) -> bool:
+        res = self.resources
+        return (text in res.graph_by_text or text in res.vector_by_text
+                or text in res.embedding_by_text)
+
+    @staticmethod
+    def _memo(memo: dict, key: str | None, prepare):
+        """``memo[key]``, filled by ``prepare()`` on a miss; a None key
+        prepares afresh and keeps nothing."""
+        if key is None:
+            return prepare()
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = prepare()
+            return value
+
+    def _prepared(self, name: str, generated: str, sid: str, cand, ref,
+                  prepare) -> tuple:
+        """Prepared (candidate, reference) features of one resource."""
+        ref_features = self._memo(self._references[name], sid,
+                                  lambda: prepare(ref))
+        if cand is ref:
+            return ref_features, ref_features
+        return (self._memo(self._candidates[name], generated,
+                           lambda: prepare(cand)), ref_features)
 
     def _single(self, name: str, generated: str,
                 record: StudyRecord) -> float | None:
         res = self.resources
+        sid = record.study_id
         if name == "bleu2":
-            return bleu2(tokenize(generated), tokenize(record.report))
+            ref = self._memo(self._references[name], sid,
+                             lambda: ngram_counts(tokenize(record.report)))
+            if generated == record.report:
+                return bleu2(ref, ref)
+            key = generated if self._known(generated) else None
+            return bleu2(self._memo(self._candidates[name], key,
+                                    lambda: ngram_counts(tokenize(generated))),
+                         ref)
         if name == "bert_score":
-            ref = res.embeddings.get(record.study_id)
+            ref = res.embeddings.get(sid)
             cand = res.embedding_by_text.get(generated)
             if ref is None or cand is None:
                 return None
-            return bert_score(cand, ref)
+            # Never shared: with one unit matrix on both sides NumPy would
+            # take its symmetric A @ A.T kernel, which rounds differently.
+            return bert_score(
+                self._memo(self._candidates[name], generated,
+                           lambda: unit_rows(cand, "candidate")),
+                self._memo(self._references[name], sid,
+                           lambda: unit_rows(ref, "reference")))
         if name == "chexbert":
-            ref = record.pathology_vector or res.vectors.get(record.study_id)
+            ref = record.pathology_vector or res.vectors.get(sid)
             cand = res.vector_by_text.get(generated)
             if ref is None or cand is None:
                 return None
-            return chexbert_similarity(cand, ref)
-        if name == "radgraph_f1":
-            ref = res.graphs.get(record.study_id)
-            cand = res.graph_by_text.get(generated)
-            if ref is None or cand is None:
-                return None
-            return radgraph_f1(cand, ref).combined
-        raise ConfigError(f"unknown metric {name!r}")
+            return chexbert_similarity(*self._prepared(
+                name, generated, sid, cand, ref, normed_vector))
+        # radgraph_f1
+        ref = res.graphs.get(sid)
+        cand = res.graph_by_text.get(generated)
+        if ref is None or cand is None:
+            return None
+        return radgraph_f1(*self._prepared(
+            name, generated, sid, cand, ref, graph_keys)).combined
 
     def score(self, generated: str,
               record: StudyRecord) -> dict[str, float | None]:
-        needed = {n for n in self.cfg.names if n != "radcliq"}
-        if "radcliq" in self.cfg.names:
-            needed.update(self.cfg.radcliq_weights)
         base = {name: self._single(name, generated, record)
-                for name in sorted(needed)}
+                for name in self._needed}
         out: dict[str, float | None] = {}
         for name in self.cfg.names:
             if name == "radcliq":

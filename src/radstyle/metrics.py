@@ -13,6 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,11 +51,33 @@ def tokenize(text: str) -> TokenSequence:
     return out
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_matches(cand: Counter, ref: Counter) -> int:
+    """Sum over the candidate's keys of min(candidate count, reference
+    count): the size of the multiset intersection."""
+    return sum(map(min, cand.values(), map(ref.get, cand, repeat(0))))
 
 
-def bleu2(candidate: Sequence[str], reference: Sequence[str],
+@dataclass(frozen=True, slots=True)
+class NgramCounts:
+    """What BLEU-2 reads of one token sequence: its length and its
+    unigram and bigram counts."""
+
+    length: int
+    unigrams: Counter
+    bigrams: Counter
+
+
+def ngram_counts(tokens: Sequence[str] | NgramCounts) -> NgramCounts:
+    """Prepare a token sequence for ``bleu2``; prepared input passes
+    through unchanged."""
+    if isinstance(tokens, NgramCounts):
+        return tokens
+    return NgramCounts(len(tokens), Counter(tokens),
+                       Counter(zip(tokens, tokens[1:])))
+
+
+def bleu2(candidate: Sequence[str] | NgramCounts,
+          reference: Sequence[str] | NgramCounts,
           eps: float = 1e-9) -> float:
     """Geometric mean of clipped unigram/bigram precision with a brevity
     penalty for short candidates.
@@ -62,23 +85,23 @@ def bleu2(candidate: Sequence[str], reference: Sequence[str],
     Zero precisions are replaced by ``eps``. An order with no candidate
     n-grams counts as precision 1 when the reference has none either
     (so identical single-token inputs still score 1.0) and 0 otherwise.
+    Either side may be a token sequence or its ``ngram_counts``.
     """
-    if not candidate:
+    cand = ngram_counts(candidate)
+    if cand.length == 0:
         return 0.0
+    ref = ngram_counts(reference)
     precisions = []
-    for n in (1, 2):
-        cand_counts = _ngrams(candidate, n)
-        ref_counts = _ngrams(reference, n)
-        total = sum(cand_counts.values())
+    for n, cand_counts, ref_counts in ((1, cand.unigrams, ref.unigrams),
+                                       (2, cand.bigrams, ref.bigrams)):
+        total = cand.length - n + 1
         if total == 0:
-            p = 1.0 if sum(ref_counts.values()) == 0 else 0.0
+            p = 1.0 if not ref_counts else 0.0
         else:
-            clipped = sum(min(count, ref_counts[gram])
-                          for gram, count in cand_counts.items())
-            p = clipped / total
+            p = _clipped_matches(cand_counts, ref_counts) / total
         precisions.append(p if p > 0.0 else eps)
-    brevity = (math.exp(1.0 - len(reference) / len(candidate))
-               if len(candidate) < len(reference) else 1.0)
+    brevity = (math.exp(1.0 - ref.length / cand.length)
+               if cand.length < ref.length else 1.0)
     return brevity * math.sqrt(precisions[0] * precisions[1])
 
 
@@ -95,7 +118,7 @@ def _multiset_f1(pred: Counter, ref: Counter) -> float:
         return 1.0
     if n_pred == 0 or n_ref == 0:
         return 0.0
-    matches = sum((pred & ref).values())
+    matches = _clipped_matches(pred, ref)
     precision = matches / n_pred
     recall = matches / n_ref
     if precision + recall == 0.0:
@@ -103,27 +126,43 @@ def _multiset_f1(pred: Counter, ref: Counter) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def radgraph_f1(pred: RadGraph, ref: RadGraph) -> RadGraphF1:
+@dataclass(frozen=True, slots=True)
+class GraphKeys:
+    """What RadGraph-F1 reads of one graph: the multisets of its entity
+    keys and relation keys."""
+
+    entities: Counter
+    relations: Counter
+
+
+def graph_keys(graph: RadGraph | GraphKeys) -> GraphKeys:
+    """Prepare a graph for ``radgraph_f1``; prepared input passes through
+    unchanged."""
+    if isinstance(graph, GraphKeys):
+        return graph
+    # Keys hold the enums' string values: Python caches a string's hash,
+    # while hashing an enum member runs Python code on every lookup.
+    keys = {eid: (entity.tokens.casefold(), entity.label.value)
+            for eid, entity in graph.entities.items()}
+    return GraphKeys(
+        Counter(keys.values()),
+        Counter((keys[r.source], keys[r.target], r.kind.value)
+                for r in graph.relations))
+
+
+def radgraph_f1(pred: RadGraph | GraphKeys,
+                ref: RadGraph | GraphKeys) -> RadGraphF1:
     """Overlap F1 of entities and relations between two report graphs.
 
     Entities match on (case-folded tokens, label); relations additionally
     require both endpoint entities to match and the kind to agree. Token
     positions are ignored. Empty-vs-empty scores 1, empty-vs-nonempty 0.
+    Either side may be a graph or its ``graph_keys``.
     """
-    def entity_key(g: RadGraph, eid: str) -> tuple:
-        entity = g.entities[eid]
-        return (entity.tokens.casefold(), entity.label)
-
-    def keys(g: RadGraph) -> tuple[Counter, Counter]:
-        ents = Counter(entity_key(g, eid) for eid in g.entities)
-        rels = Counter((entity_key(g, r.source), entity_key(g, r.target), r.kind)
-                       for r in g.relations)
-        return ents, rels
-
-    pred_ents, pred_rels = keys(pred)
-    ref_ents, ref_rels = keys(ref)
-    entity_f1 = _multiset_f1(pred_ents, ref_ents)
-    relation_f1 = _multiset_f1(pred_rels, ref_rels)
+    pred_keys = graph_keys(pred)
+    ref_keys = graph_keys(ref)
+    entity_f1 = _multiset_f1(pred_keys.entities, ref_keys.entities)
+    relation_f1 = _multiset_f1(pred_keys.relations, ref_keys.relations)
     return RadGraphF1(entity_f1, relation_f1, (entity_f1 + relation_f1) / 2.0)
 
 
@@ -141,22 +180,39 @@ def as_pathology_vector(values: Sequence) -> PathologyVector:
     return tuple(out)
 
 
-def chexbert_similarity(a: Sequence, b: Sequence) -> float:
+@dataclass(frozen=True, slots=True)
+class NormedVector:
+    """A validated pathology vector and its Euclidean norm."""
+
+    values: PathologyVector
+    norm: float
+
+
+def normed_vector(values: Sequence | NormedVector) -> NormedVector:
+    """Prepare a pathology vector for ``chexbert_similarity``; prepared
+    input passes through unchanged."""
+    if isinstance(values, NormedVector):
+        return values
+    vector = as_pathology_vector(values)
+    return NormedVector(vector, math.sqrt(sum(x * x for x in vector)))
+
+
+def chexbert_similarity(a: Sequence | NormedVector,
+                        b: Sequence | NormedVector) -> float:
     """Cosine similarity of two pathology indicator vectors.
 
     Two all-zero vectors agree perfectly (1.0); exactly one all-zero
-    vector scores 0.0.
+    vector scores 0.0. Either side may be a vector or its
+    ``normed_vector``.
     """
-    va = as_pathology_vector(a)
-    vb = as_pathology_vector(b)
-    na = math.sqrt(sum(x * x for x in va))
-    nb = math.sqrt(sum(x * x for x in vb))
-    if na == 0.0 and nb == 0.0:
+    va = normed_vector(a)
+    vb = normed_vector(b)
+    if va.norm == 0.0 and vb.norm == 0.0:
         return 1.0
-    if na == 0.0 or nb == 0.0:
+    if va.norm == 0.0 or vb.norm == 0.0:
         return 0.0
-    dot = sum(x * y for x, y in zip(va, vb))
-    return dot / (na * nb)
+    dot = sum(x * y for x, y in zip(va.values, vb.values))
+    return dot / (va.norm * vb.norm)
 
 
 def _as_embedding(name: str, rows) -> np.ndarray:
@@ -168,25 +224,42 @@ def _as_embedding(name: str, rows) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class UnitRows:
+    """An embedding matrix with every non-zero row scaled to unit length."""
+
+    rows: np.ndarray
+
+
+def unit_rows(emb, name: str = "candidate") -> UnitRows:
+    """Validate and prepare an embedding matrix for ``bert_score``;
+    prepared input passes through unchanged. ``name`` labels errors."""
+    if isinstance(emb, UnitRows):
+        return emb
+    arr = _as_embedding(name, emb)
+    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return UnitRows(arr / norms)
+
+
 def bert_score(cand_emb, ref_emb) -> float:
     """Greedy-matching F1 over token embeddings.
 
     Precision is the mean over candidate rows of the best cosine against
     any reference row; recall is symmetric; the score is their harmonic
-    mean. Invariant under row permutation of either matrix.
+    mean. Invariant under row permutation of either matrix. Either side
+    may be a matrix or its ``unit_rows``.
     """
-    cand = _as_embedding("candidate", cand_emb)
-    ref = _as_embedding("reference", ref_emb)
+    cand = unit_rows(cand_emb, "candidate").rows
+    ref = unit_rows(ref_emb, "reference").rows
     if cand.shape[1] != ref.shape[1]:
         raise InputError(
             f"embedding dimensions differ: {cand.shape[1]} vs {ref.shape[1]}")
-
-    def unit(rows: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return rows / norms
-
-    sim = unit(cand) @ unit(ref).T
+    if np.may_share_memory(cand, ref):
+        # NumPy computes A @ A.T with a symmetric kernel whose rounding
+        # differs from the general product's; keep one arithmetic path.
+        ref = ref.copy()
+    sim = cand @ ref.T
     precision = float(sim.max(axis=1).mean())
     recall = float(sim.max(axis=0).mean())
     if precision + recall == 0.0:

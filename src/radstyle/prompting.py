@@ -113,7 +113,7 @@ def select_examples(pool: Sequence[StylePair], k: int,
         raise InputError(f"k must be non-negative, got {k}")
     if k > len(pool):
         raise InputError(f"k={k} exceeds pool size {len(pool)}")
-    return random.Random(seed).sample(list(pool), k)
+    return random.Random(seed).sample(pool, k)
 
 
 def derive_selection_seed(seed: int, k: int, study_id: str) -> int:

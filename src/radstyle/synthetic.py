@@ -10,6 +10,7 @@ unambiguous and the identity mock reproduces each reference exactly.
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -36,6 +37,8 @@ _BANK = (
 )
 
 EMBEDDING_DIM = 8
+# Each study takes a distinct set of one to three bank entries.
+MAX_RECORDS = sum(math.comb(len(_BANK), k) for k in (1, 2, 3))
 
 
 def make_study_document(combo: tuple[int, ...]) -> dict:
@@ -88,10 +91,14 @@ def make_synthetic_corpus(out_dir, n_records: int = 50, n_train: int = 20,
 
     Returns the written paths keyed by kind. The config uses the
     identity-mock client, so `evaluate` runs offline and every metric
-    scores its ceiling.
+    scores its ceiling. At most ``MAX_RECORDS`` (298) studies fit.
     """
     if not 0 < n_train < n_records:
         raise InputError("need 0 < n_train < n_records")
+    if n_records > MAX_RECORDS:
+        raise InputError(
+            f"n_records={n_records} exceeds the {MAX_RECORDS} distinct "
+            f"studies the report bank can give")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)

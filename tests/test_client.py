@@ -37,13 +37,20 @@ class ScriptedTransport:
 
 
 def test_fixed_reply_and_wire_format():
-    transport = FixedReplyTransport("A fine report.")
     cfg = ClientConfig(model="test-model", temperature=0.5, max_tokens=99)
-    result = complete(chain_for(), cfg, transport=transport)
+    result = complete(chain_for(), cfg,
+                      transport=FixedReplyTransport("A fine report."))
     assert result.text == "A fine report."
     assert result.attempts == 1
     assert result.usage == {"prompt_tokens": 0, "completion_tokens": 0}
-    sent = transport.requests[0]
+    # The in-process transports keep no request log; a scripted one
+    # shows what goes on the wire.
+    transport = ScriptedTransport(
+        [TransportResponse(200, completion_body("A fine report."))])
+    result = complete(chain_for(), cfg, transport=transport)
+    assert result.text == "A fine report."
+    assert result.attempts == 1
+    _, _, sent, _ = transport.requests[0]
     assert sent["model"] == "test-model"
     assert sent["temperature"] == 0.5
     assert sent["max_tokens"] == 99

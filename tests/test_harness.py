@@ -1,8 +1,11 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radstyle.config import (ClientSettings, ExperimentConfig, HarnessConfig,
                              MetricsConfig, OutputConfig, load_config)
@@ -20,11 +23,15 @@ from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
                               score_fixed_outputs, score_style_eval,
                               split_records, write_outputs,
                               write_scores_jsonl)
-from radstyle.metrics import MetricReport, mean_ci
+from radstyle.metrics import (MetricReport, bert_score, bleu2,
+                              chexbert_similarity, mean_ci, radcliq,
+                              radgraph_f1, tokenize)
 from radstyle.serialize import serialize
 from radstyle.synthetic import make_synthetic_corpus
 
+from graphgen import random_document
 from test_graph import entity_doc
+from test_metrics import SYMMETRIC_TRAP
 
 
 def write_jsonl(path, docs):
@@ -243,6 +250,119 @@ def test_scorer_radcliq_uses_only_weighted_components():
     assert scores == {"radcliq": pytest.approx(3.0)}
 
 
+_WORDS = ("lungs", "clear", "effusion", "no", "acute", ".", ":", "Heart",
+          "normal", "(left)", "opacity")
+
+
+def random_resources(rng):
+    """Records and resources where each study may lack its graph, vector
+    or embedding, some report texts repeat, and a record may carry its
+    own pathology vector."""
+    records = []
+    res = Resources()
+    for i in range(rng.randint(1, 5)):
+        sid = f"s{i}"
+        if records and rng.random() < 0.2:
+            report = rng.choice(records).report
+        else:
+            report = " ".join(rng.choice(_WORDS)
+                              for _ in range(rng.randint(0, 8)))
+        own = (tuple(rng.randint(0, 1) for _ in range(14))
+               if rng.random() < 0.3 else None)
+        records.append(StudyRecord(sid, report, pathology_vector=own))
+        if rng.random() < 0.8:
+            res.graphs[sid] = radgraph_from_document(
+                random_document(rng, max_entities=5, max_relations=5))
+        if rng.random() < 0.8:
+            res.vectors[sid] = tuple(
+                int(rng.random() < 0.2) for _ in range(14))
+        if rng.random() < 0.8:
+            res.embeddings[sid] = np.array(
+                [[rng.uniform(-1.0, 1.0) for _ in range(3)]
+                 for _ in range(rng.randint(1, 4))])
+    for record in records:
+        sid = record.study_id
+        if sid in res.graphs:
+            res.graph_by_text.setdefault(record.report, res.graphs[sid])
+        if sid in res.vectors:
+            res.vector_by_text.setdefault(record.report, res.vectors[sid])
+        if sid in res.embeddings:
+            res.embedding_by_text.setdefault(record.report,
+                                             res.embeddings[sid])
+    return records, res
+
+
+def bare_scores(cfg, res, generated, record):
+    """The configured metrics straight from the public metric functions."""
+    sid = record.study_id
+    ref_emb = res.embeddings.get(sid)
+    cand_emb = res.embedding_by_text.get(generated)
+    ref_vec = record.pathology_vector or res.vectors.get(sid)
+    cand_vec = res.vector_by_text.get(generated)
+    ref_graph = res.graphs.get(sid)
+    cand_graph = res.graph_by_text.get(generated)
+    base = {
+        "bleu2": bleu2(tokenize(generated), tokenize(record.report)),
+        "bert_score": (None if ref_emb is None or cand_emb is None
+                       else bert_score(cand_emb, ref_emb)),
+        "chexbert": (None if ref_vec is None or cand_vec is None
+                     else chexbert_similarity(cand_vec, ref_vec)),
+        "radgraph_f1": (None if ref_graph is None or cand_graph is None
+                        else radgraph_f1(cand_graph, ref_graph).combined),
+    }
+    comps = {c: base[c] for c in cfg.radcliq_weights}
+    base["radcliq"] = (None if any(v is None for v in comps.values())
+                       else radcliq(comps, cfg.radcliq_weights,
+                                    cfg.radcliq_bias))
+    return {name: base[name] for name in cfg.names}
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([MetricsConfig(),
+                        MetricsConfig(names=("chexbert", "bleu2"))]))
+@settings(max_examples=150, deadline=None)
+def test_scorer_memo_matches_bare_metric_functions(seed, cfg):
+    rng = random.Random(seed)
+    records, res = random_resources(rng)
+    # Known reference texts (hits: identity and cross-study), unknown
+    # texts and a baseline-style output (misses).
+    texts = [r.report for r in records] + [
+        "No acute cardiopulmonary process .", "",
+        " ".join(rng.choice(_WORDS) for _ in range(5))]
+    pairs = [(text, record) for text in texts for record in records]
+    scorer = Scorer(cfg, res)
+    for _ in range(3):
+        rng.shuffle(pairs)
+        for text, record in pairs:
+            assert scorer.score(text, record) == bare_scores(
+                cfg, res, text, record)
+    outputs = {r.study_id: rng.choice(texts) for r in records}
+    _, items = score_fixed_outputs(records, outputs, scorer, cfg.names)
+    for record, item in zip(records, items):
+        assert item.scores == bare_scores(cfg, res, outputs[record.study_id],
+                                          record)
+
+
+def test_scorer_identity_embedding_takes_general_product():
+    emb = np.array(SYMMETRIC_TRAP)
+    res = Resources(embeddings={"a": emb}, embedding_by_text={REPORT: emb})
+    scorer = Scorer(MetricsConfig(names=("bert_score",)), res)
+    for _ in range(2):
+        assert scorer.score(REPORT, StudyRecord("a", REPORT)) == {
+            "bert_score": bert_score(emb, emb)}
+
+
+def test_scorer_keeps_no_features_of_unknown_generations():
+    records, res = random_resources(random.Random(5))
+    scorer = Scorer(MetricsConfig(), res)
+    for i in range(50):
+        for record in records:
+            scorer.score(f"unmatched generation {i}", record)
+    assert all(not memo for memo in scorer._candidates.values())
+    assert all(len(memo) <= len(records)
+               for memo in scorer._references.values())
+
+
 # ------------------------------------------------------------ aggregation
 
 
@@ -317,6 +437,13 @@ def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     paths = make_synthetic_corpus(out, n_records=16, n_train=12, seed=0)
     return paths, load_config(paths["config"])
+
+
+def test_synthetic_corpus_refuses_more_studies_than_the_bank_gives(
+        tmp_path):
+    with pytest.raises(InputError, match="298"):
+        make_synthetic_corpus(tmp_path / "big", n_records=299, n_train=10)
+    assert not (tmp_path / "big").exists()
 
 
 def test_synthetic_corpus_serializations_match_graphs(corpus):

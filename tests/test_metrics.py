@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from radstyle.errors import ConfigError, InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
-from radstyle.metrics import (MetricReport, bert_score, bleu2,
-                              chexbert_similarity, load_embeddings,
-                              load_pathology_vectors, mean_ci, normal_cdf,
-                              radcliq, radgraph_f1, tokenize,
-                              z_test_proportion)
+from radstyle.metrics import (MetricReport, _multiset_f1, bert_score, bleu2,
+                              chexbert_similarity, graph_keys,
+                              load_embeddings, load_pathology_vectors,
+                              mean_ci, ngram_counts, normal_cdf,
+                              normed_vector, radcliq, radgraph_f1, tokenize,
+                              unit_rows, z_test_proportion)
 
 from graphgen import perturb_document, random_document
 from oracles import bleu2_oracle, radgraph_f1_oracle
@@ -164,6 +166,57 @@ def test_radgraph_f1_matches_oracle():
         assert got.combined == pytest.approx(want[2], abs=1e-12)
 
 
+def _multiset_f1_by_intersection(pred, ref):
+    """The F1 as computed before: matches summed from a Counter ``&``."""
+    n_pred = sum(pred.values())
+    n_ref = sum(ref.values())
+    if n_pred == 0 and n_ref == 0:
+        return 1.0
+    if n_pred == 0 or n_ref == 0:
+        return 0.0
+    matches = sum((pred & ref).values())
+    precision = matches / n_pred
+    recall = matches / n_ref
+    if precision + recall == 0.0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+multisets = st.dictionaries(
+    st.one_of(st.text(alphabet="abc", max_size=2),
+              st.tuples(st.sampled_from("ab"), st.sampled_from("ab"))),
+    st.integers(1, 5), max_size=8).map(Counter)
+
+
+@given(multisets, multisets)
+@settings(max_examples=150, deadline=None)
+def test_multiset_f1_min_sum_matches_counter_intersection(pred, ref):
+    assert _multiset_f1(pred, ref) == _multiset_f1_by_intersection(pred, ref)
+
+
+tokens = st.lists(st.sampled_from("abc"), max_size=10)
+vectors = st.lists(st.integers(0, 1), min_size=14, max_size=14)
+
+
+@given(tokens, tokens, vectors, vectors, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_prepared_features_score_exactly_like_raw_inputs(
+        cand, ref, va, vb, seed):
+    assert (bleu2(ngram_counts(cand), ngram_counts(ref))
+            == bleu2(cand, ngram_counts(ref)) == bleu2(cand, ref))
+    assert (chexbert_similarity(normed_vector(va), normed_vector(vb))
+            == chexbert_similarity(va, vb))
+    rng = random.Random(seed)
+    pred = graph_of(random_document(rng, max_entities=6, max_relations=6))
+    gold = graph_of(random_document(rng, max_entities=6, max_relations=6))
+    assert (radgraph_f1(graph_keys(pred), graph_keys(gold))
+            == radgraph_f1(pred, gold))
+    np_rng = np.random.default_rng(seed)
+    ea = np_rng.uniform(-1.0, 1.0, size=(int(np_rng.integers(1, 6)), 4))
+    eb = np_rng.uniform(-1.0, 1.0, size=(int(np_rng.integers(1, 6)), 4))
+    assert bert_score(unit_rows(ea), unit_rows(eb)) == bert_score(ea, eb)
+
+
 def test_chexbert_similarity():
     a = [1] + [0] * 13
     b = [1, 1] + [0] * 12
@@ -199,6 +252,24 @@ def test_bert_score_identity_and_permutation():
     other = rng.normal(size=(4, 8))
     assert bert_score(other, emb) == pytest.approx(bert_score(other, perm),
                                                    abs=1e-12)
+
+
+# Scored against itself, this matrix gives 0.9999999999999999 through the
+# general matrix product but 1.0 through NumPy's symmetric A @ A.T kernel
+# (with the OpenBLAS build it was found on).
+SYMMETRIC_TRAP = [
+    [0.0, 0.9, 0.0, -0.7], [0.2, 0.7, -0.5, -0.1], [-0.6, 0.4, 0.6, -0.9],
+    [-0.9, 0.5, -0.8, -0.8], [-1.0, -0.4, 0.1, 0.8], [0.7, -0.3, 0.9, -0.4],
+    [0.3, -0.3, 1.0, 0.0], [-0.7, 0.4, -0.2, 0.4], [0.9, 0.7, -0.6, 0.7],
+    [-1.0, -0.6, -0.8, -0.5], [0.4, -0.5, -0.9, -0.9], [0.7, -0.9, 1.0, 0.8]]
+
+
+def test_bert_score_one_prepared_matrix_on_both_sides():
+    emb = np.array(SYMMETRIC_TRAP)
+    prepared = unit_rows(emb)
+    assert bert_score(prepared, prepared) == bert_score(emb, emb)
+    view = type(prepared)(prepared.rows[:])
+    assert bert_score(prepared, view) == bert_score(emb, emb)
 
 
 def test_bert_score_input_validation():

@@ -104,6 +104,21 @@ def test_select_examples_reproducible():
     assert all(p in pool for p in a)
 
 
+# Draws made by the implementation that sampled from a copy of the pool;
+# sampling the sequence in place must not change them.
+@pytest.mark.parametrize("seed, expected", [
+    (0, [24, 48, 26, 2, 16, 32, 31, 25, 19, 30]),
+    (7, [20, 9, 25, 41, 3, 4, 34, 6, 23, 37]),
+    (2 ** 63 - 1, [20, 42, 40, 8, 31, 29, 6, 30, 37, 17]),
+])
+@pytest.mark.parametrize("container", [list, tuple])
+def test_select_examples_draws_are_pinned(container, seed, expected):
+    pool = container(make_pairs(50))
+    for k in (1, 5, 10):
+        assert select_examples(pool, k, seed) == [pool[i]
+                                                  for i in expected[:k]]
+
+
 def test_select_examples_bounds():
     pool = make_pairs(3)
     assert select_examples(pool, 0, seed=0) == []
