@@ -4,7 +4,8 @@ The HTTP layer is isolated behind the Transport protocol so tests and
 offline runs can substitute deterministic fakes. Retries cover rate
 limits (429), server errors (5xx), and transport exceptions with
 exponential backoff; other 4xx responses fail immediately. Credentials
-are read from an environment variable at call time and never logged.
+are read from an environment variable before a call sends its first
+request, and never logged.
 """
 
 from __future__ import annotations
@@ -13,15 +14,14 @@ import json
 import logging
 import os
 import random
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-import requests
-
-from .errors import InputError, ProtocolError, RequestError, TransportError
-from .prompting import INSTRUCTION, PromptChain, wire_messages
+from .errors import (ClientError, InputError, ProtocolError, RequestError,
+                     TransportError)
+from .prompting import INSTRUCTION, PromptChain
 
 log = logging.getLogger(__name__)
 
@@ -54,14 +54,22 @@ class Transport(Protocol):
 
 
 class HttpTransport:
-    """Real network transport over requests."""
+    """Real network transport over requests.
+
+    ``requests`` is imported here rather than with the module, so runs on
+    the in-process transports never pay for loading it.
+    """
+
+    def __init__(self) -> None:
+        import requests
+        self._requests = requests
 
     def post(self, url: str, headers: dict[str, str], payload: str,
              timeout: float) -> TransportResponse:
         try:
-            resp = requests.post(url, headers=headers, data=payload,
-                                 timeout=timeout)
-        except requests.RequestException as exc:
+            resp = self._requests.post(url, headers=headers, data=payload,
+                                       timeout=timeout)
+        except self._requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         return TransportResponse(resp.status_code, resp.text)
 
@@ -117,7 +125,11 @@ class CompletionResult:
     attempts: int
 
 
-def _headers(cfg: ClientConfig) -> dict[str, str]:
+def _headers(cfg: ClientConfig, transport: Transport) -> dict[str, str]:
+    """Request headers; only the HTTP transport carries the credential,
+    and an unset credential raises ``InputError``."""
+    if not isinstance(transport, HttpTransport):
+        return {"Content-Type": "application/json"}
     key = os.environ.get(cfg.api_key_env)
     if not key:
         raise InputError(
@@ -129,13 +141,35 @@ def _headers(cfg: ClientConfig) -> dict[str, str]:
     return {"Content-Type": "application/json", cfg.auth_header: value}
 
 
-def _request_payload(chain: PromptChain, cfg: ClientConfig) -> str:
-    return json.dumps({
-        "model": cfg.model,
-        "temperature": cfg.temperature,
-        "max_tokens": cfg.max_tokens,
-        "messages": wire_messages(chain),
-    })
+class PayloadEncoder:
+    """Builds request bodies for one config, JSON-encoding each distinct
+    (role, content) message once.
+
+    A body is byte-identical to ``json.dumps({"model": ..., "temperature":
+    ..., "max_tokens": ..., "messages": wire_messages(chain)})``: that
+    form's default separators put ``", "`` between list items, so the
+    cached message fragments are joined the same way. One encoder may be
+    shared by threads: a race on the cache only encodes a message twice.
+    """
+
+    def __init__(self, cfg: ClientConfig) -> None:
+        head = json.dumps({"model": cfg.model,
+                           "temperature": cfg.temperature,
+                           "max_tokens": cfg.max_tokens, "messages": []})
+        self._head = head[:-2]   # up to and including the "[" of messages
+        self._fragments: dict[tuple, str] = {}
+
+    def __call__(self, chain: PromptChain) -> str:
+        fragments = self._fragments
+        parts = []
+        for message in chain.messages:
+            key = (message.role, message.content)
+            fragment = fragments.get(key)
+            if fragment is None:
+                fragment = fragments[key] = json.dumps(
+                    {"role": message.role.value, "content": message.content})
+            parts.append(fragment)
+        return self._head + ", ".join(parts) + "]}"
 
 
 def _parse_completion(body: str) -> tuple[str, dict]:
@@ -153,19 +187,21 @@ def _parse_completion(body: str) -> tuple[str, dict]:
 def complete(chain: PromptChain, cfg: ClientConfig,
              transport: Transport | None = None,
              sleep: Callable[[float], None] = time.sleep,
-             rng: random.Random | None = None) -> CompletionResult:
+             rng: random.Random | None = None, *,
+             headers: dict[str, str] | None = None,
+             encode: PayloadEncoder | None = None) -> CompletionResult:
     """Run one chat completion, retrying transient failures.
 
     ``sleep`` and ``rng`` are injectable so retry schedules are testable
-    without waiting.
+    without waiting; without ``rng``, a fresh ``random.Random`` is built
+    when a retry first sleeps. ``headers`` and ``encode`` let a batch
+    pass what it prepared once; by default they are built for this call.
     """
     if transport is None:
         transport = HttpTransport()
-    needs_credential = isinstance(transport, HttpTransport)
-    headers = _headers(cfg) if needs_credential else {
-        "Content-Type": "application/json"}
-    payload = _request_payload(chain, cfg)
-    rng = rng or random.Random()
+    if headers is None:
+        headers = _headers(cfg, transport)
+    payload = (encode or PayloadEncoder(cfg))(chain)
     start = time.perf_counter()
     attempts = 0
     last_error: Exception | None = None
@@ -188,6 +224,8 @@ def complete(chain: PromptChain, cfg: ClientConfig,
             else:
                 raise RequestError(resp.status, resp.body)
         if attempts <= cfg.max_retries:
+            if rng is None:
+                rng = random.Random()
             delay = _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempts - 1)
             delay *= 1.0 + rng.uniform(0.0, _JITTER_SPAN)
             sleep(delay)
@@ -199,27 +237,53 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
                    parallelism: int = 4,
                    transport: Transport | None = None,
                    sleep: Callable[[float], None] = time.sleep,
-                   ) -> list[CompletionResult | Exception]:
-    """Complete many chains with bounded parallelism.
+                   ) -> list[CompletionResult | ClientError]:
+    """Complete many chains with ``parallelism`` workers.
 
-    Results align with the input order; a failed item yields its
-    exception instead of aborting the batch.
+    Each worker takes the next chain, waits for its reply and only then
+    takes another, so at most ``parallelism`` requests are in flight.
+    The credential is checked once, before any request is sent, and each
+    distinct message is JSON-encoded once per batch.
+
+    Results align with the input order; an item that fails with a
+    ``ClientError`` yields that exception instead of aborting the batch.
+    Any other exception stops the batch: workers take no further chains,
+    and it is re-raised once they have all finished.
     """
     if parallelism < 1:
         raise InputError(f"parallelism must be positive, got {parallelism}")
     if transport is None:
         transport = HttpTransport()
+    headers = _headers(cfg, transport)
+    encode = PayloadEncoder(cfg)
+    results: list[CompletionResult | ClientError] = [None] * len(chains)  # type: ignore[list-item]
+    pending = enumerate(chains)
+    lock = threading.Lock()
+    failures: list[BaseException] = []
 
-    def run(chain: PromptChain) -> CompletionResult:
-        return complete(chain, cfg, transport=transport, sleep=sleep)
-
-    results: list[CompletionResult | Exception] = [None] * len(chains)  # type: ignore[list-item]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {pool.submit(run, chain): i
-                   for i, chain in enumerate(chains)}
-        for future, i in futures.items():
+    def work() -> None:
+        while True:
+            with lock:
+                item = None if failures else next(pending, None)
+            if item is None:
+                return
+            i, chain = item
             try:
-                results[i] = future.result()
-            except Exception as exc:
+                results[i] = complete(chain, cfg, transport, sleep,
+                                      headers=headers, encode=encode)
+            except ClientError as exc:
                 results[i] = exc
+            except BaseException as exc:   # re-raised by the caller below
+                with lock:
+                    failures.append(exc)
+                return
+
+    workers = [threading.Thread(target=work)
+               for _ in range(min(parallelism, len(chains)))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if failures:
+        raise failures[0]
     return results

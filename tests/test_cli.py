@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import yaml
 
 import radstyle.cli as cli
 from radstyle.config import load_config
@@ -152,6 +153,23 @@ def test_evaluate_client_failure_exits_two(corpus, capsys, monkeypatch):
     assert cli.main(["evaluate", "--mode", "ser2rep", "--config",
                      str(corpus["config"])]) == 2
     assert "client error" in capsys.readouterr().err
+
+
+def test_evaluate_http_without_credential_exits_one(corpus, tmp_path,
+                                                    capsys, monkeypatch):
+    sent = []
+    monkeypatch.setattr("requests.post", lambda *a, **kw: sent.append(a))
+    monkeypatch.delenv("RADSTYLE_TEST_KEY", raising=False)
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["client"] = {"mode": "http", "api_key_env": "RADSTYLE_TEST_KEY"}
+    config["output"]["directory"] = str(tmp_path / "results")
+    path = tmp_path / "http.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 1
+    assert "RADSTYLE_TEST_KEY" in capsys.readouterr().err
+    assert sent == []
+    assert not (tmp_path / "results").exists()
 
 
 def style_files(tmp_path):

@@ -1,15 +1,26 @@
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radstyle.client import (ClientConfig, EchoReportTransport,
-                             FixedReplyTransport, TransportResponse,
-                             complete, complete_batch)
+                             FixedReplyTransport, HttpTransport,
+                             PayloadEncoder, TransportResponse, complete,
+                             complete_batch)
 from radstyle.errors import (InputError, ProtocolError, RequestError,
                              TransportError)
-from radstyle.prompting import INSTRUCTION, StylePair, build_prompt
+from radstyle.prompting import (INSTRUCTION, PromptChain, PromptMessage,
+                                Role, StylePair, build_prompt,
+                                wire_messages)
 
 
 def chain_for(text="no edema"):
@@ -152,7 +163,7 @@ def test_http_transport_headers_and_key_never_logged(monkeypatch, caplog):
         captured["headers"] = headers
         return FakeHttpResponse(200, completion_body("hi"))
 
-    monkeypatch.setattr("radstyle.client.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     monkeypatch.setenv("DEMO_KEY_ENV", "sk-verysecret")
     cfg = ClientConfig(api_key_env="DEMO_KEY_ENV")
     with caplog.at_level(logging.DEBUG):
@@ -169,7 +180,7 @@ def test_api_key_header_style(monkeypatch):
         captured["headers"] = headers
         return FakeHttpResponse(200, completion_body("hi"))
 
-    monkeypatch.setattr("radstyle.client.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     monkeypatch.setenv("DEMO_KEY_ENV", "k123")
     cfg = ClientConfig(api_key_env="DEMO_KEY_ENV", auth_header="api-key")
     complete(chain_for(), cfg)
@@ -183,7 +194,7 @@ def test_http_transport_wraps_requests_errors(monkeypatch):
     def fake_post(url, headers=None, data=None, timeout=None):
         raise requests.ConnectionError("refused")
 
-    monkeypatch.setattr("radstyle.client.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     monkeypatch.setenv("DEMO_KEY_ENV", "k")
     cfg = ClientConfig(api_key_env="DEMO_KEY_ENV", max_retries=0)
     with pytest.raises(TransportError, match="refused"):
@@ -219,3 +230,204 @@ def test_complete_batch_parallelism_validation():
         complete_batch([], ClientConfig(), parallelism=0)
     assert complete_batch([], ClientConfig(), parallelism=2,
                           transport=FixedReplyTransport("x")) == []
+
+
+# Message text that stresses JSON string escaping: quotes, backslashes,
+# control characters, line separators, astral-plane characters.
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(st.characters(),
+                       st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\U0001f600')),
+    max_size=12)
+
+
+@st.composite
+def chains_sharing_messages(draw):
+    """Bare and K-shot chains whose contents come from one small set, so
+    the same text recurs across chains and under different roles."""
+    contents = draw(st.lists(_JSON_TEXT, min_size=1, max_size=4))
+    text = st.sampled_from(contents)
+    chains = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            chains.append(PromptChain(
+                (PromptMessage(Role.USER, draw(text)),), k=0, bare=True))
+            continue
+        k = draw(st.integers(0, 3))
+        messages = [PromptMessage(Role.SYSTEM, draw(text))]
+        for _ in range(k):
+            messages.append(PromptMessage(Role.USER, draw(text)))
+            messages.append(PromptMessage(Role.ASSISTANT, draw(text)))
+        messages.append(PromptMessage(Role.USER, draw(text)))
+        chains.append(PromptChain(tuple(messages), k=k))
+    return chains
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains=chains_sharing_messages(), model=_JSON_TEXT,
+       temperature=st.floats(allow_nan=False),
+       max_tokens=st.integers(-2**70, 2**70))
+def test_payload_encoder_matches_json_dumps(chains, model, temperature,
+                                            max_tokens):
+    cfg = ClientConfig(model=model, temperature=temperature,
+                       max_tokens=max_tokens)
+    encode = PayloadEncoder(cfg)   # one fragment cache for every chain
+    for chain in chains + chains:
+        assert encode(chain) == json.dumps({
+            "model": cfg.model, "temperature": cfg.temperature,
+            "max_tokens": cfg.max_tokens,
+            "messages": wire_messages(chain)})
+
+
+class FailingEcho(EchoReportTransport):
+    """Echo transport that answers chains ending in s3 with a 400, s4
+    with a malformed body and s5 with a 503 every time."""
+
+    def __init__(self, mapping):
+        super().__init__(mapping)
+        self.sent = []   # list.append is atomic, so workers may share it
+
+    def post(self, url, headers, payload, timeout):
+        last = json.loads(payload)["messages"][-1]["content"]
+        self.sent.append(last.split("\n")[-1])
+        if last.endswith("s3"):
+            return TransportResponse(400, "bad request")
+        if last.endswith("s4"):
+            return TransportResponse(200, "not json")
+        if last.endswith("s5"):
+            return TransportResponse(503, "unavailable")
+        return super().post(url, headers, payload, timeout)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 9])
+def test_complete_batch_order_and_item_errors(parallelism):
+    mapping = {f"s{i}": f"report {i}" for i in range(8)}
+    chains = [chain_for(f"s{i}") for i in range(8)]
+    transport = FailingEcho(mapping)
+    results = complete_batch(chains, ClientConfig(max_retries=1),
+                             parallelism=parallelism, transport=transport,
+                             sleep=lambda _: None)
+    assert len(results) == 8
+    assert isinstance(results[3], RequestError)
+    assert results[3].status == 400
+    assert isinstance(results[4], ProtocolError)
+    assert isinstance(results[5], RequestError)
+    assert results[5].status == 503
+    for i in (0, 1, 2, 6, 7):
+        assert results[i].text == f"report {i}"
+    assert len(transport.sent) == 9   # s5 is sent twice
+    assert complete_batch([], ClientConfig(), parallelism=parallelism,
+                          transport=transport) == []
+    assert len(transport.sent) == 9
+
+
+def test_complete_batch_under_frequent_thread_switches():
+    mapping = {f"s{i}": f"report {i}" for i in range(300)}
+    chains = [chain_for(f"s{i}") for i in range(300)]
+    transport = FailingEcho(mapping)
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: out.setdefault(
+            "results", complete_batch(chains, ClientConfig(max_retries=0),
+                                      parallelism=8, transport=transport)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    # Each chain is taken exactly once and its result lands at its index.
+    assert sorted(transport.sent) == sorted(mapping)
+    for i, result in enumerate(out["results"]):
+        if i in (3, 4, 5):
+            assert isinstance(result, ProtocolError if i == 4
+                              else RequestError)
+        else:
+            assert result.text == f"report {i}"
+
+
+def test_complete_batch_reraises_unexpected_errors():
+    second_in_flight = threading.Event()
+
+    class Broken:
+        def __init__(self):
+            self.sent = []
+
+        def post(self, url, headers, payload, timeout):
+            last = json.loads(payload)["messages"][-1]["content"]
+            self.sent.append(last[-2:])
+            if last.endswith("s0"):
+                second_in_flight.wait(timeout=10)
+                raise ValueError("bug in transport")
+            second_in_flight.set()
+            time.sleep(0.2)   # the other worker fails meanwhile
+            return TransportResponse(200, completion_body("ok"))
+
+    transport = Broken()
+    chains = [chain_for(f"s{i}") for i in range(10)]
+    with pytest.raises(ValueError, match="bug in transport"):
+        complete_batch(chains, ClientConfig(), parallelism=2,
+                       transport=transport, sleep=lambda _: None)
+    # The worker still busy with s1 takes no further chain.
+    assert sorted(transport.sent) == ["s0", "s1"]
+
+
+def test_complete_batch_checks_credential_before_sending(monkeypatch):
+    class CountingHttp(HttpTransport):
+        sent = []
+
+        def post(self, url, headers, payload, timeout):
+            CountingHttp.sent.append(payload)
+            return TransportResponse(200, completion_body("hi"))
+
+    monkeypatch.delenv("DEMO_KEY_ENV", raising=False)
+    cfg = ClientConfig(api_key_env="DEMO_KEY_ENV")
+    chains = [chain_for(f"s{i}") for i in range(5)]
+    with pytest.raises(InputError, match="DEMO_KEY_ENV"):
+        complete_batch(chains, cfg, parallelism=2, transport=CountingHttp())
+    assert CountingHttp.sent == []
+    monkeypatch.setenv("DEMO_KEY_ENV", "k")
+    results = complete_batch(chains, cfg, parallelism=2,
+                             transport=CountingHttp())
+    assert [r.text for r in results] == ["hi"] * 5
+    assert len(CountingHttp.sent) == 5
+
+
+def test_no_rng_built_without_a_retry(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("random.Random built without a retry")
+
+    monkeypatch.setattr(random, "Random", no_rng)
+    chains = [chain_for(f"s{i}") for i in range(6)]
+    results = complete_batch(chains, ClientConfig(), parallelism=2,
+                             transport=FixedReplyTransport("x"))
+    assert [r.attempts for r in results] == [1] * 6
+
+
+def test_retry_jitter_without_injected_rng():
+    transport = ScriptedTransport([
+        TransportResponse(429, "slow down"),
+        TransportError("connection reset"),
+        TransportResponse(503, "unavailable"),
+        TransportResponse(200, completion_body("ok")),
+    ])
+    delays = []
+    result = complete(chain_for(), ClientConfig(max_retries=3),
+                      transport=transport, sleep=delays.append)
+    assert result.attempts == 4
+    assert len(delays) == 3
+    for attempt, delay in enumerate(delays):
+        backoff = 2.0 ** attempt
+        assert backoff <= delay <= 1.25 * backoff
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, radstyle.cli; print('requests' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
