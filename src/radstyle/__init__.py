@@ -1,35 +1,3 @@
 """Graph-serialization report generation: parsing, prompting, scoring."""
 
-from .client import (ClientConfig, CompletionResult, EchoReportTransport,
-                     FixedReplyTransport, HttpTransport, Transport,
-                     TransportResponse, complete, complete_batch)
-from .config import (ClientSettings, ExperimentConfig, HarnessConfig,
-                     MetricsConfig, OutputConfig, load_config)
-from .errors import (ClientError, ConfigError, InputError, IoError,
-                     ParseError, ProtocolError, RadstyleError, RequestError,
-                     SchemaError, ShapeError, TransportError)
-from .graph import (Entity, EntityLabel, RadGraph, Relation, RelationKind,
-                    SectionMap, parse_radgraph, radgraph_from_document,
-                    to_payload, validate, weakly_connected_components)
-from .harness import (ChatClient, Resources, ResultRow, ResultTable, RunItem,
-                      RunOutcome, Scorer, StudyRecord, StyleEvalScore,
-                      StyleEvalSet, assemble_style_eval_sets, build_client,
-                      build_resources, evaluate, load_dataset,
-                      load_graph_documents, parse_table_csv, render_table,
-                      render_table_csv, render_style_eval_set,
-                      run_end_to_end, run_serialization_to_report,
-                      score_style_eval, split_records, write_scores_jsonl)
-from .metrics import (MetricReport, RadGraphF1, ZTestResult, bert_score,
-                      bleu2, chexbert_similarity, mean_ci, normal_cdf,
-                      radcliq, radgraph_f1, tokenize, z_test_proportion)
-from .model_math import (LayerNormParams, attention_pool, cross_entropy,
-                         fuse, grad_check, max_pool_features,
-                         project_image_feature, softmax)
-from .prompting import (INSTRUCTION, SYSTEM_PROMPT, PromptChain,
-                        PromptMessage, Role, StylePair, build_prompt,
-                        chain_from_wire, derive_selection_seed,
-                        select_examples, wire_messages)
-from .serialize import (Section, SerializerConfig, Serialization,
-                        section_of_component, serialize, serialize_component)
-
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from .graph import radgraph_from_document
 from .harness import (StyleEvalSet, assemble_style_eval_sets, evaluate,
                       load_dataset, render_style_eval_set, render_table,
                       score_style_eval, split_records, write_outputs)
+from .jsonfiles import read_json
 from .metrics import z_test_proportion
 from .prompting import (StylePair, build_prompt, derive_selection_seed,
                         select_examples, wire_messages)
@@ -27,14 +28,7 @@ _INPUT_ERRORS = (InputError, SchemaError, ParseError, ConfigError, IoError)
 
 
 def _cmd_serialize(args: argparse.Namespace) -> int:
-    try:
-        payload = Path(args.graphs).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {args.graphs}: {exc}") from exc
-    try:
-        doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    doc = read_json(args.graphs)
     cfg = SerializerConfig(delimiter=args.delimiter,
                            include_headers=not args.no_headers)
     if isinstance(doc, dict) and not _looks_like_graph_document(doc):
@@ -94,20 +88,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_json_file(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-
-
 def _cmd_style_assemble(args: argparse.Namespace) -> int:
-    human = _read_json_file(args.human)
-    generated = _read_json_file(args.generated)
+    human = read_json(args.human)
+    generated = read_json(args.generated)
     for name, doc in (("human", human), ("generated", generated)):
         if not isinstance(doc, dict):
             raise SchemaError(
@@ -125,12 +108,12 @@ def _cmd_style_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_style_score(args: argparse.Namespace) -> int:
-    doc = _read_json_file(args.sets)
+    doc = read_json(args.sets)
     if not isinstance(doc, dict) or not isinstance(doc.get("sets"), list):
         raise SchemaError(f"{args.sets}: expected an object with a "
                           f"'sets' array")
     sets = [StyleEvalSet.from_dict(d) for d in doc["sets"]]
-    answers = _read_json_file(args.answers)
+    answers = read_json(args.answers)
     if not isinstance(answers, dict):
         raise SchemaError(f"{args.answers}: expected an object mapping "
                           f"evaluator to answer array")

@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .errors import (ClientError, InputError, ProtocolError, RequestError,
-                     TransportError)
+from .errors import (ClientError, ConfigError, InputError, ProtocolError,
+                     RequestError, TransportError)
 from .prompting import INSTRUCTION, PromptChain
 
 log = logging.getLogger(__name__)
@@ -30,8 +30,23 @@ _BACKOFF_FACTOR = 2.0
 _JITTER_SPAN = 0.25
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ClientConfig:
+    """How generated reports are obtained: the ``client:`` section of a
+    run config.
+
+    mode "http" talks to a real endpoint; "identity-mock" echoes each
+    study's reference report (offline pipeline checks); "fixed-mock"
+    returns ``fixed_text`` for everything (degenerate baseline).
+    ``evaluate`` sends each shot row's requests with ``parallelism``
+    workers.
+    """
+
+    mode: str = "identity-mock"
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     model: str = "gpt-3.5-turbo"
     temperature: float = 0.0
@@ -40,6 +55,18 @@ class ClientConfig:
     max_retries: int = 2
     api_key_env: str = "OPENAI_API_KEY"
     auth_header: str = "Authorization"
+    fixed_text: str = "No acute cardiopulmonary process."
+    parallelism: int = 4
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("http", "identity-mock", "fixed-mock"):
+            raise ConfigError(f"unknown client mode {self.mode!r}")
+        if not _is_int(self.max_retries) or self.max_retries < 0:
+            raise ConfigError(f"client max_retries must be an integer >= 0, "
+                              f"got {self.max_retries!r}")
+        if not _is_int(self.parallelism) or self.parallelism < 1:
+            raise ConfigError(f"client parallelism must be an integer >= 1, "
+                              f"got {self.parallelism!r}")
 
 
 @dataclass(frozen=True)

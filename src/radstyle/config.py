@@ -6,11 +6,13 @@ falling back to defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
+from .client import ClientConfig
 from .errors import ConfigError, IoError
 from .serialize import SerializerConfig
 
@@ -35,32 +37,6 @@ class MetricsConfig:
     radcliq_weights: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_RADCLIQ_WEIGHTS))
     radcliq_bias: float = DEFAULT_RADCLIQ_BIAS
-
-
-@dataclass(frozen=True)
-class ClientSettings:
-    """How generated reports are obtained.
-
-    mode "http" talks to a real endpoint; "identity-mock" echoes each
-    study's reference report (offline pipeline checks); "fixed-mock"
-    returns ``fixed_text`` for everything (degenerate baseline).
-    """
-
-    mode: str = "identity-mock"
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    model: str = "gpt-3.5-turbo"
-    temperature: float = 0.0
-    max_tokens: int = 512
-    timeout: float = 30.0
-    max_retries: int = 2
-    api_key_env: str = "OPENAI_API_KEY"
-    auth_header: str = "Authorization"
-    fixed_text: str = "No acute cardiopulmonary process."
-    parallelism: int = 4
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("http", "identity-mock", "fixed-mock"):
-            raise ConfigError(f"unknown client mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +68,7 @@ class HarnessConfig:
     baseline: str | None = None
     serializer: SerializerConfig = field(default_factory=SerializerConfig)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
-    client: ClientSettings = field(default_factory=ClientSettings)
+    client: ClientConfig = field(default_factory=ClientConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -100,22 +76,14 @@ class HarnessConfig:
 def _build(cls, doc: dict, context: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected a mapping")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(doc) - set(known))
+    types = get_type_hints(cls)   # field name -> resolved type
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}")
     kwargs = {}
     for name, value in doc.items():
-        if name == "serializer":
-            value = _build(SerializerConfig, value, f"{context}.{name}")
-        elif name == "metrics":
-            value = _build(MetricsConfig, value, f"{context}.{name}")
-        elif name == "client":
-            value = _build(ClientSettings, value, f"{context}.{name}")
-        elif name == "experiment":
-            value = _build(ExperimentConfig, value, f"{context}.{name}")
-        elif name == "output":
-            value = _build(OutputConfig, value, f"{context}.{name}")
+        if is_dataclass(types[name]):
+            value = _build(types[name], value, f"{context}.{name}")
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[name] = value
@@ -129,7 +97,7 @@ def load_config(path: str | Path) -> HarnessConfig:
     """Read a harness configuration from a YAML (or JSON) file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
         doc = yaml.safe_load(text)

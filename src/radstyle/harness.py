@@ -22,9 +22,10 @@ import numpy as np
 
 from .client import (ClientConfig, EchoReportTransport, FixedReplyTransport,
                      HttpTransport, Transport, complete_batch)
-from .config import ClientSettings, HarnessConfig, MetricsConfig
+from .config import HarnessConfig, MetricsConfig
 from .errors import ConfigError, InputError, IoError, SchemaError
 from .graph import RadGraph, radgraph_from_document
+from .jsonfiles import read_jsonl, read_study_map
 from .metrics import (MetricReport, PathologyVector, ZTestResult,
                       as_pathology_vector, bert_score, bleu2,
                       chexbert_similarity, graph_keys, load_embeddings,
@@ -57,19 +58,9 @@ def load_dataset(path) -> list[StudyRecord]:
 
     Errors carry 1-based line numbers. Study ids must be unique.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     records: list[StudyRecord] = []
     seen: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {lineno}: malformed JSON: {exc}") from exc
+    for lineno, doc in read_jsonl(path):
         if not isinstance(doc, dict):
             raise SchemaError(f"line {lineno}: expected an object")
         unknown = sorted(set(doc) - _RECORD_KEYS)
@@ -111,21 +102,9 @@ def split_records(records: Sequence[StudyRecord],
     return [r for r in records if r.split == split]
 
 
-def _read_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-
-
 def load_graph_documents(path) -> dict[str, RadGraph]:
     """Read a JSON sidecar mapping study id to a report-graph document."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object keyed by study id")
+    doc = read_study_map(path)
     out: dict[str, RadGraph] = {}
     for study_id, payload in doc.items():
         try:
@@ -427,36 +406,16 @@ def parse_table_csv(text: str) -> ResultTable:
     return ResultTable(names, tuple(rows))
 
 
-class ChatClient:
-    """Thin batch wrapper binding a config to a transport."""
-
-    def __init__(self, cfg: ClientConfig, transport: Transport,
-                 parallelism: int = 4) -> None:
-        self.cfg = cfg
-        self.transport = transport
-        self.parallelism = parallelism
-
-    def batch(self, chains: Sequence[PromptChain]):
-        return complete_batch(chains, self.cfg, parallelism=self.parallelism,
-                              transport=self.transport)
-
-
-def build_client(settings: ClientSettings,
-                 records: Sequence[StudyRecord]) -> ChatClient:
-    cfg = ClientConfig(
-        endpoint=settings.endpoint, model=settings.model,
-        temperature=settings.temperature, max_tokens=settings.max_tokens,
-        timeout=settings.timeout, max_retries=settings.max_retries,
-        api_key_env=settings.api_key_env, auth_header=settings.auth_header)
-    if settings.mode == "http":
-        transport: Transport = HttpTransport()
-    elif settings.mode == "identity-mock":
-        mapping = {r.serialization: r.report
-                   for r in records if r.serialization}
-        transport = EchoReportTransport(mapping)
-    else:
-        transport = FixedReplyTransport(settings.fixed_text)
-    return ChatClient(cfg, transport, settings.parallelism)
+def make_transport(cfg: ClientConfig,
+                   records: Sequence[StudyRecord]) -> Transport:
+    """The transport that ``cfg.mode`` names; the identity mock maps each
+    record's serialization to its report."""
+    if cfg.mode == "http":
+        return HttpTransport()
+    if cfg.mode == "identity-mock":
+        return EchoReportTransport({r.serialization: r.report
+                                    for r in records if r.serialization})
+    return FixedReplyTransport(cfg.fixed_text)
 
 
 def _check_disjoint(eval_records: Sequence[StudyRecord],
@@ -468,97 +427,77 @@ def _check_disjoint(eval_records: Sequence[StudyRecord],
             f"studies present in both pool and eval splits: {sorted(overlap)}")
 
 
-def _run_generation(pairs: Sequence[tuple[StudyRecord, str]],
-                    pool_pairs: Sequence[StylePair], k: int,
-                    cfg: HarnessConfig, client: ChatClient, scorer: Scorer,
-                    method: str, source: str) -> list[RunItem]:
-    chains: list[PromptChain] = []
-    chain_records: list[StudyRecord] = []
-    failed: dict[str, RunItem] = {}
-    for record, serialization in pairs:
-        try:
-            seed = derive_selection_seed(cfg.experiment.seed, k,
-                                         record.study_id)
-            examples = select_examples(pool_pairs, k, seed)
-            chains.append(build_prompt(examples, serialization))
-            chain_records.append(record)
-        except InputError as exc:
-            failed[record.study_id] = RunItem(
-                record.study_id, method, k, source, None, {}, str(exc))
-    results = client.batch(chains)
-    scored: dict[str, RunItem] = {}
-    for record, result in zip(chain_records, results):
-        if isinstance(result, Exception):
-            scored[record.study_id] = RunItem(
-                record.study_id, method, k, source, None, {}, str(result))
-        else:
-            scored[record.study_id] = RunItem(
-                record.study_id, method, k, source, result.text,
-                scorer.score(result.text, record))
-    items = []
-    for record, _ in pairs:
-        items.append(scored.get(record.study_id,
-                                failed.get(record.study_id)))
-    return items
+# evaluation mode -> RunItem.source: where the prompted serialization
+# comes from
+_SOURCES = {"ser2rep": "ground_truth", "end2end": "predicted"}
 
 
-def run_serialization_to_report(eval_records: Sequence[StudyRecord],
-                                pool_records: Sequence[StudyRecord],
-                                cfg: HarnessConfig, client: ChatClient,
-                                scorer: Scorer) -> RunOutcome:
-    """Generate reports from the dataset's own serializations and score
-    them, one table row per shot count."""
+def run_generation(mode: str, eval_records: Sequence[StudyRecord],
+                   pool_records: Sequence[StudyRecord], cfg: HarnessConfig,
+                   scorer: Scorer, transport: Transport,
+                   graphs: Mapping[str, RadGraph]) -> RunOutcome:
+    """Generate and score a report for each eval study, one table row
+    (and one client batch) per shot count.
+
+    "ser2rep" prompts with each study's own serialization. "end2end"
+    serializes the study's graph from ``graphs``; a study without one
+    becomes an error item, placed after the row's generated items. An
+    item whose prompt cannot be built fails in place.
+    """
     _check_disjoint(eval_records, pool_records)
-    for group, label in ((pool_records, "pool"), (eval_records, "eval")):
+    source = _SOURCES[mode]
+    need_serializations = [(pool_records, "pool")]
+    if mode == "ser2rep":
+        need_serializations.append((eval_records, "eval"))
+    for group, label in need_serializations:
         missing = sorted(r.study_id for r in group if not r.serialization)
         if missing:
             raise InputError(
                 f"{label} records missing serializations: {missing}")
     pool_pairs = [StylePair(r.serialization, r.report) for r in pool_records]
-    pairs = [(r, r.serialization) for r in eval_records]
-    rows: list[ResultRow] = []
-    items: list[RunItem] = []
-    for k in cfg.experiment.shots:
-        run_items = _run_generation(pairs, pool_pairs, k, cfg, client,
-                                    scorer, "ser2rep", "ground_truth")
-        rows.append(aggregate_row("ser2rep", k, run_items, cfg.metrics.names))
-        items.extend(run_items)
-    return RunOutcome(ResultTable(tuple(cfg.metrics.names), tuple(rows)),
-                      items)
-
-
-def run_end_to_end(eval_records: Sequence[StudyRecord],
-                   pool_records: Sequence[StudyRecord], cfg: HarnessConfig,
-                   client: ChatClient, scorer: Scorer,
-                   resources: Resources) -> RunOutcome:
-    """Serialize each eval study's graph, then generate and score. Studies
-    without a graph become error items instead of aborting the run."""
-    _check_disjoint(eval_records, pool_records)
-    missing = sorted(r.study_id for r in pool_records if not r.serialization)
-    if missing:
-        raise InputError(f"pool records missing serializations: {missing}")
-    pool_pairs = [StylePair(r.serialization, r.report) for r in pool_records]
     pairs: list[tuple[StudyRecord, str]] = []
     absent: list[StudyRecord] = []
     for record in eval_records:
-        graph = resources.graphs.get(record.study_id)
-        if graph is None:
-            absent.append(record)
+        if mode == "ser2rep":
+            pairs.append((record, record.serialization))
+        elif record.study_id in graphs:
+            pairs.append((record, serialize(graphs[record.study_id],
+                                            cfg.serializer).rendered))
         else:
-            pairs.append((record,
-                          serialize(graph, cfg.serializer).rendered))
+            absent.append(record)
     rows: list[ResultRow] = []
     items: list[RunItem] = []
     for k in cfg.experiment.shots:
-        run_items = _run_generation(pairs, pool_pairs, k, cfg, client,
-                                    scorer, "end2end", "predicted")
-        for record in absent:
-            run_items.append(RunItem(
-                record.study_id, "end2end", k, "predicted", None, {},
-                f"no graph for study {record.study_id}"))
-        rows.append(aggregate_row("end2end", k, run_items,
-                                  cfg.metrics.names))
-        items.extend(run_items)
+        chains: list[PromptChain] = []
+        row: list[RunItem | None] = []   # None: awaits the batch's result
+        for record, serialization in pairs:
+            try:
+                seed = derive_selection_seed(cfg.experiment.seed, k,
+                                             record.study_id)
+                examples = select_examples(pool_pairs, k, seed)
+                chains.append(build_prompt(examples, serialization))
+                row.append(None)
+            except InputError as exc:
+                row.append(RunItem(record.study_id, mode, k, source, None,
+                                   {}, str(exc)))
+        # The batch's results live only as long as this loop.
+        waiting = [i for i, item in enumerate(row) if item is None]
+        for i, result in zip(waiting, complete_batch(
+                chains, cfg.client, parallelism=cfg.client.parallelism,
+                transport=transport)):
+            record = pairs[i][0]
+            if isinstance(result, Exception):
+                row[i] = RunItem(record.study_id, mode, k, source, None, {},
+                                 str(result))
+            else:
+                row[i] = RunItem(record.study_id, mode, k, source,
+                                 result.text,
+                                 scorer.score(result.text, record))
+        row.extend(RunItem(r.study_id, mode, k, source, None, {},
+                           f"no graph for study {r.study_id}")
+                   for r in absent)
+        rows.append(aggregate_row(mode, k, row, cfg.metrics.names))
+        items.extend(row)
     return RunOutcome(ResultTable(tuple(cfg.metrics.names), tuple(rows)),
                       items)
 
@@ -583,7 +522,7 @@ def score_fixed_outputs(records: Sequence[StudyRecord],
 
 def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
     """Load everything named by the config and execute a full run."""
-    if mode not in ("ser2rep", "end2end"):
+    if mode not in _SOURCES:
         raise InputError(f"unknown evaluation mode {mode!r}")
     records = load_dataset(cfg.dataset)
     pool_records = split_records(records, cfg.experiment.pool_split)
@@ -593,18 +532,11 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
             f"no records in eval split {cfg.experiment.eval_split!r}")
     resources = build_resources(records, cfg)
     scorer = Scorer(cfg.metrics, resources)
-    client = build_client(cfg.client, records)
-    if mode == "ser2rep":
-        outcome = run_serialization_to_report(eval_records, pool_records,
-                                              cfg, client, scorer)
-    else:
-        outcome = run_end_to_end(eval_records, pool_records, cfg, client,
-                                 scorer, resources)
+    transport = make_transport(cfg.client, records)
+    outcome = run_generation(mode, eval_records, pool_records, cfg, scorer,
+                             transport, resources.graphs)
     if cfg.baseline:
-        outputs = _read_json(cfg.baseline)
-        if not isinstance(outputs, dict):
-            raise SchemaError(
-                f"{cfg.baseline}: expected a JSON object keyed by study id")
+        outputs = read_study_map(cfg.baseline)
         row, baseline_items = score_fixed_outputs(
             eval_records, outputs, scorer, cfg.metrics.names)
         outcome = RunOutcome(
@@ -632,19 +564,7 @@ def write_scores_jsonl(path, items: Sequence[RunItem]) -> None:
 
 
 def load_scores_jsonl(path) -> list[dict]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {lineno}: malformed JSON: {exc}") from exc
-    return out
+    return [doc for _, doc in read_jsonl(path)]
 
 
 def write_outputs(outcome: RunOutcome, cfg: HarnessConfig) -> dict[str, Path]:

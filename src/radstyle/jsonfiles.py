@@ -1,0 +1,54 @@
+"""Reading JSON and JSONL input files.
+
+Every JSON and JSONL input is read here: a file that cannot be read or
+decoded raises ``IoError``, and text that is not JSON raises
+``SchemaError``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Iterator
+
+from .errors import IoError, SchemaError
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path) -> Any:
+    """The JSON document in ``path``."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
+
+
+def read_study_map(path) -> dict:
+    """A JSON object keyed by study id, such as a resource sidecar."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object keyed by study id")
+    return doc
+
+
+def read_jsonl(path) -> Iterator[tuple[int, Any]]:
+    """``(lineno, document)`` for each non-blank line, numbered from 1.
+
+    The whole file is read before the first document is yielded.
+    """
+    lines = _read_text(path).splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"line {lineno}: malformed JSON: {exc}") from exc
+        yield lineno, doc

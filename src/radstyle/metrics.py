@@ -9,7 +9,6 @@ files so every number is reproducible offline.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -18,8 +17,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, IoError, SchemaError
+from .errors import ConfigError, InputError, SchemaError
 from .graph import RadGraph
+from .jsonfiles import read_study_map
 
 # Token sequences are plain lists of lower-cased strings; pathology vectors
 # are 14-tuples of 0/1 ints; embedding matrices are (tokens, dim) float arrays.
@@ -343,7 +343,7 @@ def z_test_proportion(x: int, n: int, p0: float) -> ZTestResult:
 
 def load_pathology_vectors(path) -> dict[str, PathologyVector]:
     """Read a JSON sidecar mapping study id to a 14-entry indicator array."""
-    doc = _load_json_object(path)
+    doc = read_study_map(path)
     out: dict[str, PathologyVector] = {}
     for study_id, values in doc.items():
         if not isinstance(values, list):
@@ -357,7 +357,7 @@ def load_pathology_vectors(path) -> dict[str, PathologyVector]:
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Read a JSON sidecar mapping study id to an array-of-arrays of reals."""
-    doc = _load_json_object(path)
+    doc = read_study_map(path)
     out: dict[str, np.ndarray] = {}
     for study_id, rows in doc.items():
         try:
@@ -365,16 +365,3 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
         except (InputError, ValueError) as exc:
             raise SchemaError(f"study {study_id}: {exc}") from exc
     return out
-
-
-def _load_json_object(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object keyed by study id")
-    return doc

@@ -9,14 +9,13 @@ to be checked (including by finite differences), not to be fast.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, IoError, SchemaError, ShapeError
+from .errors import InputError, ShapeError
 
 
 def softmax(logits, axis: int = -1) -> np.ndarray:
@@ -169,28 +168,3 @@ def project_image_feature(pooled, projections) -> np.ndarray:
             f"projections must have shape (topics, out, {v.shape[0]})")
     return mats @ v
 
-
-def read_matrix_json(path) -> np.ndarray:
-    """Load a 2-D real matrix stored as a JSON array of arrays."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2:
-        raise SchemaError(f"{path}: expected a 2-D array of numbers")
-    return arr
-
-
-def write_matrix_json(path, matrix) -> None:
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2:
-        raise InputError("matrix must be 2-D")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(arr.tolist(), fh)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc

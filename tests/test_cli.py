@@ -172,6 +172,39 @@ def test_evaluate_http_without_credential_exits_one(corpus, tmp_path,
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_retries", -1), ("max_retries", "x"), ("max_retries", True),
+    ("parallelism", 0), ("parallelism", "2")])
+def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
+                                             key, value):
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["client"][key] = value
+    config["output"]["directory"] = str(tmp_path / "results")
+    path = tmp_path / "bad_client.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"client {key}" in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("bad", ["dataset", "config", "graphs"])
+def test_undecodable_input_file_exits_one(corpus, tmp_path, capsys, bad):
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b"\xff\xfe{")
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["dataset"] = str(undecodable)
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    argv = {"dataset": ["evaluate", "--mode", "ser2rep", "--config", str(path)],
+            "config": ["evaluate", "--mode", "ser2rep",
+                       "--config", str(undecodable)],
+            "graphs": ["serialize", str(undecodable)]}[bad]
+    assert cli.main(argv) == 1
+    assert f"cannot read {undecodable}" in capsys.readouterr().err
+
+
 def style_files(tmp_path):
     human = {f"r{i}": [f"rad {i} human report {j}" for j in range(6)]
              for i in range(2)}

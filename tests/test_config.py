@@ -1,7 +1,8 @@
 import pytest
 
-from radstyle.config import (ClientSettings, ExperimentConfig, HarnessConfig,
-                             MetricsConfig, load_config)
+from radstyle.client import ClientConfig
+from radstyle.config import (ExperimentConfig, HarnessConfig, MetricsConfig,
+                             load_config)
 from radstyle.errors import ConfigError, IoError
 
 
@@ -85,7 +86,7 @@ def test_missing_file():
 
 def test_client_mode_validated():
     with pytest.raises(ConfigError, match="unknown client mode"):
-        ClientSettings(mode="telepathy")
+        ClientConfig(mode="telepathy")
 
 
 def test_experiment_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -7,25 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radstyle.config import (ClientSettings, ExperimentConfig, HarnessConfig,
-                             MetricsConfig, OutputConfig, load_config)
+from radstyle.client import (ClientConfig, EchoReportTransport,
+                             TransportResponse)
+from radstyle.config import (ExperimentConfig, HarnessConfig, MetricsConfig,
+                             OutputConfig, load_config)
 from radstyle.errors import ConfigError, InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
 from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
                               Scorer, StudyRecord, StyleEvalSet,
                               aggregate_row, assemble_style_eval_sets,
-                              build_client, build_resources, evaluate,
-                              item_to_dict, load_dataset,
-                              load_graph_documents, load_scores_jsonl,
+                              build_resources, evaluate, item_to_dict,
+                              load_dataset, load_graph_documents,
+                              load_scores_jsonl, make_transport,
                               parse_table_csv, render_style_eval_set,
-                              render_table, render_table_csv,
-                              run_serialization_to_report,
+                              render_table, render_table_csv, run_generation,
                               score_fixed_outputs, score_style_eval,
                               split_records, write_outputs,
                               write_scores_jsonl)
 from radstyle.metrics import (MetricReport, bert_score, bleu2,
                               chexbert_similarity, mean_ci, radcliq,
                               radgraph_f1, tokenize)
+from radstyle.prompting import INSTRUCTION
 from radstyle.serialize import serialize
 from radstyle.synthetic import make_synthetic_corpus
 
@@ -523,7 +526,7 @@ def test_evaluate_requires_eval_records(tmp_path, corpus):
         {"study_id": r.study_id, "report": r.report, "split": "train",
          "serialization": r.serialization} for r in records])
     broken = HarnessConfig(dataset=str(only_train), graphs=cfg.graphs,
-                           client=ClientSettings(mode="identity-mock"))
+                           client=ClientConfig(mode="identity-mock"))
     with pytest.raises(InputError, match="eval split"):
         evaluate(broken, "ser2rep")
 
@@ -533,10 +536,11 @@ def test_run_rejects_overlapping_splits(corpus):
     # the run drivers accept arbitrary lists and must defend themselves
     paths, cfg = corpus
     records = load_dataset(cfg.dataset)[:3]
-    client = build_client(ClientSettings(mode="identity-mock"), records)
+    transport = make_transport(ClientConfig(mode="identity-mock"), records)
     scorer = Scorer(cfg.metrics, Resources())
     with pytest.raises(InputError, match="both pool and eval"):
-        run_serialization_to_report(records, records, cfg, client, scorer)
+        run_generation("ser2rep", records, records, cfg, scorer, transport,
+                       {})
 
 
 def test_ser2rep_requires_serializations(tmp_path):
@@ -571,6 +575,58 @@ def test_end_to_end_missing_graph_becomes_error_item(tmp_path, corpus):
     assert outcome.table.rows[0].n_items == len(test_ids)
 
 
+class RejectingEchoTransport(EchoReportTransport):
+    """The identity mock, except that one serialization gets a 400."""
+
+    def __init__(self, mapping, rejected):
+        super().__init__(mapping)
+        self.rejected = rejected
+
+    def post(self, url, headers, payload, timeout):
+        content = json.loads(payload)["messages"][-1]["content"]
+        if content == f"{INSTRUCTION}\n{self.rejected}":
+            return TransportResponse(400, "rejected")
+        return super().post(url, headers, payload, timeout)
+
+
+@pytest.mark.parametrize("mode", ["ser2rep", "end2end"])
+def test_run_generation_keeps_item_order(corpus, mode):
+    # A prompt that cannot be built and a rejected request fail in place;
+    # end2end studies without a graph follow the row's generated items.
+    paths, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    pool = split_records(records, "train")
+    evals = split_records(records, "test")
+    a, b, c, d = (r.study_id for r in evals)
+    resources = build_resources(records, cfg)
+    graphs = dict(resources.graphs)
+    if mode == "ser2rep":
+        evals[1] = dataclasses.replace(evals[1], serialization=" ")
+        order, errors = [a, b, c, d], {b: "serialization is empty",
+                                       c: "status 400"}
+    else:
+        del graphs[a]
+        order, errors = [b, c, d, a], {a: f"no graph for study {a}",
+                                       c: "status 400"}
+    transport = RejectingEchoTransport(
+        {r.serialization: r.report for r in records}, evals[2].serialization)
+    two_rows = dataclasses.replace(cfg,
+                                   experiment=ExperimentConfig(shots=(0, 1)))
+    outcome = run_generation(mode, evals, pool, two_rows,
+                             Scorer(cfg.metrics, resources), transport, graphs)
+    assert [(i.study_id, i.shots) for i in outcome.items] == [
+        (sid, k) for k in (0, 1) for sid in order]
+    for item in outcome.items:
+        assert item.method == mode
+        if item.study_id in errors:
+            assert errors[item.study_id] in item.error
+            assert item.generated is None and item.scores == {}
+        else:
+            assert item.error is None
+            assert item.scores["radgraph_f1"] == 1.0
+    assert [row.excluded for row in outcome.table.rows] == [2, 2]
+
+
 def test_score_fixed_outputs_missing_study():
     scorer = Scorer(MetricsConfig(names=("bleu2",)), Resources())
     records = [StudyRecord("a", "x y"), StudyRecord("b", "z")]
@@ -583,11 +639,11 @@ def test_score_fixed_outputs_missing_study():
 def test_build_client_modes(corpus):
     paths, cfg = corpus
     records = load_dataset(cfg.dataset)
-    client = build_client(ClientSettings(mode="identity-mock"), records)
+    transport = make_transport(ClientConfig(mode="identity-mock"), records)
     from radstyle.client import EchoReportTransport, FixedReplyTransport
-    assert isinstance(client.transport, EchoReportTransport)
-    client = build_client(ClientSettings(mode="fixed-mock"), records)
-    assert isinstance(client.transport, FixedReplyTransport)
+    assert isinstance(transport, EchoReportTransport)
+    transport = make_transport(ClientConfig(mode="fixed-mock"), records)
+    assert isinstance(transport, FixedReplyTransport)
 
 
 # -------------------------------------------------------------- artifacts

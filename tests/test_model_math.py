@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radstyle.errors import InputError, IoError, SchemaError, ShapeError
+from radstyle.errors import InputError, ShapeError
 from radstyle.model_math import (LayerNormParams, attention_pool,
                                  cross_entropy, fuse, grad_check,
                                  max_pool_features, project_image_feature,
-                                 read_matrix_json, softmax,
-                                 write_matrix_json)
+                                 softmax)
 
 
 def test_softmax_rows_sum_to_one():
@@ -262,20 +261,6 @@ def test_project_image_feature():
         project_image_feature(np.ones((2, 2)), projections)
     with pytest.raises(ShapeError):
         project_image_feature(np.ones(3), projections)
-
-
-def test_matrix_json_round_trip(tmp_path):
-    path = tmp_path / "m.json"
-    matrix = np.array([[1.5, -2.0], [0.0, 3.25]])
-    write_matrix_json(path, matrix)
-    assert np.array_equal(read_matrix_json(path), matrix)
-    path.write_text("[1, 2, 3]")
-    with pytest.raises(SchemaError):
-        read_matrix_json(path)
-    with pytest.raises(IoError):
-        read_matrix_json(tmp_path / "absent.json")
-    with pytest.raises(InputError):
-        write_matrix_json(path, np.ones(3))
 
 
 @given(st.integers(min_value=1, max_value=6),
