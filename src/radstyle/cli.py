@@ -16,11 +16,12 @@ from .errors import (ClientError, ConfigError, InputError, IoError,
                      ParseError, SchemaError)
 from .graph import radgraph_from_document
 from .harness import (StyleEvalSet, assemble_style_eval_sets, evaluate,
-                      load_dataset, render_style_eval_set, render_table,
-                      score_style_eval, split_records, write_outputs)
+                      example_pool, load_dataset, render_style_eval_set,
+                      render_table, score_style_eval, split_records,
+                      write_outputs)
 from .jsonfiles import read_json
 from .metrics import z_test_proportion
-from .prompting import (StylePair, build_prompt, derive_selection_seed,
+from .prompting import (build_prompt, derive_selection_seed,
                         select_examples, wire_messages)
 from .serialize import SerializerConfig, serialize
 
@@ -54,9 +55,7 @@ def _looks_like_graph_document(doc: dict) -> bool:
 
 def _cmd_prompt(args: argparse.Namespace) -> int:
     records = load_dataset(args.dataset)
-    pool = [r for r in split_records(records, args.pool_split)
-            if r.serialization]
-    pairs = [StylePair(r.serialization, r.report) for r in pool]
+    pairs = example_pool(split_records(records, args.pool_split))
     if args.eval_study:
         matches = [r for r in records if r.study_id == args.eval_study]
         if not matches:
@@ -95,6 +94,11 @@ def _cmd_style_assemble(args: argparse.Namespace) -> int:
         if not isinstance(doc, dict):
             raise SchemaError(
                 f"{name} file must map radiologist id to a report array")
+        for rid, reports in doc.items():
+            if (not isinstance(reports, list)
+                    or not all(isinstance(r, str) for r in reports)):
+                raise SchemaError(f"{name} file: radiologist {rid}: "
+                                  f"expected an array of report strings")
     sets = assemble_style_eval_sets(human, generated, args.sets, args.seed)
     out = {"sets": [s.to_dict() for s in sets]}
     Path(args.out).write_text(json.dumps(out, indent=2), encoding="utf-8")

@@ -8,7 +8,6 @@ the undirected-connectivity decomposition the serializer builds on.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from dataclasses import dataclass, field
@@ -189,15 +188,6 @@ def radgraph_from_document(doc: dict) -> RadGraph:
 
     return RadGraph(entities, tuple(relations), _derive_sections(report_text),
                     report_text)
-
-
-def parse_radgraph(payload: bytes | str) -> RadGraph:
-    """Parse UTF-8 JSON bytes in the ingestion format into a RadGraph."""
-    try:
-        doc = json.loads(payload)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    return radgraph_from_document(doc)
 
 
 def to_payload(g: RadGraph) -> dict:

@@ -78,6 +78,9 @@ def load_dataset(path) -> list[StudyRecord]:
         seen[sid] = lineno
         vector = None
         if doc.get("pathology_vector") is not None:
+            if not isinstance(doc["pathology_vector"], list):
+                raise SchemaError(
+                    f"line {lineno}: pathology_vector must be an array")
             try:
                 vector = as_pathology_vector(doc["pathology_vector"])
             except InputError as exc:
@@ -164,15 +167,14 @@ class Scorer:
     A metric whose inputs are unavailable scores None and is excluded
     from that metric's aggregate, shrinking its effective n.
 
-    The features each metric reads of a report (n-gram counts, graph
-    keys, unit embedding rows, vector norms) are prepared on first use
-    and kept for the life of the scorer: reference features by study id,
-    candidate features by text when the text is a known reference report
-    (found in the resources' text lookups). Other generations are
-    prepared afresh on every call, so the memo holds at most two entries
-    per study and metric. A candidate whose text, graph or vector is the
-    reference's own shares the reference's features. A study id must
-    name one record throughout, as ``load_dataset`` guarantees.
+    The features each metric reads of a report (n-gram counts, unit
+    embedding rows, vector norms, graph keys) are prepared once per
+    study: one memo per metric, keyed by study id, holds the reference's
+    features and nothing else, so it has at most one entry per study and
+    metric. A candidate whose resource is the reference's own (for
+    BLEU-2, equal text) gets the very same features; any other candidate
+    is prepared afresh and never kept. A study id must name one record
+    throughout, as ``load_dataset`` guarantees.
     """
 
     def __init__(self, cfg: MetricsConfig, resources: Resources) -> None:
@@ -189,77 +191,43 @@ class Scorer:
         if "radcliq" in cfg.names:
             needed.update(cfg.radcliq_weights)
         self._needed = sorted(needed)
-        # metric name -> study id (references) or text (candidates)
-        # -> prepared features
+        # metric name -> study id -> the reference's prepared features
         self._references: dict[str, dict] = {n: {} for n in _BASE_METRICS}
-        self._candidates: dict[str, dict] = {n: {} for n in _BASE_METRICS}
 
-    def _known(self, text: str) -> bool:
-        res = self.resources
-        return (text in res.graph_by_text or text in res.vector_by_text
-                or text in res.embedding_by_text)
-
-    @staticmethod
-    def _memo(memo: dict, key: str | None, prepare):
-        """``memo[key]``, filled by ``prepare()`` on a miss; a None key
-        prepares afresh and keeps nothing."""
-        if key is None:
-            return prepare()
-        try:
-            return memo[key]
-        except KeyError:
-            value = memo[key] = prepare()
-            return value
-
-    def _prepared(self, name: str, generated: str, sid: str, cand, ref,
-                  prepare) -> tuple:
-        """Prepared (candidate, reference) features of one resource."""
-        ref_features = self._memo(self._references[name], sid,
-                                  lambda: prepare(ref))
-        if cand is ref:
-            return ref_features, ref_features
-        return (self._memo(self._candidates[name], generated,
-                           lambda: prepare(cand)), ref_features)
-
-    def _single(self, name: str, generated: str,
-                record: StudyRecord) -> float | None:
+    def _inputs(self, name: str, generated: str,
+                record: StudyRecord) -> tuple:
+        """(reference, candidate, prepare, metric) of one metric;
+        ``prepare`` takes a resource and its side's error label."""
         res = self.resources
         sid = record.study_id
         if name == "bleu2":
-            ref = self._memo(self._references[name], sid,
-                             lambda: ngram_counts(tokenize(record.report)))
-            if generated == record.report:
-                return bleu2(ref, ref)
-            key = generated if self._known(generated) else None
-            return bleu2(self._memo(self._candidates[name], key,
-                                    lambda: ngram_counts(tokenize(generated))),
-                         ref)
+            return (record.report, generated,
+                    lambda text, _: ngram_counts(tokenize(text)), bleu2)
         if name == "bert_score":
-            ref = res.embeddings.get(sid)
-            cand = res.embedding_by_text.get(generated)
-            if ref is None or cand is None:
-                return None
-            # Never shared: with one unit matrix on both sides NumPy would
-            # take its symmetric A @ A.T kernel, which rounds differently.
-            return bert_score(
-                self._memo(self._candidates[name], generated,
-                           lambda: unit_rows(cand, "candidate")),
-                self._memo(self._references[name], sid,
-                           lambda: unit_rows(ref, "reference")))
+            return (res.embeddings.get(sid),
+                    res.embedding_by_text.get(generated), unit_rows,
+                    bert_score)
         if name == "chexbert":
-            ref = record.pathology_vector or res.vectors.get(sid)
-            cand = res.vector_by_text.get(generated)
-            if ref is None or cand is None:
-                return None
-            return chexbert_similarity(*self._prepared(
-                name, generated, sid, cand, ref, normed_vector))
-        # radgraph_f1
-        ref = res.graphs.get(sid)
-        cand = res.graph_by_text.get(generated)
+            return (record.pathology_vector or res.vectors.get(sid),
+                    res.vector_by_text.get(generated),
+                    lambda vector, _: normed_vector(vector),
+                    chexbert_similarity)
+        return (res.graphs.get(sid), res.graph_by_text.get(generated),
+                lambda graph, _: graph_keys(graph),
+                lambda cand, ref: radgraph_f1(cand, ref).combined)
+
+    def _single(self, name: str, generated: str,
+                record: StudyRecord) -> float | None:
+        ref, cand, prepare, metric = self._inputs(name, generated, record)
         if ref is None or cand is None:
             return None
-        return radgraph_f1(*self._prepared(
-            name, generated, sid, cand, ref, graph_keys)).combined
+        memo = self._references[name]
+        ref_features = memo.get(record.study_id)
+        if ref_features is None:
+            ref_features = memo[record.study_id] = prepare(ref, "reference")
+        if cand is ref or (name == "bleu2" and cand == ref):
+            return metric(ref_features, ref_features)
+        return metric(prepare(cand, "candidate"), ref_features)
 
     def score(self, generated: str,
               record: StudyRecord) -> dict[str, float | None]:
@@ -427,6 +395,20 @@ def _check_disjoint(eval_records: Sequence[StudyRecord],
             f"studies present in both pool and eval splits: {sorted(overlap)}")
 
 
+def _require_serializations(records: Sequence[StudyRecord],
+                            label: str) -> None:
+    missing = sorted(r.study_id for r in records if not r.serialization)
+    if missing:
+        raise InputError(f"{label} records missing serializations: {missing}")
+
+
+def example_pool(pool_records: Sequence[StudyRecord]) -> list[StylePair]:
+    """The style pairs a K-shot prompt draws its examples from; every
+    pool record must carry a serialization."""
+    _require_serializations(pool_records, "pool")
+    return [StylePair(r.serialization, r.report) for r in pool_records]
+
+
 # evaluation mode -> RunItem.source: where the prompted serialization
 # comes from
 _SOURCES = {"ser2rep": "ground_truth", "end2end": "predicted"}
@@ -446,15 +428,9 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     """
     _check_disjoint(eval_records, pool_records)
     source = _SOURCES[mode]
-    need_serializations = [(pool_records, "pool")]
+    pool_pairs = example_pool(pool_records)
     if mode == "ser2rep":
-        need_serializations.append((eval_records, "eval"))
-    for group, label in need_serializations:
-        missing = sorted(r.study_id for r in group if not r.serialization)
-        if missing:
-            raise InputError(
-                f"{label} records missing serializations: {missing}")
-    pool_pairs = [StylePair(r.serialization, r.report) for r in pool_records]
+        _require_serializations(eval_records, "eval")
     pairs: list[tuple[StudyRecord, str]] = []
     absent: list[StudyRecord] = []
     for record in eval_records:
@@ -520,8 +496,22 @@ def score_fixed_outputs(records: Sequence[StudyRecord],
     return aggregate_row(method, None, items, metric_names), items
 
 
+def load_baseline(path) -> dict[str, str]:
+    """Read a JSON file mapping study id to a fixed comparison output."""
+    outputs = read_study_map(path)
+    for study_id, text in outputs.items():
+        if not isinstance(text, str):
+            raise SchemaError(
+                f"{path}: study {study_id}: baseline output must be a string")
+    return outputs
+
+
 def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
-    """Load everything named by the config and execute a full run."""
+    """Load everything named by the config and execute a full run.
+
+    Every input, the baseline included, is read and checked before the
+    first request is sent.
+    """
     if mode not in _SOURCES:
         raise InputError(f"unknown evaluation mode {mode!r}")
     records = load_dataset(cfg.dataset)
@@ -533,10 +523,10 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
     resources = build_resources(records, cfg)
     scorer = Scorer(cfg.metrics, resources)
     transport = make_transport(cfg.client, records)
+    outputs = load_baseline(cfg.baseline) if cfg.baseline else None
     outcome = run_generation(mode, eval_records, pool_records, cfg, scorer,
                              transport, resources.graphs)
-    if cfg.baseline:
-        outputs = read_study_map(cfg.baseline)
+    if outputs is not None:
         row, baseline_items = score_fixed_outputs(
             eval_records, outputs, scorer, cfg.metrics.names)
         outcome = RunOutcome(
@@ -591,6 +581,11 @@ def write_outputs(outcome: RunOutcome, cfg: HarnessConfig) -> dict[str, Path]:
     return paths
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON's ``true`` is no index or seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StyleEvalSet:
     """Four reports shown to an evaluator: three written by one
@@ -616,11 +611,12 @@ class StyleEvalSet:
                 or not all(isinstance(r, str) for r in reports)):
             raise SchemaError("style set needs exactly four report strings")
         idx = doc.get("generated_index")
-        if not isinstance(idx, int) or not 0 <= idx <= 3:
+        if not _is_int(idx) or not 0 <= idx <= 3:
             raise SchemaError("generated_index must be an int in [0, 3]")
+        if not _is_int(doc.get("order_seed")):
+            raise SchemaError("order_seed must be an int")
         return StyleEvalSet(str(doc.get("radiologist_id", "")),
-                            tuple(reports), idx,
-                            int(doc.get("order_seed", 0)))
+                            tuple(reports), idx, doc["order_seed"])
 
 
 def assemble_style_eval_sets(human: Mapping[str, Sequence[str]],
@@ -695,13 +691,16 @@ def score_style_eval(answers: Mapping[str, Sequence[int]],
     total_x = 0
     for evaluator in sorted(answers):
         choices = answers[evaluator]
+        if not isinstance(choices, (list, tuple)):
+            raise InputError(
+                f"evaluator {evaluator}: answers must be an array of indices")
         if len(choices) != len(sets):
             raise InputError(
                 f"evaluator {evaluator}: expected {len(sets)} answers, "
                 f"got {len(choices)}")
         x = 0
         for i, choice in enumerate(choices):
-            if not isinstance(choice, int) or not 0 <= choice <= 3:
+            if not _is_int(choice) or not 0 <= choice <= 3:
                 raise InputError(
                     f"evaluator {evaluator}, set {i}: answer must be an "
                     f"index in [0, 3], got {choice!r}")

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 import radstyle.cli as cli
+from radstyle.client import EchoReportTransport
 from radstyle.config import load_config
 from radstyle.errors import RequestError
 from radstyle.harness import load_dataset, parse_table_csv
@@ -122,6 +124,25 @@ def test_prompt_unknown_study_exits_one(corpus, capsys):
     assert "no study 'zzz'" in capsys.readouterr().err
 
 
+def test_prompt_rejects_pool_without_serializations(corpus, tmp_path,
+                                                     capsys):
+    lines = corpus["dataset"].read_text(encoding="utf-8").splitlines()
+    docs = [json.loads(line) for line in lines]
+    pool = [d for d in docs if d["split"] == "train"]
+    del pool[0]["serialization"], pool[2]["serialization"]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(d) + "\n" for d in docs),
+                       encoding="utf-8")
+    test_study = next(d for d in docs if d["split"] == "test")
+    assert cli.main(["prompt", "--shots", "1", "--dataset", str(dataset),
+                     "--eval-study", test_study["study_id"]]) == 1
+    captured = capsys.readouterr()
+    missing = sorted([pool[0]["study_id"], pool[2]["study_id"]])
+    assert captured.err == (
+        f"error: pool records missing serializations: {missing}\n")
+    assert captured.out == ""
+
+
 def test_evaluate_writes_outputs_and_prints_table(corpus, capsys):
     assert cli.main(["evaluate", "--mode", "ser2rep", "--config",
                      str(corpus["config"])]) == 0
@@ -186,6 +207,54 @@ def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
                      "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"client {key}" in err
+    assert not (tmp_path / "results").exists()
+
+
+def _break_evaluate_input(config, tmp_path, bad):
+    """Point ``config`` at an input that ``evaluate`` must reject; returns
+    the text the error names."""
+    if bad == "baseline_missing":
+        config["baseline"] = str(tmp_path / "absent.json")
+        return f"cannot read {tmp_path / 'absent.json'}"
+    if bad == "baseline_not_string":
+        baseline = json.loads(Path(config["baseline"]).read_text("utf-8"))
+        study_id = sorted(baseline)[-1]
+        baseline[study_id] = 42
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline), encoding="utf-8")
+        config["baseline"] = str(path)
+        return f"{path}: study {study_id}: baseline output must be a string"
+    lines = Path(config["dataset"]).read_text("utf-8").splitlines()
+    doc = json.loads(lines[2])
+    doc["pathology_vector"] = 5
+    lines[2] = json.dumps(doc)
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config["dataset"] = str(path)
+    return "line 3: pathology_vector must be an array"
+
+
+@pytest.mark.parametrize("bad", ["baseline_missing", "baseline_not_string",
+                                 "vector_not_array"])
+def test_evaluate_bad_input_exits_one_before_any_request(
+        corpus, tmp_path, capsys, monkeypatch, bad):
+    sent = []
+    real_post = EchoReportTransport.post
+
+    def post(self, *args):
+        sent.append(args)
+        return real_post(self, *args)
+    monkeypatch.setattr(EchoReportTransport, "post", post)
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["output"]["directory"] = str(tmp_path / "results")
+    message = _break_evaluate_input(config, tmp_path, bad)
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert sent == []
     assert not (tmp_path / "results").exists()
 
 
@@ -269,6 +338,60 @@ def test_style_eval_score_rejects_bad_sets_file(tmp_path, capsys):
     assert cli.main(["style-eval", "score", "--sets", str(sets),
                      "--answers", str(answers)]) == 1
     assert "'sets' array" in capsys.readouterr().err
+
+
+def _bad_style_eval_argv(tmp_path, bad):
+    """argv of a ``style-eval`` command whose input ``bad`` breaks."""
+    hp, gp = style_files(tmp_path)
+    out = tmp_path / "sets.json"
+    if bad in ("human_string", "generated_ints"):
+        path = hp if bad == "human_string" else gp
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["r0"] = "abc" if bad == "human_string" else [1, 2, 3]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return ["style-eval", "assemble", "--human", str(hp), "--generated",
+                str(gp), "--sets", "2", "--out", str(out)]
+    assert cli.main(["style-eval", "assemble", "--human", str(hp),
+                     "--generated", str(gp), "--sets", "2",
+                     "--out", str(out)]) == 0
+    sets = json.loads(out.read_text(encoding="utf-8"))
+    answers = {"e1": [s["generated_index"] for s in sets["sets"]]}
+    if bad == "order_seed_string":
+        sets["sets"][1]["order_seed"] = "x"
+    elif bad == "generated_index_bool":
+        sets["sets"][0]["generated_index"] = True
+    elif bad == "answers_not_array":
+        answers["e1"] = 5
+    else:   # answer_bool
+        answers["e1"][0] = True
+    out.write_text(json.dumps(sets), encoding="utf-8")
+    answers_path = tmp_path / "answers.json"
+    answers_path.write_text(json.dumps(answers), encoding="utf-8")
+    return ["style-eval", "score", "--sets", str(out),
+            "--answers", str(answers_path)]
+
+
+STYLE_EVAL_ERRORS = {
+    "order_seed_string": "order_seed must be an int",
+    "generated_index_bool": "generated_index must be an int",
+    "answers_not_array": "evaluator e1: answers must be an array",
+    "answer_bool": "evaluator e1, set 0: answer must be an index",
+    "human_string": "human file: radiologist r0: expected an array",
+    "generated_ints": "generated file: radiologist r0: expected an array",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(STYLE_EVAL_ERRORS))
+def test_style_eval_bad_input_exits_one(tmp_path, capsys, bad):
+    argv = _bad_style_eval_argv(tmp_path, bad)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert STYLE_EVAL_ERRORS[bad] in captured.err
+    assert captured.out == ""
+    if argv[1] == "assemble":
+        assert not (tmp_path / "sets.json").exists()
 
 
 def test_ztest_output(capsys):

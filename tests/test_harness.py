@@ -358,12 +358,21 @@ def test_scorer_identity_embedding_takes_general_product():
 def test_scorer_keeps_no_features_of_unknown_generations():
     records, res = random_resources(random.Random(5))
     scorer = Scorer(MetricsConfig(), res)
+    for record in records:
+        scorer.score(record.report, record)
+    kept = {name: dict(memo) for name, memo in scorer._references.items()}
     for i in range(50):
         for record in records:
             scorer.score(f"unmatched generation {i}", record)
-    assert all(not memo for memo in scorer._candidates.values())
-    assert all(len(memo) <= len(records)
+            scorer.score(record.report, record)
+    # One entry at most per study and metric, each the reference's own;
+    # neither unknown nor identity candidates added or replaced any.
+    study_ids = {r.study_id for r in records}
+    assert all(set(memo) <= study_ids
                for memo in scorer._references.values())
+    for name, memo in scorer._references.items():
+        assert memo.keys() == kept[name].keys()
+        assert all(memo[sid] is kept[name][sid] for sid in memo)
 
 
 # ------------------------------------------------------------ aggregation
@@ -765,6 +774,11 @@ def test_style_set_dict_round_trip():
     {"reports": ["a", "b", "c", 4], "generated_index": 0},
     {"reports": ["a", "b", "c", "d"], "generated_index": 4},
     {"reports": ["a", "b", "c", "d"], "generated_index": "0"},
+    {"reports": ["a", "b", "c", "d"], "generated_index": True,
+     "order_seed": 0},
+    {"reports": ["a", "b", "c", "d"], "generated_index": 0,
+     "order_seed": "x"},
+    {"reports": ["a", "b", "c", "d"], "generated_index": 0},
 ])
 def test_style_set_from_dict_rejects(doc):
     with pytest.raises(SchemaError):
