@@ -15,10 +15,10 @@ from .config import load_config
 from .errors import (ClientError, ConfigError, InputError, IoError,
                      ParseError, SchemaError)
 from .graph import radgraph_from_document
-from .harness import (StyleEvalSet, assemble_style_eval_sets, evaluate,
-                      example_pool, load_dataset, render_style_eval_set,
-                      render_table, score_style_eval, split_records,
-                      write_outputs)
+from .harness import (StyleEvalSet, assemble_style_eval_sets,
+                      check_disjoint, evaluate, example_pool, load_dataset,
+                      render_style_eval_set, render_table, score_style_eval,
+                      split_records, write_outputs)
 from .jsonfiles import read_json
 from .metrics import z_test_proportion
 from .prompting import (build_prompt, derive_selection_seed,
@@ -55,11 +55,12 @@ def _looks_like_graph_document(doc: dict) -> bool:
 
 def _cmd_prompt(args: argparse.Namespace) -> int:
     records = load_dataset(args.dataset)
-    pairs = example_pool(split_records(records, args.pool_split))
+    pool_records = split_records(records, args.pool_split)
     if args.eval_study:
         matches = [r for r in records if r.study_id == args.eval_study]
         if not matches:
             raise InputError(f"no study {args.eval_study!r} in dataset")
+        check_disjoint(matches, pool_records)
         if not matches[0].serialization:
             raise InputError(
                 f"study {args.eval_study!r} has no serialization")
@@ -71,7 +72,7 @@ def _cmd_prompt(args: argparse.Namespace) -> int:
     else:
         raise InputError(
             "one of --eval-study or --eval-serialization is required")
-    examples = select_examples(pairs, args.shots, seed)
+    examples = select_examples(example_pool(pool_records), args.shots, seed)
     chain = build_prompt(examples, eval_serialization)
     print(json.dumps({"k": chain.k, "messages": wire_messages(chain)},
                      indent=2))
@@ -101,7 +102,11 @@ def _cmd_style_assemble(args: argparse.Namespace) -> int:
                                   f"expected an array of report strings")
     sets = assemble_style_eval_sets(human, generated, args.sets, args.seed)
     out = {"sets": [s.to_dict() for s in sets]}
-    Path(args.out).write_text(json.dumps(out, indent=2), encoding="utf-8")
+    try:
+        Path(args.out).write_text(json.dumps(out, indent=2),
+                                  encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {args.out}: {exc}") from exc
     if args.render:
         for i, s in enumerate(sets):
             print(f"=== Set {i + 1} ===")

@@ -3,15 +3,18 @@
 The HTTP layer is isolated behind the Transport protocol so tests and
 offline runs can substitute deterministic fakes. Retries cover rate
 limits (429), server errors (5xx), and transport exceptions with
-exponential backoff; other 4xx responses fail immediately. Credentials
-are read from an environment variable before a call sends its first
-request, and never logged.
+exponential backoff, never shorter than a numeric ``Retry-After``; other
+4xx responses fail immediately. Credentials are read from an environment
+variable before a call sends its first request, and never logged.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -73,6 +76,7 @@ class ClientConfig:
 class TransportResponse:
     status: int
     body: str
+    retry_after: float | None = None   # seconds the server asks to wait
 
 
 class Transport(Protocol):
@@ -98,7 +102,20 @@ class HttpTransport:
                                        timeout=timeout)
         except self._requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
-        return TransportResponse(resp.status_code, resp.text)
+        retry_after = None
+        if resp.status_code != 200:   # the header only bears on a retry
+            retry_after = _retry_after(resp.headers.get("Retry-After"))
+        return TransportResponse(resp.status_code, resp.text, retry_after)
+
+
+def _retry_after(value: str | None) -> float | None:
+    """Seconds from a numeric ``Retry-After`` header; an HTTP-date or any
+    other value is ignored."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 class FixedReplyTransport:
@@ -211,6 +228,24 @@ def _parse_completion(body: str) -> tuple[str, dict]:
     return text, doc.get("usage") or {}
 
 
+def _retryable(exc: ClientError) -> bool:
+    """Rate limits (429), server errors (5xx) and transport failures are
+    worth another attempt; any other failure is final."""
+    if isinstance(exc, RequestError):
+        return exc.status == 429 or exc.status >= 500
+    return isinstance(exc, TransportError)
+
+
+def _backoff(exc: ClientError, attempts: int, rng: random.Random) -> float:
+    """Seconds to wait after failed attempt number ``attempts``: doubling
+    from 1 s with up to 25% jitter, and at least the server's
+    ``Retry-After``."""
+    delay = _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempts - 1)
+    delay *= 1.0 + rng.uniform(0.0, _JITTER_SPAN)
+    retry_after = getattr(exc, "retry_after", None)
+    return delay if retry_after is None else max(delay, retry_after)
+
+
 def complete(chain: PromptChain, cfg: ClientConfig,
              transport: Transport | None = None,
              sleep: Callable[[float], None] = time.sleep,
@@ -223,6 +258,7 @@ def complete(chain: PromptChain, cfg: ClientConfig,
     without waiting; without ``rng``, a fresh ``random.Random`` is built
     when a retry first sleeps. ``headers`` and ``encode`` let a batch
     pass what it prepared once; by default they are built for this call.
+    The ``ClientError`` raised when it gives up carries ``elapsed``.
     """
     if transport is None:
         transport = HttpTransport()
@@ -231,33 +267,25 @@ def complete(chain: PromptChain, cfg: ClientConfig,
     payload = (encode or PayloadEncoder(cfg))(chain)
     start = time.perf_counter()
     attempts = 0
-    last_error: Exception | None = None
-    while attempts <= cfg.max_retries:
+    while True:
         attempts += 1
         try:
             resp = transport.post(cfg.endpoint, headers, payload, cfg.timeout)
-        except TransportError as exc:
-            last_error = exc
-            log.debug("transport failure on attempt %d: %s", attempts, exc)
-        else:
-            if resp.status == 200:
-                text, usage = _parse_completion(resp.body)
-                latency = time.perf_counter() - start
-                return CompletionResult(text, usage, latency, attempts)
-            if resp.status == 429 or resp.status >= 500:
-                last_error = RequestError(resp.status, resp.body)
-                log.debug("retryable status %d on attempt %d",
-                          resp.status, attempts)
-            else:
-                raise RequestError(resp.status, resp.body)
-        if attempts <= cfg.max_retries:
+            if resp.status != 200:
+                raise RequestError(resp.status, resp.body, resp.retry_after)
+            text, usage = _parse_completion(resp.body)
+        except ClientError as exc:
+            if attempts > cfg.max_retries or not _retryable(exc):
+                exc.elapsed = time.perf_counter() - start
+                raise
+            log.debug("retryable failure on attempt %d: %s", attempts, exc)
             if rng is None:
                 rng = random.Random()
-            delay = _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempts - 1)
-            delay *= 1.0 + rng.uniform(0.0, _JITTER_SPAN)
-            sleep(delay)
-    assert last_error is not None
-    raise last_error
+            delay = _backoff(exc, attempts, rng)
+        else:
+            latency = time.perf_counter() - start
+            return CompletionResult(text, usage, latency, attempts)
+        sleep(delay)
 
 
 def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
@@ -267,15 +295,21 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
                    ) -> list[CompletionResult | ClientError]:
     """Complete many chains with ``parallelism`` workers.
 
-    Each worker takes the next chain, waits for its reply and only then
-    takes another, so at most ``parallelism`` requests are in flight.
-    The credential is checked once, before any request is sent, and each
-    distinct message is JSON-encoded once per batch.
+    Each worker sends one request at a time, so at most ``parallelism``
+    are in flight. A retryable failure does not hold its worker: the
+    item goes on a heap keyed by the time its backoff ends, and the
+    worker moves on. A worker sends a due retry first, then the next
+    fresh chain; once no fresh chain is left, it takes the earliest
+    retry and sleeps only for what is left of its backoff. Every attempt
+    goes through ``complete`` with retries turned off, so each body is
+    sent as often as ``complete`` alone would send it. The credential is
+    checked once, before any request is sent, and each distinct message
+    is JSON-encoded once per batch.
 
     Results align with the input order; an item that fails with a
     ``ClientError`` yields that exception instead of aborting the batch.
-    Any other exception stops the batch: workers take no further chains,
-    and it is re-raised once they have all finished.
+    Any other exception stops the batch: workers send nothing more, and
+    it is re-raised once they have all finished.
     """
     if parallelism < 1:
         raise InputError(f"parallelism must be positive, got {parallelism}")
@@ -283,27 +317,68 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
         transport = HttpTransport()
     headers = _headers(cfg, transport)
     encode = PayloadEncoder(cfg)
+    once = dataclasses.replace(cfg, max_retries=0)
     results: list[CompletionResult | ClientError] = [None] * len(chains)  # type: ignore[list-item]
-    pending = enumerate(chains)
+    fresh = iter(range(len(chains)))
+    # (due, index, attempts so far, time of the first send) per retry
+    retries: list[tuple[float, int, int, float]] = []
     lock = threading.Lock()
     failures: list[BaseException] = []
+    rng: random.Random | None = None
+
+    def take() -> tuple[float | None, int, int, float | None] | None:
+        """A due retry, else the next fresh item, else the earliest
+        retry; None once the batch is done or has failed."""
+        with lock:
+            if failures:
+                return None
+            if retries and retries[0][0] <= time.perf_counter():
+                return heapq.heappop(retries)
+            i = next(fresh, None)
+            if i is not None:
+                return None, i, 0, None
+            return heapq.heappop(retries) if retries else None
+
+    def send(due: float | None, i: int, attempts: int,
+             first: float | None) -> None:
+        nonlocal rng
+        if due is not None:
+            wait = due - time.perf_counter()
+            if wait > 0:
+                sleep(wait)
+                if failures:
+                    return
+        try:
+            result = complete(chains[i], once, transport, headers=headers,
+                              encode=encode)
+        except ClientError as exc:
+            attempts += 1
+            if attempts > cfg.max_retries or not _retryable(exc):
+                results[i] = exc
+                return
+            log.debug("retryable failure on attempt %d: %s", attempts, exc)
+            now = time.perf_counter()
+            if first is None:
+                first = now - exc.elapsed
+            with lock:
+                if rng is None:
+                    rng = random.Random()
+                delay = _backoff(exc, attempts, rng)
+                heapq.heappush(retries, (now + delay, i, attempts, first))
+            return
+        if attempts:
+            result = dataclasses.replace(
+                result, latency=time.perf_counter() - first,
+                attempts=attempts + 1)
+        results[i] = result
 
     def work() -> None:
-        while True:
+        try:
+            while (item := take()) is not None:
+                send(*item)
+        except BaseException as exc:   # re-raised by the caller below
             with lock:
-                item = None if failures else next(pending, None)
-            if item is None:
-                return
-            i, chain = item
-            try:
-                results[i] = complete(chain, cfg, transport, sleep,
-                                      headers=headers, encode=encode)
-            except ClientError as exc:
-                results[i] = exc
-            except BaseException as exc:   # re-raised by the caller below
-                with lock:
-                    failures.append(exc)
-                return
+                failures.append(exc)
 
     workers = [threading.Thread(target=work)
                for _ in range(min(parallelism, len(chains)))]

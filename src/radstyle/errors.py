@@ -30,7 +30,13 @@ class IoError(RadstyleError):
 
 
 class ClientError(RadstyleError):
-    """Base class for chat-completion client failures."""
+    """Base class for chat-completion client failures.
+
+    ``elapsed`` is set by ``client.complete`` when it gives up: seconds
+    from its first send to this failure.
+    """
+
+    elapsed: float | None = None
 
 
 class TransportError(ClientError):
@@ -40,10 +46,12 @@ class TransportError(ClientError):
 class RequestError(ClientError):
     """The service rejected the request with a non-retryable status."""
 
-    def __init__(self, status: int, body: str):
+    def __init__(self, status: int, body: str,
+                 retry_after: float | None = None):
         super().__init__(f"request rejected with status {status}")
         self.status = status
         self.body = body
+        self.retry_after = retry_after   # seconds, from a Retry-After header
 
 
 class ProtocolError(ClientError):

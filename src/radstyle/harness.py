@@ -386,8 +386,10 @@ def make_transport(cfg: ClientConfig,
     return FixedReplyTransport(cfg.fixed_text)
 
 
-def _check_disjoint(eval_records: Sequence[StudyRecord],
-                    pool_records: Sequence[StudyRecord]) -> None:
+def check_disjoint(eval_records: Sequence[StudyRecord],
+                   pool_records: Sequence[StudyRecord]) -> None:
+    """Reject an eval study that is also in the example pool: its own
+    report could be one of its examples."""
     overlap = ({r.study_id for r in eval_records}
                & {r.study_id for r in pool_records})
     if overlap:
@@ -426,7 +428,7 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     becomes an error item, placed after the row's generated items. An
     item whose prompt cannot be built fails in place.
     """
-    _check_disjoint(eval_records, pool_records)
+    check_disjoint(eval_records, pool_records)
     source = _SOURCES[mode]
     pool_pairs = example_pool(pool_records)
     if mode == "ser2rep":

@@ -124,6 +124,18 @@ def test_prompt_unknown_study_exits_one(corpus, capsys):
     assert "no study 'zzz'" in capsys.readouterr().err
 
 
+def test_prompt_rejects_an_eval_study_from_the_pool(corpus, capsys):
+    records = load_dataset(corpus["dataset"])
+    study = next(r for r in records if r.split == "train")
+    assert cli.main(["prompt", "--shots", "8", "--dataset",
+                     str(corpus["dataset"]), "--eval-study",
+                     study.study_id]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: studies present in both pool and eval "
+                            f"splits: {[study.study_id]}\n")
+    assert captured.out == ""
+
+
 def test_prompt_rejects_pool_without_serializations(corpus, tmp_path,
                                                      capsys):
     lines = corpus["dataset"].read_text(encoding="utf-8").splitlines()
@@ -328,6 +340,17 @@ def test_style_eval_assemble_shortfall_exits_one(tmp_path, capsys):
                      "--generated", str(gp), "--sets", "40",
                      "--out", str(out)]) == 1
     assert "radiologist" in capsys.readouterr().err
+
+
+def test_style_eval_assemble_unwritable_out_exits_one(tmp_path, capsys):
+    hp, gp = style_files(tmp_path)
+    out = tmp_path / "missing" / "dir" / "sets.json"
+    assert cli.main(["style-eval", "assemble", "--human", str(hp),
+                     "--generated", str(gp), "--sets", "2",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 def test_style_eval_score_rejects_bad_sets_file(tmp_path, capsys):

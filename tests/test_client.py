@@ -16,8 +16,8 @@ from radstyle.client import (ClientConfig, EchoReportTransport,
                              FixedReplyTransport, HttpTransport,
                              PayloadEncoder, TransportResponse, complete,
                              complete_batch)
-from radstyle.errors import (InputError, ProtocolError, RequestError,
-                             TransportError)
+from radstyle.errors import (ClientError, InputError, ProtocolError,
+                             RequestError, TransportError)
 from radstyle.prompting import (INSTRUCTION, PromptChain, PromptMessage,
                                 Role, StylePair, build_prompt,
                                 wire_messages)
@@ -431,3 +431,189 @@ def test_importing_the_cli_leaves_requests_unloaded():
          "import sys, radstyle.cli; print('requests' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_retry_after_sets_the_least_delay():
+    transport = ScriptedTransport([
+        TransportResponse(429, "slow down", retry_after=3.0),
+        TransportResponse(200, completion_body("ok")),
+    ])
+    delays = []
+    result = complete(chain_for(), ClientConfig(max_retries=1),
+                      transport=transport, sleep=delays.append,
+                      rng=random.Random(0))
+    assert result.attempts == 2
+    assert len(delays) == 1 and delays[0] >= 3.0
+
+
+@pytest.mark.parametrize("header, expected", [
+    ("3", 3.0), ("0.5", 0.5), (None, None), ("-1", None), ("nan", None),
+    ("Wed, 21 Oct 2015 07:28:00 GMT", None),
+])
+def test_http_transport_reads_numeric_retry_after(monkeypatch, header,
+                                                  expected):
+    class Response(FakeHttpResponse):
+        headers = {} if header is None else {"Retry-After": header}
+
+    monkeypatch.setattr("requests.post", lambda *a, **k: Response(429, ""))
+    response = HttpTransport().post("http://x", {}, "{}", 1.0)
+    assert (response.status, response.retry_after) == (429, expected)
+
+
+# One scripted action per attempt; attempts past the script succeed.
+_ACTIONS = st.sampled_from([200, 400, 429, 503, "transport", "malformed"])
+
+
+class KeyedTransport:
+    """Answers each chain by its final key word from a per-key script,
+    counting sends per key and the most posts ever in flight at once."""
+
+    def __init__(self, scripts, hold=0.0):
+        self.scripts = scripts
+        self.hold = hold
+        self.lock = threading.Lock()
+        self.sent = []
+        self.in_flight = 0
+        self.peak = 0
+
+    def post(self, url, headers, payload, timeout):
+        key = json.loads(payload)["messages"][-1]["content"].split()[-1]
+        with self.lock:
+            attempt = sum(k == key for k in self.sent)
+            self.sent.append(key)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.hold)
+            script = self.scripts[key]
+            action = script[attempt] if attempt < len(script) else 200
+            if action == "transport":
+                raise TransportError("connection reset")
+            if action == "malformed":
+                return TransportResponse(200, "not json")
+            if action == 200:
+                return TransportResponse(200, completion_body(f"r-{key}"))
+            return TransportResponse(action, "failed")
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def outcome(result):
+    if isinstance(result, Exception):
+        return type(result), getattr(result, "status", None)
+    return result.text, result.attempts
+
+
+@settings(max_examples=60, deadline=None)
+@given(scripts=st.lists(st.lists(_ACTIONS, max_size=4), min_size=1,
+                        max_size=8),
+       parallelism=st.integers(1, 4), max_retries=st.integers(0, 3))
+def test_complete_batch_matches_sequential_complete(scripts, parallelism,
+                                                    max_retries):
+    scripts = {f"s{i}": script for i, script in enumerate(scripts)}
+    chains = [chain_for(key) for key in scripts]
+    cfg = ClientConfig(max_retries=max_retries)
+    oracle = KeyedTransport(scripts)
+    expected = []
+    for chain in chains:
+        try:
+            expected.append(outcome(complete(chain, cfg, oracle,
+                                             sleep=lambda _: None)))
+        except ClientError as exc:
+            expected.append(outcome(exc))
+    transport = KeyedTransport(scripts, hold=0.001)
+    results = complete_batch(chains, cfg, parallelism=parallelism,
+                             transport=transport, sleep=lambda _: None)
+    assert [outcome(r) for r in results] == expected
+    assert sorted(transport.sent) == sorted(oracle.sent)
+    assert transport.peak <= parallelism
+
+
+def test_retry_waits_behind_every_fresh_item():
+    scripts = {f"s{i}": [503] if i == 0 else [] for i in range(6)}
+    transport = KeyedTransport(scripts)
+    results = complete_batch([chain_for(key) for key in scripts],
+                             ClientConfig(max_retries=1), parallelism=1,
+                             transport=transport, sleep=lambda _: None)
+    assert transport.sent == ["s0", "s1", "s2", "s3", "s4", "s5", "s0"]
+    assert [outcome(r) for r in results] == (
+        [("r-s0", 2)] + [(f"r-s{i}", 1) for i in range(1, 6)])
+
+
+def test_batch_retry_waits_out_its_backoff():
+    sent_at = []
+
+    class Timed(KeyedTransport):
+        def post(self, url, headers, payload, timeout):
+            sent_at.append(time.perf_counter())
+            return super().post(url, headers, payload, timeout)
+
+    transport = Timed({"s0": [503], "s1": []})
+    results = complete_batch([chain_for("s0"), chain_for("s1")],
+                             ClientConfig(max_retries=1), parallelism=2,
+                             transport=transport)
+    assert transport.sent.count("s0") == 2
+    assert sent_at[-1] - sent_at[0] >= 1.0
+    assert results[0].attempts == 2
+    assert results[0].latency >= 1.0
+
+
+def test_batch_stops_while_a_retry_waits():
+    second_started = threading.Event()
+    waiting = threading.Event()
+    raised = threading.Event()
+
+    class Stop(BaseException):
+        pass
+
+    class Transport(KeyedTransport):
+        def post(self, url, headers, payload, timeout):
+            key = json.loads(payload)["messages"][-1]["content"].split()[-1]
+            self.sent.append(key)
+            if key == "s0":
+                second_started.wait(timeout=10)
+                return TransportResponse(503, "unavailable")
+            second_started.set()
+            waiting.wait(timeout=10)   # until s0's worker sleeps on it
+            raised.set()
+            raise Stop()
+
+    def sleep(seconds):
+        waiting.set()
+        raised.wait(timeout=10)
+        time.sleep(0.2)   # the failing worker records its failure
+
+    transport = Transport({})
+    with pytest.raises(Stop):
+        complete_batch([chain_for("s0"), chain_for("s1")],
+                       ClientConfig(max_retries=1), parallelism=2,
+                       transport=transport, sleep=sleep)
+    assert waiting.is_set()
+    assert sorted(transport.sent) == ["s0", "s1"]
+
+
+def test_retry_heap_under_frequent_thread_switches():
+    scripts = {f"s{i}": [503, "transport"] if i % 7 == 0 else
+               [429] if i % 5 == 0 else [] for i in range(300)}
+    transport = KeyedTransport(scripts)
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: out.setdefault(
+            "results", complete_batch(
+                [chain_for(key) for key in scripts],
+                ClientConfig(max_retries=2), parallelism=8,
+                transport=transport, sleep=lambda _: None)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert transport.peak <= 8
+    # Each retried item is pushed and taken once per retry, no more.
+    for i, result in enumerate(out["results"]):
+        sends = 3 if i % 7 == 0 else 2 if i % 5 == 0 else 1
+        assert transport.sent.count(f"s{i}") == sends
+        assert outcome(result) == (f"r-s{i}", sends)

@@ -54,6 +54,8 @@ def test_traced_counts_follow_the_corpus(tmp_path, mode):
     assert metrics["harness.scorer_calls"] == n_items
     assert metrics["prompting.chains_built"] == requests
     assert metrics["client.requests"] == requests
+    # Every request goes through the traced ``client.complete``.
+    assert metrics["client.completion_samples"] == metrics["client.requests"]
     # Each reference is tokenized once; an identity generation shares
     # its reference's tokens and each baseline output is tokenized anew.
     assert metrics["metrics.tokenize_calls"] == eval_studies + len(baseline)
