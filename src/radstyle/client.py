@@ -21,6 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
+from urllib.parse import urlsplit
 
 from .errors import (ClientError, ConfigError, InputError, ProtocolError,
                      RequestError, TransportError)
@@ -31,10 +32,21 @@ log = logging.getLogger(__name__)
 _BACKOFF_BASE = 1.0
 _BACKOFF_FACTOR = 2.0
 _JITTER_SPAN = 0.25
+# The longest numeric Retry-After honoured; a longer one is cut to this.
+_RETRY_AFTER_MAX = 60.0
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_http_url(value) -> bool:
+    try:
+        parts = urlsplit(value)
+        parts.port   # raises ValueError on a bad port
+    except (TypeError, ValueError, AttributeError):   # not a URL string
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 @dataclass(frozen=True)
@@ -64,6 +76,9 @@ class ClientConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("http", "identity-mock", "fixed-mock"):
             raise ConfigError(f"unknown client mode {self.mode!r}")
+        if not _is_http_url(self.endpoint):
+            raise ConfigError(f"client endpoint must be an http or https "
+                              f"URL with a host, got {self.endpoint!r}")
         if not _is_int(self.max_retries) or self.max_retries < 0:
             raise ConfigError(f"client max_retries must be an integer >= 0, "
                               f"got {self.max_retries!r}")
@@ -85,27 +100,42 @@ class Transport(Protocol):
 
 
 class HttpTransport:
-    """Real network transport over requests.
+    """Real network transport over the standard library's urllib.
 
-    ``requests`` is imported here rather than with the module, so runs on
-    the in-process transports never pay for loading it.
+    One opener serves every request; its default ``ProxyHandler`` honours
+    ``HTTP(S)_PROXY`` and ``NO_PROXY``. urllib sends ``Connection:
+    close``, so each request opens its own connection. ``urllib.request``
+    is imported here rather than with the module, so runs on the
+    in-process transports never pay for loading it.
     """
 
     def __init__(self) -> None:
-        import requests
-        self._requests = requests
+        import http.client
+        import urllib.error
+        import urllib.request
+        self._opener = urllib.request.build_opener()
+        self._request = urllib.request.Request
+        self._http_error = urllib.error.HTTPError
+        # URLError and socket timeouts are OSErrors
+        self._failures = (OSError, http.client.HTTPException)
 
     def post(self, url: str, headers: dict[str, str], payload: str,
              timeout: float) -> TransportResponse:
-        try:
-            resp = self._requests.post(url, headers=headers, data=payload,
-                                       timeout=timeout)
-        except self._requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
+        request = self._request(url, data=payload.encode("utf-8"),
+                                headers=headers, method="POST")
         retry_after = None
-        if resp.status_code != 200:   # the header only bears on a retry
-            retry_after = _retry_after(resp.headers.get("Retry-After"))
-        return TransportResponse(resp.status_code, resp.text, retry_after)
+        try:
+            try:
+                resp = self._opener.open(request, timeout=timeout)
+            except self._http_error as exc:   # any reply outside 2xx
+                resp = exc
+                retry_after = _retry_after(exc.headers.get("Retry-After"))
+            with resp:
+                status, body = resp.status, resp.read()
+        except self._failures as exc:
+            raise TransportError(str(exc)) from exc
+        return TransportResponse(status, body.decode("utf-8", "replace"),
+                                 retry_after)
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -239,11 +269,17 @@ def _retryable(exc: ClientError) -> bool:
 def _backoff(exc: ClientError, attempts: int, rng: random.Random) -> float:
     """Seconds to wait after failed attempt number ``attempts``: doubling
     from 1 s with up to 25% jitter, and at least the server's
-    ``Retry-After``."""
+    ``Retry-After``, up to ``_RETRY_AFTER_MAX``."""
     delay = _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempts - 1)
     delay *= 1.0 + rng.uniform(0.0, _JITTER_SPAN)
     retry_after = getattr(exc, "retry_after", None)
-    return delay if retry_after is None else max(delay, retry_after)
+    if retry_after is None:
+        return delay
+    used = max(delay, min(retry_after, _RETRY_AFTER_MAX))
+    if retry_after > _RETRY_AFTER_MAX:
+        log.warning("server asked to wait %g s before a retry; waiting "
+                    "%.3g s", retry_after, used)
+    return used
 
 
 def complete(chain: PromptChain, cfg: ClientConfig,

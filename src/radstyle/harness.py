@@ -522,6 +522,11 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
     if not eval_records:
         raise InputError(
             f"no records in eval split {cfg.experiment.eval_split!r}")
+    most = max(cfg.experiment.shots, default=0)
+    if most > len(pool_records):
+        raise InputError(f"shots {most} exceeds the {len(pool_records)} "
+                         f"studies in pool split "
+                         f"{cfg.experiment.pool_split!r}")
     resources = build_resources(records, cfg)
     scorer = Scorer(cfg.metrics, resources)
     transport = make_transport(cfg.client, records)

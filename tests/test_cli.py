@@ -18,7 +18,7 @@ from test_graph import entity_doc
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_corpus")
-    return make_synthetic_corpus(out, n_records=12, n_train=8, seed=1)
+    return make_synthetic_corpus(out, n_records=14, n_train=10, seed=1)
 
 
 SINGLE_GRAPH = {
@@ -189,25 +189,27 @@ def test_evaluate_client_failure_exits_two(corpus, capsys, monkeypatch):
 
 
 def test_evaluate_http_without_credential_exits_one(corpus, tmp_path,
-                                                    capsys, monkeypatch):
-    sent = []
-    monkeypatch.setattr("requests.post", lambda *a, **kw: sent.append(a))
+                                                    capsys, monkeypatch,
+                                                    chat_server):
     monkeypatch.delenv("RADSTYLE_TEST_KEY", raising=False)
     config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
-    config["client"] = {"mode": "http", "api_key_env": "RADSTYLE_TEST_KEY"}
+    config["client"] = {"mode": "http", "api_key_env": "RADSTYLE_TEST_KEY",
+                        "endpoint": chat_server.url}
     config["output"]["directory"] = str(tmp_path / "results")
     path = tmp_path / "http.yaml"
     path.write_text(yaml.safe_dump(config), encoding="utf-8")
     assert cli.main(["evaluate", "--mode", "ser2rep",
                      "--config", str(path)]) == 1
     assert "RADSTYLE_TEST_KEY" in capsys.readouterr().err
-    assert sent == []
+    assert chat_server.received == []
     assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("key, value", [
     ("max_retries", -1), ("max_retries", "x"), ("max_retries", True),
-    ("parallelism", 0), ("parallelism", "2")])
+    ("parallelism", 0), ("parallelism", "2"),
+    ("endpoint", "file:///etc/hosts"), ("endpoint", "http:///v1"),
+    ("endpoint", "http://127.0.0.1:port/v1")])
 def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
                                              key, value):
     config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
@@ -236,6 +238,9 @@ def _break_evaluate_input(config, tmp_path, bad):
         path.write_text(json.dumps(baseline), encoding="utf-8")
         config["baseline"] = str(path)
         return f"{path}: study {study_id}: baseline output must be a string"
+    if bad == "shots_over_pool":
+        config["experiment"]["shots"] = [0, 50]
+        return "shots 50 exceeds the 10 studies in pool split 'train'"
     lines = Path(config["dataset"]).read_text("utf-8").splitlines()
     doc = json.loads(lines[2])
     doc["pathology_vector"] = 5
@@ -247,7 +252,7 @@ def _break_evaluate_input(config, tmp_path, bad):
 
 
 @pytest.mark.parametrize("bad", ["baseline_missing", "baseline_not_string",
-                                 "vector_not_array"])
+                                 "vector_not_array", "shots_over_pool"])
 def test_evaluate_bad_input_exits_one_before_any_request(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []

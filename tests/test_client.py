@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -22,14 +23,11 @@ from radstyle.prompting import (INSTRUCTION, PromptChain, PromptMessage,
                                 Role, StylePair, build_prompt,
                                 wire_messages)
 
+from conftest import completion_body
+
 
 def chain_for(text="no edema"):
     return build_prompt([StylePair("lungs clear", "Lungs are clear.")], text)
-
-
-def completion_body(text):
-    return json.dumps({"choices": [{"message": {"content": text}}],
-                       "usage": {"prompt_tokens": 3}})
 
 
 class ScriptedTransport:
@@ -150,55 +148,63 @@ def test_missing_credential_env(monkeypatch):
         complete(chain_for(), cfg)
 
 
-class FakeHttpResponse:
-    def __init__(self, status_code, text):
-        self.status_code = status_code
-        self.text = text
-
-
-def test_http_transport_headers_and_key_never_logged(monkeypatch, caplog):
-    captured = {}
-
-    def fake_post(url, headers=None, data=None, timeout=None):
-        captured["headers"] = headers
-        return FakeHttpResponse(200, completion_body("hi"))
-
-    monkeypatch.setattr("requests.post", fake_post)
+def test_http_transport_headers_and_key_never_logged(chat_server,
+                                                     monkeypatch, caplog):
     monkeypatch.setenv("DEMO_KEY_ENV", "sk-verysecret")
-    cfg = ClientConfig(api_key_env="DEMO_KEY_ENV")
+    cfg = ClientConfig(endpoint=chat_server.url, api_key_env="DEMO_KEY_ENV",
+                       model="test-model")
     with caplog.at_level(logging.DEBUG):
         result = complete(chain_for(), cfg)
     assert result.text == "hi"
-    assert captured["headers"]["Authorization"] == "Bearer sk-verysecret"
+    [(path, headers, body)] = chat_server.received
+    assert path == "/v1/chat/completions"
+    assert headers["Authorization"] == "Bearer sk-verysecret"
+    assert headers["Content-Type"] == "application/json"
+    assert body == PayloadEncoder(cfg)(chain_for())
     assert "sk-verysecret" not in caplog.text
 
 
-def test_api_key_header_style(monkeypatch):
-    captured = {}
-
-    def fake_post(url, headers=None, data=None, timeout=None):
-        captured["headers"] = headers
-        return FakeHttpResponse(200, completion_body("hi"))
-
-    monkeypatch.setattr("requests.post", fake_post)
+def test_api_key_header_style(chat_server, monkeypatch):
     monkeypatch.setenv("DEMO_KEY_ENV", "k123")
-    cfg = ClientConfig(api_key_env="DEMO_KEY_ENV", auth_header="api-key")
+    cfg = ClientConfig(endpoint=chat_server.url, api_key_env="DEMO_KEY_ENV",
+                       auth_header="api-key")
     complete(chain_for(), cfg)
-    assert captured["headers"]["api-key"] == "k123"
-    assert "Bearer" not in captured["headers"]["api-key"]
+    [(_, headers, _)] = chat_server.received
+    assert headers["api-key"] == "k123"
+    assert "Authorization" not in headers
 
 
-def test_http_transport_wraps_requests_errors(monkeypatch):
-    import requests
-
-    def fake_post(url, headers=None, data=None, timeout=None):
-        raise requests.ConnectionError("refused")
-
-    monkeypatch.setattr("requests.post", fake_post)
+def test_http_transport_wraps_connection_refused(monkeypatch):
+    with socket.socket() as sock:   # a loopback port nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
     monkeypatch.setenv("DEMO_KEY_ENV", "k")
-    cfg = ClientConfig(api_key_env="DEMO_KEY_ENV", max_retries=0)
+    cfg = ClientConfig(endpoint=f"http://127.0.0.1:{port}/v1",
+                       api_key_env="DEMO_KEY_ENV", max_retries=0)
     with pytest.raises(TransportError, match="refused"):
         complete(chain_for(), cfg)
+
+
+def test_http_transport_wraps_read_timeout(chat_server, monkeypatch):
+    chat_server.stalled = True
+    monkeypatch.setenv("DEMO_KEY_ENV", "k")
+    cfg = ClientConfig(endpoint=chat_server.url, api_key_env="DEMO_KEY_ENV",
+                       timeout=0.2, max_retries=0)
+    start = time.perf_counter()
+    with pytest.raises(TransportError, match="timed out"):
+        complete(chain_for(), cfg)
+    assert time.perf_counter() - start < 5
+    assert len(chat_server.received) == 1
+
+
+def test_http_transport_honours_environment_proxy(chat_server,
+                                                  monkeypatch):
+    monkeypatch.setenv("http_proxy", f"http://127.0.0.1:"
+                                     f"{chat_server.server_port}")
+    response = HttpTransport().post("http://127.0.0.1:1/v1", {}, "{}", 5.0)
+    assert response.status == 200
+    [(path, _, body)] = chat_server.received
+    assert (path, body) == ("http://127.0.0.1:1/v1", "{}")
 
 
 def test_complete_batch_alignment_and_error_capture():
@@ -428,9 +434,10 @@ def test_importing_the_cli_leaves_requests_unloaded():
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, radstyle.cli; print('requests' in sys.modules)"],
+         "import sys, radstyle.cli; "
+         "print('requests' in sys.modules, 'urllib.request' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_retry_after_sets_the_least_delay():
@@ -450,14 +457,28 @@ def test_retry_after_sets_the_least_delay():
     ("3", 3.0), ("0.5", 0.5), (None, None), ("-1", None), ("nan", None),
     ("Wed, 21 Oct 2015 07:28:00 GMT", None),
 ])
-def test_http_transport_reads_numeric_retry_after(monkeypatch, header,
+def test_http_transport_reads_numeric_retry_after(chat_server, header,
                                                   expected):
-    class Response(FakeHttpResponse):
-        headers = {} if header is None else {"Retry-After": header}
+    chat_server.replies.append(
+        (429, "slow down", {} if header is None else {"Retry-After": header}))
+    response = HttpTransport().post(chat_server.url, {}, "{}", 5.0)
+    assert (response.status, response.body, response.retry_after) == (
+        429, "slow down", expected)
 
-    monkeypatch.setattr("requests.post", lambda *a, **k: Response(429, ""))
-    response = HttpTransport().post("http://x", {}, "{}", 1.0)
-    assert (response.status, response.retry_after) == (429, expected)
+
+def test_retry_after_is_bounded(caplog):
+    transport = ScriptedTransport([
+        TransportResponse(429, "slow down", retry_after=86400.0),
+        TransportResponse(200, completion_body("ok")),
+    ])
+    delays = []
+    with caplog.at_level(logging.WARNING):
+        result = complete(chain_for(), ClientConfig(max_retries=1),
+                          transport=transport, sleep=delays.append,
+                          rng=random.Random(0))
+    assert result.attempts == 2
+    assert delays == [60.0]
+    assert "86400 s" in caplog.text and "60 s" in caplog.text
 
 
 # One scripted action per attempt; attempts past the script succeed.

@@ -485,17 +485,27 @@ def test_evaluate_identity_mock_scores_ceiling(corpus):
             assert report.ci_halfwidth == pytest.approx(0.0)
 
 
-def test_shot_count_beyond_pool_becomes_error_items(tmp_path, corpus):
+def test_shot_count_beyond_pool_fails_before_any_request(corpus,
+                                                         monkeypatch):
     paths, cfg = corpus
-    small = HarnessConfig(
-        dataset=cfg.dataset, graphs=cfg.graphs,
-        experiment=ExperimentConfig(shots=(12, 13)))
-    outcome = evaluate(small, "ser2rep")
-    ok_row, bad_row = outcome.table.rows
-    assert ok_row.excluded == 0
-    assert bad_row.excluded == bad_row.n_items == 4
-    bad = [i for i in outcome.items if i.shots == 13]
-    assert all("exceeds pool size 12" in i.error for i in bad)
+    sent = []
+    real_post = EchoReportTransport.post
+
+    def post(self, *args):
+        sent.append(args)
+        return real_post(self, *args)
+    monkeypatch.setattr(EchoReportTransport, "post", post)
+    whole_pool = HarnessConfig(dataset=cfg.dataset, graphs=cfg.graphs,
+                               experiment=ExperimentConfig(shots=(12,)))
+    [row] = evaluate(whole_pool, "ser2rep").table.rows
+    assert row.excluded == 0 and len(sent) == row.n_items == 4
+    sent.clear()
+    beyond = HarnessConfig(dataset=cfg.dataset, graphs=cfg.graphs,
+                           experiment=ExperimentConfig(shots=(12, 13)))
+    with pytest.raises(InputError,
+                       match="shots 13 exceeds the 12 studies in pool"):
+        evaluate(beyond, "ser2rep")
+    assert sent == []
 
 
 def test_evaluate_end_to_end_matches_ser2rep_here(corpus):
