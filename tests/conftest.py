@@ -67,11 +67,15 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def chat_server(monkeypatch):
-    """A running ``ChatServer``, reached directly rather than through any
-    proxy the environment names."""
+def no_proxy_env(monkeypatch):
+    """Clear the proxy variables, so requests go straight to their host."""
     for name in _PROXY_VARS:
         monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture
+def chat_server(no_proxy_env):
+    """A running ``ChatServer``, reached without a proxy."""
     server = ChatServer()
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05})

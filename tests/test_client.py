@@ -174,7 +174,8 @@ def test_api_key_header_style(chat_server, monkeypatch):
     assert "Authorization" not in headers
 
 
-def test_http_transport_wraps_connection_refused(monkeypatch):
+def test_http_transport_wraps_connection_refused(no_proxy_env,
+                                                 monkeypatch):
     with socket.socket() as sock:   # a loopback port nothing listens on
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
