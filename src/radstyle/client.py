@@ -103,17 +103,24 @@ class HttpTransport:
     """Real network transport over the standard library's urllib.
 
     One opener serves every request; its default ``ProxyHandler`` honours
-    ``HTTP(S)_PROXY`` and ``NO_PROXY``. urllib sends ``Connection:
-    close``, so each request opens its own connection. ``urllib.request``
-    is imported here rather than with the module, so runs on the
-    in-process transports never pay for loading it.
+    ``HTTP(S)_PROXY`` and ``NO_PROXY``. Redirects are not followed: urllib
+    would resend every header, the credential included, to whatever host
+    a 3xx names, so a 3xx reply is returned like any other non-2xx one.
+    urllib sends ``Connection: close``, so each request opens its own
+    connection. ``urllib.request`` is imported here rather than with the
+    module, so runs on the in-process transports never pay for loading it.
     """
 
     def __init__(self) -> None:
         import http.client
         import urllib.error
         import urllib.request
-        self._opener = urllib.request.build_opener()
+
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args, **kwargs):
+                return None   # the 3xx goes on to raise HTTPError
+
+        self._opener = urllib.request.build_opener(NoRedirect())
         self._request = urllib.request.Request
         self._http_error = urllib.error.HTTPError
         # URLError and socket timeouts are OSErrors

@@ -1,5 +1,6 @@
 """Shared fixtures: a loopback chat-completions server."""
 
+import contextlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -73,9 +74,9 @@ def no_proxy_env(monkeypatch):
         monkeypatch.delenv(name, raising=False)
 
 
-@pytest.fixture
-def chat_server(no_proxy_env):
-    """A running ``ChatServer``, reached without a proxy."""
+@contextlib.contextmanager
+def running_chat_server():
+    """A ``ChatServer`` serving on its own thread until the block ends."""
     server = ChatServer()
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05})
@@ -87,3 +88,10 @@ def chat_server(no_proxy_env):
         server.shutdown()
         thread.join(timeout=10)
         server.server_close()
+
+
+@pytest.fixture
+def chat_server(no_proxy_env):
+    """A running ``ChatServer``, reached without a proxy."""
+    with running_chat_server() as server:
+        yield server

@@ -23,7 +23,7 @@ from radstyle.prompting import (INSTRUCTION, PromptChain, PromptMessage,
                                 Role, StylePair, build_prompt,
                                 wire_messages)
 
-from conftest import completion_body
+from conftest import completion_body, running_chat_server
 
 
 def chain_for(text="no edema"):
@@ -195,6 +195,21 @@ def test_http_transport_wraps_read_timeout(chat_server, monkeypatch):
     with pytest.raises(TransportError, match="timed out"):
         complete(chain_for(), cfg)
     assert time.perf_counter() - start < 5
+    assert len(chat_server.received) == 1
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_http_transport_does_not_follow_redirects(chat_server, monkeypatch,
+                                                  status):
+    monkeypatch.setenv("DEMO_KEY_ENV", "sk-verysecret")
+    cfg = ClientConfig(endpoint=chat_server.url, api_key_env="DEMO_KEY_ENV")
+    with running_chat_server() as elsewhere:
+        chat_server.replies.append(
+            (status, "moved", {"Location": elsewhere.url}))
+        with pytest.raises(RequestError) as info:
+            complete(chain_for(), cfg)
+        assert elsewhere.received == []
+    assert (info.value.status, info.value.body) == (status, "moved")
     assert len(chat_server.received) == 1
 
 
