@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 bad input (parse/schema/config/validation), 2
-upstream client failure.
+upstream client failure, including an ``evaluate`` run in which every
+request of some shot row failed (its outputs are still written).
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     paths = write_outputs(outcome, cfg)
     sys.stdout.write(render_table(outcome.table))
     print(f"scores: {paths['scores']}")
+    failed = outcome.failed_shots
+    if failed:
+        shots = ", ".join(str(k) for k in failed)
+        rows = "rows" if len(failed) > 1 else "row"
+        print(f"client error: every request of shot {rows} {shots} failed; "
+              f"each error is in {paths['scores']}", file=sys.stderr)
+        return 2
     return 0
 
 

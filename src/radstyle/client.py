@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -32,7 +33,8 @@ log = logging.getLogger(__name__)
 _BACKOFF_BASE = 1.0
 _BACKOFF_FACTOR = 2.0
 _JITTER_SPAN = 0.25
-# The longest numeric Retry-After honoured; a longer one is cut to this.
+# The longest wait before a retry, jitter aside: the doubling stops here,
+# and a longer numeric Retry-After is cut to this.
 _RETRY_AFTER_MAX = 60.0
 
 
@@ -179,23 +181,40 @@ class EchoReportTransport:
 
     def post(self, url: str, headers: dict[str, str], payload: str,
              timeout: float) -> TransportResponse:
-        doc = json.loads(payload)
-        users = [m for m in doc.get("messages", ())
-                 if m.get("role") == "user"]
-        if not users:
+        content = _last_user_content(payload)
+        if content is None:
             return TransportResponse(400, '{"error": "no user message"}')
-        content = users[-1].get("content", "")
         if content.startswith(INSTRUCTION + "\n"):
             content = content[len(INSTRUCTION) + 1:]
         text = self.mapping.get(content, content)
         return TransportResponse(200, _completion_body(text))
 
 
+_DECODER = json.JSONDecoder()
+_USER_MESSAGE = '{"role": "user", "content": '
+
+
+def _last_user_content(payload: str) -> str | None:
+    """The content of the last user message of a ``PayloadEncoder`` body,
+    or None when it has none.
+
+    The encoder writes each message as ``{"role": ..., "content": ...}``,
+    and a JSON string never holds an unescaped quote, so the last user
+    message starts at the body's last ``{"role": "user", "content": ``.
+    Only that object is decoded. A body of any other shape is not read.
+    """
+    start = payload.rfind(_USER_MESSAGE)
+    if start < 0:
+        return None
+    return _DECODER.raw_decode(payload, start)[0]["content"]
+
+
 def _completion_body(text: str) -> str:
-    return json.dumps({
-        "choices": [{"message": {"role": "assistant", "content": text}}],
-        "usage": {"prompt_tokens": 0, "completion_tokens": 0},
-    })
+    """``json.dumps`` of a one-choice completion of ``text``, byte for
+    byte, with only the text encoded per call."""
+    return ('{"choices": [{"message": {"role": "assistant", "content": '
+            + json.dumps(text)
+            + '}}], "usage": {"prompt_tokens": 0, "completion_tokens": 0}}')
 
 
 @dataclass(frozen=True)
@@ -206,15 +225,26 @@ class CompletionResult:
     attempts: int
 
 
+# An HTTP field value (RFC 9110): tab, visible ASCII, space and Latin-1
+# text; no other control character, CR and LF included.
+_HEADER_TEXT = re.compile("[\t\x20-\x7e\x80-\xff]*")
+
+
 def _headers(cfg: ClientConfig, transport: Transport) -> dict[str, str]:
     """Request headers; only the HTTP transport carries the credential,
-    and an unset credential raises ``InputError``."""
+    and an unset credential or one no header can carry raises
+    ``InputError``."""
     if not isinstance(transport, HttpTransport):
         return {"Content-Type": "application/json"}
     key = os.environ.get(cfg.api_key_env)
     if not key:
         raise InputError(
             f"credential environment variable {cfg.api_key_env} is not set")
+    if not _HEADER_TEXT.fullmatch(key):
+        # The message never quotes the key: it is the credential.
+        raise InputError(
+            f"credential environment variable {cfg.api_key_env} holds a "
+            f"character an HTTP header cannot carry")
     if cfg.auth_header.lower() == "authorization":
         value = f"Bearer {key}"
     else:
@@ -223,14 +253,14 @@ def _headers(cfg: ClientConfig, transport: Transport) -> dict[str, str]:
 
 
 class PayloadEncoder:
-    """Builds request bodies for one config, JSON-encoding each distinct
-    (role, content) message once.
+    """Builds request bodies for one config from each message's
+    ``wire_json``, which a message encodes once however many chains and
+    batches share it.
 
     A body is byte-identical to ``json.dumps({"model": ..., "temperature":
     ..., "max_tokens": ..., "messages": wire_messages(chain)})``: that
     form's default separators put ``", "`` between list items, so the
-    cached message fragments are joined the same way. One encoder may be
-    shared by threads: a race on the cache only encodes a message twice.
+    message texts are joined the same way.
     """
 
     def __init__(self, cfg: ClientConfig) -> None:
@@ -238,19 +268,10 @@ class PayloadEncoder:
                            "temperature": cfg.temperature,
                            "max_tokens": cfg.max_tokens, "messages": []})
         self._head = head[:-2]   # up to and including the "[" of messages
-        self._fragments: dict[tuple, str] = {}
 
     def __call__(self, chain: PromptChain) -> str:
-        fragments = self._fragments
-        parts = []
-        for message in chain.messages:
-            key = (message.role, message.content)
-            fragment = fragments.get(key)
-            if fragment is None:
-                fragment = fragments[key] = json.dumps(
-                    {"role": message.role.value, "content": message.content})
-            parts.append(fragment)
-        return self._head + ", ".join(parts) + "]}"
+        return (self._head
+                + ", ".join([m.wire_json for m in chain.messages]) + "]}")
 
 
 def _parse_completion(body: str) -> tuple[str, dict]:
@@ -275,9 +296,12 @@ def _retryable(exc: ClientError) -> bool:
 
 def _backoff(exc: ClientError, attempts: int, rng: random.Random) -> float:
     """Seconds to wait after failed attempt number ``attempts``: doubling
-    from 1 s with up to 25% jitter, and at least the server's
-    ``Retry-After``, up to ``_RETRY_AFTER_MAX``."""
-    delay = _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempts - 1)
+    from 1 s up to ``_RETRY_AFTER_MAX``, with up to 25% jitter, and at
+    least the server's ``Retry-After``, up to ``_RETRY_AFTER_MAX``."""
+    # Past 64 doublings the cap has long been reached, and 2.0 ** 1024
+    # would overflow a float.
+    delay = min(_BACKOFF_BASE * _BACKOFF_FACTOR ** min(attempts - 1, 64),
+                _RETRY_AFTER_MAX)
     delay *= 1.0 + rng.uniform(0.0, _JITTER_SPAN)
     retry_after = getattr(exc, "retry_after", None)
     if retry_after is None:
@@ -346,8 +370,8 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
     retry and sleeps only for what is left of its backoff. Every attempt
     goes through ``complete`` with retries turned off, so each body is
     sent as often as ``complete`` alone would send it. The credential is
-    checked once, before any request is sent, and each distinct message
-    is JSON-encoded once per batch.
+    checked once, before any request is sent, and one ``PayloadEncoder``
+    serves the batch.
 
     Results align with the input order; an item that fails with a
     ``ClientError`` yields that exception instead of aborting the batch.

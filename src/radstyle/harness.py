@@ -15,6 +15,7 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter, eq, is_
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -186,64 +187,69 @@ class Scorer:
                 raise ConfigError(
                     f"composite weight references unknown metric {name!r}")
         self.cfg = cfg
-        self.resources = resources
         needed = {n for n in cfg.names if n != "radcliq"}
         if "radcliq" in cfg.names:
             needed.update(cfg.radcliq_weights)
-        self._needed = sorted(needed)
         # metric name -> study id -> the reference's prepared features
         self._references: dict[str, dict] = {n: {} for n in _BASE_METRICS}
-
-    def _inputs(self, name: str, generated: str,
-                record: StudyRecord) -> tuple:
-        """(reference, candidate, prepare, metric) of one metric;
-        ``prepare`` takes a resource and its side's error label."""
-        res = self.resources
-        sid = record.study_id
-        if name == "bleu2":
-            return (record.report, generated,
-                    lambda text, _: ngram_counts(tokenize(text)), bleu2)
-        if name == "bert_score":
-            return (res.embeddings.get(sid),
-                    res.embedding_by_text.get(generated), unit_rows,
-                    bert_score)
-        if name == "chexbert":
-            return (record.pathology_vector or res.vectors.get(sid),
-                    res.vector_by_text.get(generated),
-                    lambda vector, _: normed_vector(vector),
-                    chexbert_similarity)
-        return (res.graphs.get(sid), res.graph_by_text.get(generated),
+        res = resources
+        # metric -> (reference of a record, candidate of a generated text,
+        # whether a candidate is the reference's own, prepare, metric).
+        # ``prepare`` takes a resource and its side's error label. The
+        # lambdas name the functions of this module, so each call finds
+        # whatever those names are bound to then.
+        steps = {
+            "bleu2": (
+                attrgetter("report"), lambda text: text, eq,
+                lambda text, _: ngram_counts(tokenize(text)),
+                lambda cand, ref: bleu2(cand, ref)),
+            "bert_score": (
+                lambda record: res.embeddings.get(record.study_id),
+                res.embedding_by_text.get, is_,
+                lambda emb, label: unit_rows(emb, label),
+                lambda cand, ref: bert_score(cand, ref)),
+            "chexbert": (
+                lambda record: (record.pathology_vector
+                                or res.vectors.get(record.study_id)),
+                res.vector_by_text.get, is_,
+                lambda vector, _: normed_vector(vector),
+                lambda cand, ref: chexbert_similarity(cand, ref)),
+            "radgraph_f1": (
+                lambda record: res.graphs.get(record.study_id),
+                res.graph_by_text.get, is_,
                 lambda graph, _: graph_keys(graph),
-                lambda cand, ref: radgraph_f1(cand, ref).combined)
-
-    def _single(self, name: str, generated: str,
-                record: StudyRecord) -> float | None:
-        ref, cand, prepare, metric = self._inputs(name, generated, record)
-        if ref is None or cand is None:
-            return None
-        memo = self._references[name]
-        ref_features = memo.get(record.study_id)
-        if ref_features is None:
-            ref_features = memo[record.study_id] = prepare(ref, "reference")
-        if cand is ref or (name == "bleu2" and cand == ref):
-            return metric(ref_features, ref_features)
-        return metric(prepare(cand, "candidate"), ref_features)
+                lambda cand, ref: radgraph_f1(cand, ref).combined),
+        }
+        self._steps = tuple((name, self._references[name], *steps[name])
+                            for name in sorted(needed))
 
     def score(self, generated: str,
               record: StudyRecord) -> dict[str, float | None]:
-        base = {name: self._single(name, generated, record)
-                for name in self._needed}
+        sid = record.study_id
+        base: dict[str, float | None] = {}
+        for (name, memo, reference, candidate, same, prepare,
+             metric) in self._steps:
+            cand = candidate(generated)
+            ref = None if cand is None else reference(record)
+            if ref is None:
+                base[name] = None
+                continue
+            ref_features = memo.get(sid)
+            if ref_features is None:
+                ref_features = memo[sid] = prepare(ref, "reference")
+            if same(cand, ref):
+                base[name] = metric(ref_features, ref_features)
+            else:
+                base[name] = metric(prepare(cand, "candidate"), ref_features)
         out: dict[str, float | None] = {}
         for name in self.cfg.names:
-            if name == "radcliq":
-                comps = {c: base[c] for c in self.cfg.radcliq_weights}
-                if any(v is None for v in comps.values()):
-                    out[name] = None
-                else:
-                    out[name] = radcliq(comps, self.cfg.radcliq_weights,
-                                        self.cfg.radcliq_bias)
-            else:
+            if name != "radcliq":
                 out[name] = base[name]
+            elif any(base[c] is None for c in self.cfg.radcliq_weights):
+                out[name] = None
+            else:   # radcliq reads only the weighted components of base
+                out[name] = radcliq(base, self.cfg.radcliq_weights,
+                                    self.cfg.radcliq_bias)
         return out
 
 
@@ -278,8 +284,12 @@ class ResultTable:
 
 @dataclass(frozen=True)
 class RunOutcome:
+    """A run's table and items. ``failed_shots`` holds the shot count of
+    each row that sent requests and got no completion back."""
+
     table: ResultTable
     items: list[RunItem]
+    failed_shots: tuple[int, ...] = ()
 
 
 def aggregate_row(method: str, shots: int | None, items: Sequence[RunItem],
@@ -425,8 +435,9 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
 
     "ser2rep" prompts with each study's own serialization. "end2end"
     serializes the study's graph from ``graphs``; a study without one
-    becomes an error item, placed after the row's generated items. An
-    item whose prompt cannot be built fails in place.
+    becomes an error item, placed after the row's generated items, and
+    ``InputError`` is raised before any request when no eval study has
+    one. An item whose prompt cannot be built fails in place.
     """
     check_disjoint(eval_records, pool_records)
     source = _SOURCES[mode]
@@ -443,8 +454,12 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
                                             cfg.serializer).rendered))
         else:
             absent.append(record)
+    if not pairs and cfg.experiment.shots:
+        where = f"in {cfg.graphs}" if cfg.graphs else "(no graphs file set)"
+        raise InputError(f"no eval study has a graph {where}")
     rows: list[ResultRow] = []
     items: list[RunItem] = []
+    failed_shots: list[int] = []
     for k in cfg.experiment.shots:
         chains: list[PromptChain] = []
         row: list[RunItem | None] = []   # None: awaits the batch's result
@@ -460,11 +475,13 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
                                    {}, str(exc)))
         # The batch's results live only as long as this loop.
         waiting = [i for i, item in enumerate(row) if item is None]
+        failures = 0
         for i, result in zip(waiting, complete_batch(
                 chains, cfg.client, parallelism=cfg.client.parallelism,
                 transport=transport)):
             record = pairs[i][0]
             if isinstance(result, Exception):
+                failures += 1
                 row[i] = RunItem(record.study_id, mode, k, source, None, {},
                                  str(result))
             else:
@@ -474,10 +491,12 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
         row.extend(RunItem(r.study_id, mode, k, source, None, {},
                            f"no graph for study {r.study_id}")
                    for r in absent)
+        if waiting and failures == len(waiting):
+            failed_shots.append(k)
         rows.append(aggregate_row(mode, k, row, cfg.metrics.names))
         items.extend(row)
     return RunOutcome(ResultTable(tuple(cfg.metrics.names), tuple(rows)),
-                      items)
+                      items, tuple(failed_shots))
 
 
 def score_fixed_outputs(records: Sequence[StudyRecord],
@@ -539,7 +558,7 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
         outcome = RunOutcome(
             ResultTable(outcome.table.metric_names,
                         outcome.table.rows + (row,)),
-            outcome.items + baseline_items)
+            outcome.items + baseline_items, outcome.failed_shots)
     return outcome
 
 

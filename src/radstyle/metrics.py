@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -211,7 +212,7 @@ def chexbert_similarity(a: Sequence | NormedVector,
         return 1.0
     if va.norm == 0.0 or vb.norm == 0.0:
         return 0.0
-    dot = sum(x * y for x, y in zip(va.values, vb.values))
+    dot = sum(map(mul, va.values, vb.values))
     return dot / (va.norm * vb.norm)
 
 
@@ -260,8 +261,9 @@ def bert_score(cand_emb, ref_emb) -> float:
         # differs from the general product's; keep one arithmetic path.
         ref = ref.copy()
     sim = cand @ ref.T
-    precision = float(sim.max(axis=1).mean())
-    recall = float(sim.max(axis=0).mean())
+    # sum / n is the float64 ``mean()`` without its Python wrapper
+    precision = float(sim.max(axis=1).sum()) / sim.shape[0]
+    recall = float(sim.max(axis=0).sum()) / sim.shape[1]
     if precision + recall == 0.0:
         return 0.0
     return 2 * precision * recall / (precision + recall)

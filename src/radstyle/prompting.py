@@ -9,9 +9,11 @@ them, so they are module constants rather than configuration.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError
@@ -32,6 +34,16 @@ class PromptMessage:
     role: Role
     content: str
 
+    @cached_property
+    def wire_json(self) -> str:
+        """The message's wire object as JSON text, exactly as
+        ``json.dumps`` writes ``{"role": ..., "content": ...}``; built on
+        first use."""
+        return json.dumps({"role": self.role.value, "content": self.content})
+
+
+SYSTEM_MESSAGE = PromptMessage(Role.SYSTEM, SYSTEM_PROMPT)
+
 
 @dataclass(frozen=True)
 class StylePair:
@@ -40,6 +52,13 @@ class StylePair:
 
     serialization: str
     report: str
+
+    @cached_property
+    def messages(self) -> tuple[PromptMessage, PromptMessage]:
+        """The user and assistant messages this example adds to a chain,
+        built on first use and shared by every chain that draws it."""
+        return (PromptMessage(Role.USER, _user_content(self.serialization)),
+                PromptMessage(Role.ASSISTANT, self.report))
 
 
 @dataclass(frozen=True)
@@ -88,20 +107,18 @@ def build_prompt(examples: Sequence[StylePair], eval_serialization: str,
     """
     if not eval_serialization.strip():
         raise InputError("evaluation serialization is empty")
+    messages = [SYSTEM_MESSAGE]
     for i, pair in enumerate(examples):
         if not pair.serialization.strip():
             raise InputError(f"example {i}: serialization is empty")
         if not pair.report.strip():
             raise InputError(f"example {i}: report is empty")
+        messages += pair.messages
     if bare_zero_shot:
         if examples:
             raise InputError("bare zero-shot takes no examples")
         return PromptChain(
             (PromptMessage(Role.USER, eval_serialization),), k=0, bare=True)
-    messages = [PromptMessage(Role.SYSTEM, SYSTEM_PROMPT)]
-    for pair in examples:
-        messages.append(PromptMessage(Role.USER, _user_content(pair.serialization)))
-        messages.append(PromptMessage(Role.ASSISTANT, pair.report))
     messages.append(PromptMessage(Role.USER, _user_content(eval_serialization)))
     return PromptChain(tuple(messages), k=len(examples))
 

@@ -205,6 +205,88 @@ def test_evaluate_http_without_credential_exits_one(corpus, tmp_path,
     assert not (tmp_path / "results").exists()
 
 
+def _http_config(corpus, tmp_path, url, shots):
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["client"] = {"mode": "http", "api_key_env": "RADSTYLE_TEST_KEY",
+                        "endpoint": url, "max_retries": 0}
+    config["experiment"]["shots"] = shots
+    config["output"]["directory"] = str(tmp_path / "results")
+    path = tmp_path / "http.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("rejected, shots, code", [
+    ("every", [0, 2], 2), ("one", [0, 2], 0), ("every", [], 0)])
+def test_evaluate_exits_two_when_a_shot_row_scored_nothing(
+        corpus, tmp_path, capsys, monkeypatch, chat_server, rejected,
+        shots, code):
+    monkeypatch.setenv("RADSTYLE_TEST_KEY", "sk-test")
+    n_eval = sum(1 for r in load_dataset(corpus["dataset"])
+                 if r.split == "test")
+    # Shot 0 gets every 400 it is sent; shot 2 then gets 200 replies.
+    chat_server.replies.extend(
+        [(400, '{"error": "bad request"}', {})]
+        * (n_eval if rejected == "every" else 1))
+    path = _http_config(corpus, tmp_path, chat_server.url, shots)
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    assert len(chat_server.received) == n_eval * len(shots)
+    # The outputs are written either way.
+    table = parse_table_csv((tmp_path / "results" / "mock_table.csv")
+                            .read_text(encoding="utf-8"))
+    rows = {row.shots: row for row in table.rows}
+    if code == 2:
+        assert captured.err == (
+            f"client error: every request of shot row 0 failed; each error "
+            f"is in {tmp_path / 'results' / 'mock_scores.jsonl'}\n")
+        assert rows[0].excluded == rows[0].n_items == n_eval
+        assert rows[2].excluded == 0
+    else:
+        assert captured.err == ""
+        assert all(row.excluded < row.n_items for row in table.rows)
+
+
+def test_evaluate_end2end_without_an_eval_graph_exits_one(
+        corpus, tmp_path, capsys, monkeypatch, chat_server):
+    # An input fault, not a client failure: nothing is sent or written.
+    monkeypatch.setenv("RADSTYLE_TEST_KEY", "sk-test")
+    train = {r.study_id for r in load_dataset(corpus["dataset"])
+             if r.split == "train"}
+    graphs = json.loads(corpus["graphs"].read_text(encoding="utf-8"))
+    pool_graphs = tmp_path / "pool_graphs.json"
+    pool_graphs.write_text(json.dumps(
+        {sid: doc for sid, doc in graphs.items() if sid in train}),
+        encoding="utf-8")
+    path = _http_config(corpus, tmp_path, chat_server.url, [0, 2])
+    config = yaml.safe_load(path.read_text(encoding="utf-8"))
+    config["graphs"] = str(pool_graphs)
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "end2end",
+                     "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no eval study has a graph in {pool_graphs}\n")
+    assert chat_server.received == []
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("key", ["sk-\u20ac", "sk-1\r\nX: y", "sk-\x7f"])
+def test_evaluate_credential_no_header_can_carry_exits_one(
+        corpus, tmp_path, capsys, monkeypatch, chat_server, key):
+    monkeypatch.setenv("RADSTYLE_TEST_KEY", key)
+    path = _http_config(corpus, tmp_path, chat_server.url, [0])
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: credential environment variable RADSTYLE_TEST_KEY holds a "
+        "character an HTTP header cannot carry\n")
+    assert key not in captured.out + captured.err
+    assert chat_server.received == []
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("max_retries", -1), ("max_retries", "x"), ("max_retries", True),
     ("parallelism", 0), ("parallelism", "2"),

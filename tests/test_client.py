@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from radstyle.client import (ClientConfig, EchoReportTransport,
                              FixedReplyTransport, HttpTransport,
-                             PayloadEncoder, TransportResponse, complete,
-                             complete_batch)
+                             PayloadEncoder, TransportResponse, _backoff,
+                             complete, complete_batch)
 from radstyle.errors import (ClientError, InputError, ProtocolError,
                              RequestError, TransportError)
 from radstyle.prompting import (INSTRUCTION, PromptChain, PromptMessage,
@@ -300,6 +301,53 @@ def test_payload_encoder_matches_json_dumps(chains, model, temperature,
             "messages": wire_messages(chain)})
 
 
+def echo_by_full_parse(mapping, payload):
+    """``EchoReportTransport.post`` as a full parse of the body."""
+    doc = json.loads(payload)
+    users = [m for m in doc.get("messages", ()) if m.get("role") == "user"]
+    if not users:
+        return TransportResponse(400, '{"error": "no user message"}')
+    content = users[-1].get("content", "")
+    if content.startswith(INSTRUCTION + "\n"):
+        content = content[len(INSTRUCTION) + 1:]
+    text = mapping.get(content, content)
+    return TransportResponse(200, json.dumps({
+        "choices": [{"message": {"role": "assistant", "content": text}}],
+        "usage": {"prompt_tokens": 0, "completion_tokens": 0}}))
+
+
+# Text a naive scan of the body would take for message boundaries.
+_TRAPS = ('{"role": "user", "content": ', ']}', '"}]}', '\\', '"',
+          '\u00e9\u20ac', '\U0001f600', INSTRUCTION + "\n")
+_ECHO_TEXT = st.lists(st.one_of(_JSON_TEXT, st.sampled_from(_TRAPS)),
+                      max_size=4).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(messages=st.lists(
+           st.tuples(st.sampled_from(list(Role)), _ECHO_TEXT), max_size=6),
+       last=st.none() | st.tuples(st.just(Role.USER), _ECHO_TEXT),
+       model=_ECHO_TEXT, mapped=st.sets(st.integers(0, 6)))
+def test_echo_transport_reads_the_body_like_a_full_parse(
+        messages, last, model, mapped):
+    """Whatever the contents, and whether the last message is a user
+    message or not, the reply to a ``PayloadEncoder`` body is the full
+    parse's, byte for byte; a body with no user message gets a 400."""
+    messages = messages + [last] if last else messages
+    cfg = ClientConfig(model=model)
+    # Any roles in any order: the encoder reads nothing but the messages.
+    chain = SimpleNamespace(messages=tuple(
+        PromptMessage(role, content) for role, content in messages))
+    payload = PayloadEncoder(cfg)(chain)
+    contents = [content for _, content in messages]
+    stripped = [c[len(INSTRUCTION) + 1:]
+                if c.startswith(INSTRUCTION + "\n") else c for c in contents]
+    mapping = {stripped[i]: f"report {i}" for i in mapped
+               if i < len(stripped)}
+    assert (EchoReportTransport(mapping).post("u", {}, payload, 1.0)
+            == echo_by_full_parse(mapping, payload))
+
+
 class FailingEcho(EchoReportTransport):
     """Echo transport that answers chains ending in s3 with a 400, s4
     with a malformed body and s5 with a 503 every time."""
@@ -495,6 +543,17 @@ def test_retry_after_is_bounded(caplog):
     assert result.attempts == 2
     assert delays == [60.0]
     assert "86400 s" in caplog.text and "60 s" in caplog.text
+
+
+@pytest.mark.parametrize("attempts, doubled", [
+    (1, 1.0), (2, 2.0), (6, 32.0), (7, 60.0), (20, 60.0), (2000, 60.0)])
+def test_backoff_doubling_stops_at_the_cap(attempts, doubled):
+    jitter = 1.0 + random.Random(0).uniform(0.0, 0.25)
+    assert _backoff(TransportError("x"), attempts,
+                    random.Random(0)) == doubled * jitter
+    # A Retry-After still sets the least delay, up to the same cap.
+    assert _backoff(RequestError(429, "", retry_after=50.0), attempts,
+                    random.Random(0)) == max(doubled * jitter, 50.0)
 
 
 # One scripted action per attempt; attempts past the script succeed.

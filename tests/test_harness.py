@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radstyle.harness as harness
 from radstyle.client import (ClientConfig, EchoReportTransport,
                              TransportResponse)
 from radstyle.config import (ExperimentConfig, HarnessConfig, MetricsConfig,
@@ -327,9 +329,11 @@ def bare_scores(cfg, res, generated, record):
 def test_scorer_memo_matches_bare_metric_functions(seed, cfg):
     rng = random.Random(seed)
     records, res = random_resources(rng)
-    # Known reference texts (hits: identity and cross-study), unknown
-    # texts and a baseline-style output (misses).
+    # Known reference texts (hits: identity and cross-study), each also
+    # as a copy, as a client returns it; unknown texts and a
+    # baseline-style output (misses).
     texts = [r.report for r in records] + [
+        r.report.encode().decode() for r in records] + [
         "No acute cardiopulmonary process .", "",
         " ".join(rng.choice(_WORDS) for _ in range(5))]
     pairs = [(text, record) for text in texts for record in records]
@@ -344,6 +348,23 @@ def test_scorer_memo_matches_bare_metric_functions(seed, cfg):
     for record, item in zip(records, items):
         assert item.scores == bare_scores(cfg, res, outputs[record.study_id],
                                           record)
+
+
+def test_scorer_calls_the_metrics_named_in_harness_at_call_time(
+        monkeypatch):
+    """The benchmark's tracer rebinds these names in ``harness`` and must
+    see every call, even from a ``Scorer`` built before it did."""
+    scorer = Scorer(MetricsConfig(), full_resources())
+    calls = []
+    for name in ("tokenize", "bleu2", "bert_score", "chexbert_similarity",
+                 "radgraph_f1"):
+        def counted(*args, _name=name, _real=getattr(harness, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(harness, name, counted)
+    scorer.score(REPORT, StudyRecord("a", REPORT))
+    assert sorted(calls) == ["bert_score", "bleu2", "chexbert_similarity",
+                             "radgraph_f1", "tokenize"]
 
 
 def test_scorer_identity_embedding_takes_general_product():
@@ -644,6 +665,65 @@ def test_run_generation_keeps_item_order(corpus, mode):
             assert item.error is None
             assert item.scores["radgraph_f1"] == 1.0
     assert [row.excluded for row in outcome.table.rows] == [2, 2]
+    assert outcome.failed_shots == ()
+
+
+class RejectExamplesTransport(EchoReportTransport):
+    """The identity mock, except that every chain with an example gets a
+    400."""
+
+    def post(self, url, headers, payload, timeout):
+        if len(json.loads(payload)["messages"]) > 2:
+            return TransportResponse(400, "rejected")
+        return super().post(url, headers, payload, timeout)
+
+
+@pytest.mark.parametrize("mode", ["ser2rep", "end2end"])
+def test_run_generation_names_the_rows_whose_every_request_failed(
+        corpus, mode):
+    # Items that fail before a request count neither way: the 1-shot row
+    # sent requests and got nothing back, the 0-shot row scored some.
+    paths, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    evals = split_records(records, "test")
+    resources = build_resources(records, cfg)
+    graphs = dict(resources.graphs)
+    if mode == "ser2rep":
+        evals[1] = dataclasses.replace(evals[1], serialization=" ")
+    else:
+        del graphs[evals[1].study_id]
+    two_rows = dataclasses.replace(cfg,
+                                   experiment=ExperimentConfig(shots=(0, 1)))
+    transport = RejectExamplesTransport(
+        {r.serialization: r.report for r in records})
+    scorer = Scorer(cfg.metrics, resources)
+    pool = split_records(records, "train")
+    outcome = run_generation(mode, evals, pool, two_rows, scorer, transport,
+                             graphs)
+    assert [row.excluded for row in outcome.table.rows] == [1, 4]
+    assert outcome.failed_shots == (1,)
+    if mode == "ser2rep":
+        # Rows that sent nothing hold no client failure either.
+        blank = [dataclasses.replace(r, serialization=" ") for r in evals]
+        outcome = run_generation(mode, blank, pool, two_rows, scorer,
+                                 transport, graphs)
+        assert [row.excluded for row in outcome.table.rows] == [4, 4]
+        assert outcome.failed_shots == ()
+
+
+def test_end_to_end_without_a_graphs_file_fails_before_any_request(
+        corpus, monkeypatch):
+    # tests/test_cli.py covers a graphs file that holds no eval study.
+    paths, cfg = corpus
+    sent = []
+    monkeypatch.setattr(EchoReportTransport, "post",
+                        lambda self, *args: sent.append(args))
+    no_graphs = HarnessConfig(dataset=cfg.dataset,
+                              experiment=ExperimentConfig(shots=(0,)))
+    with pytest.raises(InputError, match=re.escape(
+            "no eval study has a graph (no graphs file set)")):
+        evaluate(no_graphs, "end2end")
+    assert sent == []
 
 
 def test_score_fixed_outputs_missing_study():

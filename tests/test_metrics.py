@@ -217,6 +217,29 @@ def test_prepared_features_score_exactly_like_raw_inputs(
     assert bert_score(unit_rows(ea), unit_rows(eb)) == bert_score(ea, eb)
 
 
+@given(vectors, vectors, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_kernels_round_exactly_as_their_plain_formulas(va, vb, seed):
+    """``chexbert_similarity`` sums ``map(mul, ...)`` and ``bert_score``
+    divides sums where numpy's ``mean()`` ran: the floats are the plain
+    formulas', bit for bit."""
+    na = math.sqrt(sum(x * x for x in va))
+    nb = math.sqrt(sum(x * x for x in vb))
+    if na and nb:
+        assert chexbert_similarity(va, vb) == (
+            sum(x * y for x, y in zip(va, vb)) / (na * nb))
+    np_rng = np.random.default_rng(seed)
+    dim = int(np_rng.integers(1, 9))
+    ea = np_rng.normal(size=(int(np_rng.integers(1, 40)), dim))
+    eb = np_rng.normal(size=(int(np_rng.integers(1, 40)), dim))
+    for cand, ref in ((ea, eb), (eb, ea), (ea, ea)):
+        sim = unit_rows(cand).rows @ unit_rows(ref).rows.T
+        precision = float(sim.max(axis=1).mean())
+        recall = float(sim.max(axis=0).mean())
+        assert bert_score(cand, ref) == (
+            2 * precision * recall / (precision + recall))
+
+
 def test_chexbert_similarity():
     a = [1] + [0] * 13
     b = [1, 1] + [0] * 12

@@ -178,3 +178,34 @@ def test_chain_shape_property(k, seed):
     roles = [m.role for m in chain.messages]
     assert roles[0] is Role.SYSTEM
     assert roles[-1] is Role.USER
+
+
+# Non-blank text: quotes, backslashes, newlines and non-ASCII included.
+_TEXT = st.text(max_size=12).map(lambda text: "x" + text)
+
+
+@given(pool=st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=8),
+       evals=st.lists(_TEXT, min_size=1, max_size=4),
+       k=st.integers(0, 8), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_build_prompt_matches_a_message_by_message_oracle(pool, evals, k,
+                                                          seed):
+    pairs = [StylePair(ser, rep) for ser, rep in pool]
+    k = min(k, len(pairs))
+    for i, text in enumerate(evals):
+        examples = select_examples(pairs, k, seed + i)
+        chain = build_prompt(examples, text)
+        oracle = [{"role": "system", "content": SYSTEM_PROMPT}]
+        for pair in examples:
+            oracle.append({"role": "user",
+                           "content": INSTRUCTION + "\n" + pair.serialization})
+            oracle.append({"role": "assistant", "content": pair.report})
+        oracle.append({"role": "user", "content": INSTRUCTION + "\n" + text})
+        assert wire_messages(chain) == oracle
+        assert [m.wire_json for m in chain.messages] == [
+            json.dumps(m) for m in oracle]
+        # The chain holds each example's own message objects, so chains
+        # that draw the same example share them.
+        for j, pair in enumerate(examples):
+            assert chain.messages[1 + 2 * j] is pair.messages[0]
+            assert chain.messages[2 + 2 * j] is pair.messages[1]
