@@ -18,7 +18,8 @@ from .errors import (ClientError, ConfigError, InputError, IoError,
 from .graph import radgraph_from_document
 from .harness import (StyleEvalSet, assemble_style_eval_sets,
                       check_disjoint, evaluate, example_pool, load_dataset,
-                      render_style_eval_set, render_table, score_style_eval,
+                      render_style_eval_set, render_table,
+                      require_serializations, score_style_eval,
                       split_records, write_outputs)
 from .jsonfiles import read_json
 from .metrics import z_test_proportion
@@ -62,9 +63,7 @@ def _cmd_prompt(args: argparse.Namespace) -> int:
         if not matches:
             raise InputError(f"no study {args.eval_study!r} in dataset")
         check_disjoint(matches, pool_records)
-        if not matches[0].serialization:
-            raise InputError(
-                f"study {args.eval_study!r} has no serialization")
+        require_serializations(matches, "eval")
         eval_serialization = matches[0].serialization
         seed = derive_selection_seed(args.seed, args.shots, args.eval_study)
     elif args.eval_serialization is not None:
@@ -134,7 +133,7 @@ def _cmd_style_score(args: argparse.Namespace) -> int:
     if not isinstance(answers, dict):
         raise SchemaError(f"{args.answers}: expected an object mapping "
                           f"evaluator to answer array")
-    score = score_style_eval(answers, sets, p0=args.p0)
+    score = score_style_eval(answers, sets)
     for evaluator, result in score.per_evaluator.items():
         print(f"{evaluator}: {result.successes}/{result.trials} correct, "
               f"phat={result.phat:.4f}, z={result.z:.4f}, "
@@ -196,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = style_sub.add_parser("score")
     q.add_argument("--sets", required=True)
     q.add_argument("--answers", required=True)
-    q.add_argument("--p0", type=float, default=0.25)
     q.set_defaults(func=_cmd_style_score)
 
     p = sub.add_parser("ztest", help="one-sided proportion z-test")

@@ -26,6 +26,7 @@ from urllib.parse import urlsplit
 
 from .errors import (ClientError, ConfigError, InputError, ProtocolError,
                      RequestError, TransportError)
+from .jsonfiles import is_int
 from .prompting import INSTRUCTION, PromptChain
 
 log = logging.getLogger(__name__)
@@ -36,10 +37,6 @@ _JITTER_SPAN = 0.25
 # The longest wait before a retry, jitter aside: the doubling stops here,
 # and a longer numeric Retry-After is cut to this.
 _RETRY_AFTER_MAX = 60.0
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_http_url(value) -> bool:
@@ -58,7 +55,7 @@ class ClientConfig:
 
     mode "http" talks to a real endpoint; "identity-mock" echoes each
     study's reference report (offline pipeline checks); "fixed-mock"
-    returns ``fixed_text`` for everything (degenerate baseline).
+    returns one canned report for everything (degenerate baseline).
     ``evaluate`` sends each shot row's requests with ``parallelism``
     workers.
     """
@@ -72,7 +69,6 @@ class ClientConfig:
     max_retries: int = 2
     api_key_env: str = "OPENAI_API_KEY"
     auth_header: str = "Authorization"
-    fixed_text: str = "No acute cardiopulmonary process."
     parallelism: int = 4
 
     def __post_init__(self) -> None:
@@ -81,10 +77,10 @@ class ClientConfig:
         if not _is_http_url(self.endpoint):
             raise ConfigError(f"client endpoint must be an http or https "
                               f"URL with a host, got {self.endpoint!r}")
-        if not _is_int(self.max_retries) or self.max_retries < 0:
+        if not is_int(self.max_retries) or self.max_retries < 0:
             raise ConfigError(f"client max_retries must be an integer >= 0, "
                               f"got {self.max_retries!r}")
-        if not _is_int(self.parallelism) or self.parallelism < 1:
+        if not is_int(self.parallelism) or self.parallelism < 1:
             raise ConfigError(f"client parallelism must be an integer >= 1, "
                               f"got {self.parallelism!r}")
 

@@ -49,6 +49,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if any(k < 0 for k in self.shots):
             raise ConfigError("shot counts must be non-negative")
+        repeated = sorted({k for k in self.shots if self.shots.count(k) > 1})
+        if repeated:
+            raise ConfigError(f"shot counts must be distinct: {repeated}")
         if self.pool_split == self.eval_split:
             raise ConfigError("pool and eval splits must differ")
 

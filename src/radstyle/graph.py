@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ParseError, SchemaError
+from .jsonfiles import is_int
 
 log = logging.getLogger(__name__)
 
@@ -153,10 +154,8 @@ def radgraph_from_document(doc: dict) -> RadGraph:
         label = EntityLabel.from_string(label_raw)
         start_ix = value.get("start_ix")
         end_ix = value.get("end_ix")
-        _require(isinstance(start_ix, int) and not isinstance(start_ix, bool),
-                 f"entity {eid}: start_ix must be an integer")
-        _require(isinstance(end_ix, int) and not isinstance(end_ix, bool),
-                 f"entity {eid}: end_ix must be an integer")
+        _require(is_int(start_ix), f"entity {eid}: start_ix must be an integer")
+        _require(is_int(end_ix), f"entity {eid}: end_ix must be an integer")
         _require(start_ix >= 0, f"entity {eid}: negative start_ix")
         _require(start_ix <= end_ix,
                  f"entity {eid}: start_ix {start_ix} > end_ix {end_ix}")

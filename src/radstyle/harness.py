@@ -26,7 +26,7 @@ from .client import (ClientConfig, EchoReportTransport, FixedReplyTransport,
 from .config import HarnessConfig, MetricsConfig
 from .errors import ConfigError, InputError, IoError, SchemaError
 from .graph import RadGraph, radgraph_from_document
-from .jsonfiles import read_jsonl, read_study_map
+from .jsonfiles import is_int, read_jsonl, read_study_map
 from .metrics import (MetricReport, PathologyVector, ZTestResult,
                       as_pathology_vector, bert_score, bleu2,
                       chexbert_similarity, graph_keys, load_embeddings,
@@ -68,7 +68,7 @@ def load_dataset(path) -> list[StudyRecord]:
         if unknown:
             raise SchemaError(f"line {lineno}: unknown keys {unknown}")
         for key in ("study_id", "report"):
-            if not isinstance(doc.get(key), str) or not doc[key]:
+            if not isinstance(doc.get(key), str) or not doc[key].strip():
                 raise SchemaError(
                     f"line {lineno}: {key} must be a non-empty string")
         sid = doc["study_id"]
@@ -209,8 +209,7 @@ class Scorer:
                 lambda emb, label: unit_rows(emb, label),
                 lambda cand, ref: bert_score(cand, ref)),
             "chexbert": (
-                lambda record: (record.pathology_vector
-                                or res.vectors.get(record.study_id)),
+                lambda record: res.vectors.get(record.study_id),
                 res.vector_by_text.get, is_,
                 lambda vector, _: normed_vector(vector),
                 lambda cand, ref: chexbert_similarity(cand, ref)),
@@ -384,6 +383,9 @@ def parse_table_csv(text: str) -> ResultTable:
     return ResultTable(names, tuple(rows))
 
 
+FIXED_REPLY = "No acute cardiopulmonary process."   # the fixed-mock reply
+
+
 def make_transport(cfg: ClientConfig,
                    records: Sequence[StudyRecord]) -> Transport:
     """The transport that ``cfg.mode`` names; the identity mock maps each
@@ -393,7 +395,7 @@ def make_transport(cfg: ClientConfig,
     if cfg.mode == "identity-mock":
         return EchoReportTransport({r.serialization: r.report
                                     for r in records if r.serialization})
-    return FixedReplyTransport(cfg.fixed_text)
+    return FixedReplyTransport(FIXED_REPLY)
 
 
 def check_disjoint(eval_records: Sequence[StudyRecord],
@@ -407,9 +409,11 @@ def check_disjoint(eval_records: Sequence[StudyRecord],
             f"studies present in both pool and eval splits: {sorted(overlap)}")
 
 
-def _require_serializations(records: Sequence[StudyRecord],
-                            label: str) -> None:
-    missing = sorted(r.study_id for r in records if not r.serialization)
+def require_serializations(records: Sequence[StudyRecord],
+                           label: str) -> None:
+    """Reject records whose serialization is missing or blank."""
+    missing = sorted(r.study_id for r in records
+                     if not (r.serialization or "").strip())
     if missing:
         raise InputError(f"{label} records missing serializations: {missing}")
 
@@ -417,7 +421,7 @@ def _require_serializations(records: Sequence[StudyRecord],
 def example_pool(pool_records: Sequence[StudyRecord]) -> list[StylePair]:
     """The style pairs a K-shot prompt draws its examples from; every
     pool record must carry a serialization."""
-    _require_serializations(pool_records, "pool")
+    require_serializations(pool_records, "pool")
     return [StylePair(r.serialization, r.report) for r in pool_records]
 
 
@@ -437,13 +441,14 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     serializes the study's graph from ``graphs``; a study without one
     becomes an error item, placed after the row's generated items, and
     ``InputError`` is raised before any request when no eval study has
-    one. An item whose prompt cannot be built fails in place.
+    one, or when every eval graph serializes to no text. An item whose
+    prompt cannot be built fails in place.
     """
     check_disjoint(eval_records, pool_records)
     source = _SOURCES[mode]
     pool_pairs = example_pool(pool_records)
     if mode == "ser2rep":
-        _require_serializations(eval_records, "eval")
+        require_serializations(eval_records, "eval")
     pairs: list[tuple[StudyRecord, str]] = []
     absent: list[StudyRecord] = []
     for record in eval_records:
@@ -454,9 +459,10 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
                                             cfg.serializer).rendered))
         else:
             absent.append(record)
-    if not pairs and cfg.experiment.shots:
+    if cfg.experiment.shots and not any(text.strip() for _, text in pairs):
         where = f"in {cfg.graphs}" if cfg.graphs else "(no graphs file set)"
-        raise InputError(f"no eval study has a graph {where}")
+        blank = " that serializes to any text" if pairs else ""
+        raise InputError(f"no eval study has a graph{blank} {where}")
     rows: list[ResultRow] = []
     items: list[RunItem] = []
     failed_shots: list[int] = []
@@ -502,19 +508,18 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
 def score_fixed_outputs(records: Sequence[StudyRecord],
                         outputs: Mapping[str, str], scorer: Scorer,
                         metric_names: Sequence[str],
-                        method: str = "baseline",
                         ) -> tuple[ResultRow, list[RunItem]]:
-    """Score precomputed outputs (comparison systems) keyed by study id."""
+    """Score a comparison system's outputs, keyed by study id."""
     items: list[RunItem] = []
     for record in records:
         text = outputs.get(record.study_id)
         if text is None:
-            items.append(RunItem(record.study_id, method, None, "provided",
-                                 None, {}, "no output for study"))
+            items.append(RunItem(record.study_id, "baseline", None,
+                                 "provided", None, {}, "no output for study"))
         else:
-            items.append(RunItem(record.study_id, method, None, "provided",
-                                 text, scorer.score(text, record)))
-    return aggregate_row(method, None, items, metric_names), items
+            items.append(RunItem(record.study_id, "baseline", None,
+                                 "provided", text, scorer.score(text, record)))
+    return aggregate_row("baseline", None, items, metric_names), items
 
 
 def load_baseline(path) -> dict[str, str]:
@@ -607,11 +612,6 @@ def write_outputs(outcome: RunOutcome, cfg: HarnessConfig) -> dict[str, Path]:
     return paths
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool: JSON's ``true`` is no index or seed."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class StyleEvalSet:
     """Four reports shown to an evaluator: three written by one
@@ -637,9 +637,9 @@ class StyleEvalSet:
                 or not all(isinstance(r, str) for r in reports)):
             raise SchemaError("style set needs exactly four report strings")
         idx = doc.get("generated_index")
-        if not _is_int(idx) or not 0 <= idx <= 3:
+        if not is_int(idx) or not 0 <= idx <= 3:
             raise SchemaError("generated_index must be an int in [0, 3]")
-        if not _is_int(doc.get("order_seed")):
+        if not is_int(doc.get("order_seed")):
             raise SchemaError("order_seed must be an int")
         return StyleEvalSet(str(doc.get("radiologist_id", "")),
                             tuple(reports), idx, doc["order_seed"])
@@ -704,11 +704,13 @@ class StyleEvalScore:
     pooled: ZTestResult
 
 
+STYLE_CHANCE = 0.25   # one report of a set's four is generated
+
+
 def score_style_eval(answers: Mapping[str, Sequence[int]],
-                     sets: Sequence[StyleEvalSet],
-                     p0: float = 0.25) -> StyleEvalScore:
+                     sets: Sequence[StyleEvalSet]) -> StyleEvalScore:
     """Test whether evaluators identify the generated report above the
-    chance rate p0. Answers are 0-based indices, one per set."""
+    chance rate STYLE_CHANCE. Answers are 0-based indices, one per set."""
     if not answers:
         raise InputError("no evaluator answers given")
     if not sets:
@@ -726,12 +728,12 @@ def score_style_eval(answers: Mapping[str, Sequence[int]],
                 f"got {len(choices)}")
         x = 0
         for i, choice in enumerate(choices):
-            if not _is_int(choice) or not 0 <= choice <= 3:
+            if not is_int(choice) or not 0 <= choice <= 3:
                 raise InputError(
                     f"evaluator {evaluator}, set {i}: answer must be an "
                     f"index in [0, 3], got {choice!r}")
             x += int(choice == sets[i].generated_index)
-        per[evaluator] = z_test_proportion(x, len(sets), p0)
+        per[evaluator] = z_test_proportion(x, len(sets), STYLE_CHANCE)
         total_x += x
-    pooled = z_test_proportion(total_x, len(sets) * len(per), p0)
+    pooled = z_test_proportion(total_x, len(sets) * len(per), STYLE_CHANCE)
     return StyleEvalScore(per, pooled)

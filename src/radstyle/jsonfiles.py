@@ -14,6 +14,11 @@ from typing import Any, Iterator
 from .errors import IoError, SchemaError
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool: JSON's ``true`` is no index or count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")

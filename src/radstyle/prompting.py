@@ -63,22 +63,12 @@ class StylePair:
 
 @dataclass(frozen=True)
 class PromptChain:
-    """Validated message list. ``k`` is the number of example pairs;
-    ``bare`` marks the instruction-free zero-shot variant (a single user
-    message holding only the serialization)."""
+    """Validated message list. ``k`` is the number of example pairs."""
 
     messages: tuple[PromptMessage, ...]
     k: int
-    bare: bool = False
 
     def __post_init__(self) -> None:
-        if self.bare:
-            if self.k != 0:
-                raise InputError("bare chains cannot carry examples")
-            if (len(self.messages) != 1
-                    or self.messages[0].role is not Role.USER):
-                raise InputError("bare chains hold exactly one user message")
-            return
         expected = 2 + 2 * self.k
         if len(self.messages) != expected:
             raise InputError(
@@ -98,13 +88,9 @@ def _user_content(serialization: str) -> str:
     return f"{INSTRUCTION}\n{serialization}"
 
 
-def build_prompt(examples: Sequence[StylePair], eval_serialization: str,
-                 bare_zero_shot: bool = False) -> PromptChain:
-    """Assemble the dialogue for one evaluation serialization.
-
-    ``bare_zero_shot`` drops the system message and instruction and sends
-    the serialization alone; it requires an empty example list.
-    """
+def build_prompt(examples: Sequence[StylePair],
+                 eval_serialization: str) -> PromptChain:
+    """Assemble the dialogue for one evaluation serialization."""
     if not eval_serialization.strip():
         raise InputError("evaluation serialization is empty")
     messages = [SYSTEM_MESSAGE]
@@ -114,11 +100,6 @@ def build_prompt(examples: Sequence[StylePair], eval_serialization: str,
         if not pair.report.strip():
             raise InputError(f"example {i}: report is empty")
         messages += pair.messages
-    if bare_zero_shot:
-        if examples:
-            raise InputError("bare zero-shot takes no examples")
-        return PromptChain(
-            (PromptMessage(Role.USER, eval_serialization),), k=0, bare=True)
     messages.append(PromptMessage(Role.USER, _user_content(eval_serialization)))
     return PromptChain(tuple(messages), k=len(examples))
 
@@ -144,22 +125,3 @@ def wire_messages(chain: PromptChain) -> list[dict[str, str]]:
     """Chat-API message payload: [{"role": ..., "content": ...}, ...]."""
     return [{"role": m.role.value, "content": m.content}
             for m in chain.messages]
-
-
-def chain_from_wire(messages: Sequence[dict]) -> PromptChain:
-    """Parse a wire-format message list back into a validated chain."""
-    parsed = []
-    for i, raw in enumerate(messages):
-        if not isinstance(raw, dict):
-            raise InputError(f"message {i} is not an object")
-        role, content = raw.get("role"), raw.get("content")
-        try:
-            parsed.append(PromptMessage(Role(role), content))
-        except ValueError:
-            raise InputError(f"message {i}: unknown role {role!r}") from None
-        if not isinstance(content, str):
-            raise InputError(f"message {i}: content must be a string")
-    if len(parsed) == 1 and parsed[0].role is Role.USER:
-        return PromptChain(tuple(parsed), k=0, bare=True)
-    k = (len(parsed) - 2) // 2
-    return PromptChain(tuple(parsed), k=k)

@@ -25,8 +25,6 @@ class Section(Enum):
 @dataclass(frozen=True)
 class SerializerConfig:
     delimiter: str = ". "
-    findings_header: str = "findings:"
-    impression_header: str = "impression:"
     include_headers: bool = True
 
 
@@ -49,6 +47,8 @@ class Serialization:
 
 
 _KEYWORD = {EntityLabel.OBS_DA: "no", EntityLabel.OBS_U: "maybe"}
+FINDINGS_HEADER = "findings:"
+IMPRESSION_HEADER = "impression:"
 
 
 def section_of_component(ids: set[str], g: RadGraph) -> Section:
@@ -110,8 +110,8 @@ def serialize(g: RadGraph, cfg: SerializerConfig = SerializerConfig()) -> Serial
         rendered = cfg.delimiter.join(s.text for s in unified)
     else:
         parts = []
-        for header, section_spans in ((cfg.findings_header, findings),
-                                      (cfg.impression_header, impression)):
+        for header, section_spans in ((FINDINGS_HEADER, findings),
+                                      (IMPRESSION_HEADER, impression)):
             if not section_spans:
                 continue
             body = cfg.delimiter.join(s.text for s in section_spans)

@@ -37,6 +37,7 @@ _BANK = (
 )
 
 EMBEDDING_DIM = 8
+N_RADIOLOGISTS = 4
 # Each study takes a distinct set of one to three bank entries.
 MAX_RECORDS = sum(math.comb(len(_BANK), k) for k in (1, 2, 3))
 
@@ -85,9 +86,8 @@ def make_study_document(combo: tuple[int, ...]) -> dict:
 
 
 def make_synthetic_corpus(out_dir, n_records: int = 50, n_train: int = 20,
-                          seed: int = 0, with_baseline: bool = True,
-                          n_radiologists: int = 4) -> dict[str, Path]:
-    """Write dataset.jsonl, sidecars, and a ready-to-run config.
+                          seed: int = 0) -> dict[str, Path]:
+    """Write dataset.jsonl, sidecars, a baseline and a ready-to-run config.
 
     Returns the written paths keyed by kind. The config uses the
     identity-mock client, so `evaluate` runs offline and every metric
@@ -125,7 +125,7 @@ def make_synthetic_corpus(out_dir, n_records: int = 50, n_train: int = 20,
             "report": doc["text"],
             "split": "train" if i < n_train else "test",
             "serialization": rendered,
-            "radiologist_id": f"r{i % n_radiologists}",
+            "radiologist_id": f"r{i % N_RADIOLOGISTS}",
             "pathology_vector": [rng.randint(0, 1) for _ in range(14)],
         })
         graphs[study_id] = doc
@@ -155,13 +155,12 @@ def make_synthetic_corpus(out_dir, n_records: int = 50, n_train: int = 20,
         "experiment": {"shots": [0, 1, 5, 10], "seed": 0},
         "output": {"directory": str(out / "results"), "prefix": "mock"},
     }
-    if with_baseline:
-        baseline = {r["study_id"]: "No acute cardiopulmonary process ."
-                    for r in records if r["split"] == "test"}
-        paths["baseline"] = out / "baseline.json"
-        paths["baseline"].write_text(json.dumps(baseline, indent=1),
-                                     encoding="utf-8")
-        config["baseline"] = str(paths["baseline"])
+    baseline = {r["study_id"]: "No acute cardiopulmonary process ."
+                for r in records if r["split"] == "test"}
+    paths["baseline"] = out / "baseline.json"
+    paths["baseline"].write_text(json.dumps(baseline, indent=1),
+                                 encoding="utf-8")
+    config["baseline"] = str(paths["baseline"])
     paths["config"].write_text(yaml.safe_dump(config, sort_keys=False),
                                encoding="utf-8")
     return paths

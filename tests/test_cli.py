@@ -323,7 +323,25 @@ def _break_evaluate_input(config, tmp_path, bad):
     if bad == "shots_over_pool":
         config["experiment"]["shots"] = [0, 50]
         return "shots 50 exceeds the 10 studies in pool split 'train'"
+    if bad == "repeated_shots":
+        config["experiment"]["shots"] = [1, 1]
+        return "shot counts must be distinct: [1]"
     lines = Path(config["dataset"]).read_text("utf-8").splitlines()
+    if bad in ("blank_eval_serializations", "blank_pool_reports"):
+        docs = [json.loads(line) for line in lines]
+        for doc in docs:
+            if bad == "blank_pool_reports" and doc["split"] == "train":
+                doc["report"] = " "
+            if bad == "blank_eval_serializations" and doc["split"] == "test":
+                doc["serialization"] = " "
+        path = tmp_path / "dataset.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs),
+                        encoding="utf-8")
+        config["dataset"] = str(path)
+        if bad == "blank_pool_reports":
+            return "line 1: report must be a non-empty string"
+        tests = sorted(d["study_id"] for d in docs if d["split"] == "test")
+        return f"eval records missing serializations: {tests}"
     doc = json.loads(lines[2])
     doc["pathology_vector"] = 5
     lines[2] = json.dumps(doc)
@@ -334,7 +352,9 @@ def _break_evaluate_input(config, tmp_path, bad):
 
 
 @pytest.mark.parametrize("bad", ["baseline_missing", "baseline_not_string",
-                                 "vector_not_array", "shots_over_pool"])
+                                 "vector_not_array", "shots_over_pool",
+                                 "repeated_shots", "blank_eval_serializations",
+                                 "blank_pool_reports"])
 def test_evaluate_bad_input_exits_one_before_any_request(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []

@@ -265,16 +265,12 @@ _JSON_TEXT = st.text(
 
 @st.composite
 def chains_sharing_messages(draw):
-    """Bare and K-shot chains whose contents come from one small set, so
-    the same text recurs across chains and under different roles."""
+    """K-shot chains whose contents come from one small set, so the same
+    text recurs across chains and under different roles."""
     contents = draw(st.lists(_JSON_TEXT, min_size=1, max_size=4))
     text = st.sampled_from(contents)
     chains = []
     for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
-            chains.append(PromptChain(
-                (PromptMessage(Role.USER, draw(text)),), k=0, bare=True))
-            continue
         k = draw(st.integers(0, 3))
         messages = [PromptMessage(Role.SYSTEM, draw(text))]
         for _ in range(k):

@@ -1,4 +1,10 @@
+import re
+from dataclasses import is_dataclass
+from pathlib import Path
+from typing import get_type_hints
+
 import pytest
+import yaml
 
 from radstyle.client import ClientConfig
 from radstyle.config import (ExperimentConfig, HarnessConfig, MetricsConfig,
@@ -29,7 +35,6 @@ def test_load_yaml(tmp_path):
         "  include_headers: false\n"
         "client:\n"
         "  mode: fixed-mock\n"
-        "  fixed_text: nothing to report\n"
         "experiment:\n"
         "  shots: [0, 3]\n"
         "  seed: 9\n"
@@ -92,6 +97,8 @@ def test_client_mode_validated():
 def test_experiment_validation():
     with pytest.raises(ConfigError, match="non-negative"):
         ExperimentConfig(shots=(0, -1))
+    with pytest.raises(ConfigError, match=re.escape("distinct: [1, 5]")):
+        ExperimentConfig(shots=(5, 1, 0, 1, 5))
     with pytest.raises(ConfigError, match="must differ"):
         ExperimentConfig(pool_split="test", eval_split="test")
 
@@ -101,3 +108,28 @@ def test_metrics_config_weights_independent():
     b = MetricsConfig()
     assert a.radcliq_weights == b.radcliq_weights
     assert a.radcliq_weights is not b.radcliq_weights
+
+
+def _key_paths(cls, doc=None):
+    """Dotted paths of the leaf settings of ``cls``, or of the keys of
+    ``doc`` read as a ``cls``."""
+    types = get_type_hints(cls)
+    paths = set()
+    for name in (types if doc is None else doc):
+        if is_dataclass(types.get(name)):
+            sub = _key_paths(types[name], None if doc is None else doc[name])
+            paths.update(f"{name}.{path}" for path in sub)
+        else:
+            paths.add(name)
+    return paths
+
+
+def test_readme_config_block_shows_every_setting_with_its_default(tmp_path):
+    readme = Path(__file__).parent.parent / "README.md"
+    block = re.search(r"\*\*Config\*\*.*?```yaml\n(.*?)```",
+                      readme.read_text(encoding="utf-8"), re.S).group(1)
+    path = tmp_path / "readme.yaml"
+    path.write_text(block, encoding="utf-8")
+    assert load_config(path) == HarnessConfig()
+    assert (_key_paths(HarnessConfig, yaml.safe_load(block))
+            == _key_paths(HarnessConfig))

@@ -228,12 +228,19 @@ def test_scorer_unknown_generation_degrades_to_bleu_only():
     assert scores["radcliq"] is None
 
 
-def test_scorer_record_vector_preferred_over_sidecar():
-    res = full_resources()
-    record = StudyRecord("a", REPORT, pathology_vector=tuple([0] * 14))
+def test_scorer_record_vector_preferred_over_sidecar(tmp_path):
+    """The reference vector is the one ``build_resources`` chose, the
+    sidecar's, as for the candidate; the record's own vector only fills a
+    gap in the sidecar."""
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps({"a": [1] + [0] * 13}), encoding="utf-8")
+    records = [StudyRecord("a", REPORT, pathology_vector=tuple([0] * 14)),
+               StudyRecord("b", "no acute disease .",
+                           pathology_vector=tuple([0] * 13 + [1]))]
+    res = build_resources(records, HarnessConfig(vectors=str(vectors)))
     scorer = Scorer(MetricsConfig(names=("chexbert",)), res)
-    # candidate vector (via text lookup) has a 1; reference all-zero
-    assert scorer.score(REPORT, record)["chexbert"] == 0.0
+    assert scorer.score(REPORT, records[0])["chexbert"] == 1.0
+    assert scorer.score(records[1].report, records[1])["chexbert"] == 1.0
 
 
 def test_scorer_rejects_unknown_metric():
@@ -281,6 +288,8 @@ def random_resources(rng):
         if rng.random() < 0.8:
             res.vectors[sid] = tuple(
                 int(rng.random() < 0.2) for _ in range(14))
+        if own is not None:   # as build_resources: the sidecar comes first
+            res.vectors.setdefault(sid, own)
         if rng.random() < 0.8:
             res.embeddings[sid] = np.array(
                 [[rng.uniform(-1.0, 1.0) for _ in range(3)]
@@ -302,7 +311,7 @@ def bare_scores(cfg, res, generated, record):
     sid = record.study_id
     ref_emb = res.embeddings.get(sid)
     cand_emb = res.embedding_by_text.get(generated)
-    ref_vec = record.pathology_vector or res.vectors.get(sid)
+    ref_vec = res.vectors.get(sid)
     cand_vec = res.vector_by_text.get(generated)
     ref_graph = res.graphs.get(sid)
     cand_graph = res.graph_by_text.get(generated)
@@ -506,6 +515,24 @@ def test_evaluate_identity_mock_scores_ceiling(corpus):
             assert report.ci_halfwidth == pytest.approx(0.0)
 
 
+def test_evaluate_scores_chexbert_against_the_sidecar_vector(tmp_path,
+                                                            corpus):
+    # A vectors sidecar that disagrees with every inline vector: reference
+    # and candidate both take the sidecar's, so the identity mock still
+    # scores the ceiling.
+    paths, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps({r.study_id: [1 - v for v in
+                                                r.pathology_vector]
+                                   for r in records}), encoding="utf-8")
+    flipped = dataclasses.replace(cfg, vectors=str(vectors),
+                                  experiment=ExperimentConfig(shots=(0, 1)))
+    for row in evaluate(flipped, "ser2rep").table.rows[:2]:
+        assert row.metrics["chexbert"].n == row.n_items
+        assert row.metrics["chexbert"].mean == pytest.approx(1.0)
+
+
 def test_shot_count_beyond_pool_fails_before_any_request(corpus,
                                                          monkeypatch):
     paths, cfg = corpus
@@ -631,8 +658,9 @@ class RejectingEchoTransport(EchoReportTransport):
 
 @pytest.mark.parametrize("mode", ["ser2rep", "end2end"])
 def test_run_generation_keeps_item_order(corpus, mode):
-    # A prompt that cannot be built and a rejected request fail in place;
-    # end2end studies without a graph follow the row's generated items.
+    # A prompt that cannot be built (an end2end graph with no entities)
+    # and a rejected request fail in place; end2end studies without a
+    # graph follow the row's generated items.
     paths, cfg = corpus
     records = load_dataset(cfg.dataset)
     pool = split_records(records, "train")
@@ -641,12 +669,12 @@ def test_run_generation_keeps_item_order(corpus, mode):
     resources = build_resources(records, cfg)
     graphs = dict(resources.graphs)
     if mode == "ser2rep":
-        evals[1] = dataclasses.replace(evals[1], serialization=" ")
-        order, errors = [a, b, c, d], {b: "serialization is empty",
-                                       c: "status 400"}
+        order, errors = [a, b, c, d], {c: "status 400"}
     else:
         del graphs[a]
+        graphs[b] = radgraph_from_document({})
         order, errors = [b, c, d, a], {a: f"no graph for study {a}",
+                                       b: "serialization is empty",
                                        c: "status 400"}
     transport = RejectingEchoTransport(
         {r.serialization: r.report for r in records}, evals[2].serialization)
@@ -664,7 +692,7 @@ def test_run_generation_keeps_item_order(corpus, mode):
         else:
             assert item.error is None
             assert item.scores["radgraph_f1"] == 1.0
-    assert [row.excluded for row in outcome.table.rows] == [2, 2]
+    assert [row.excluded for row in outcome.table.rows] == [len(errors)] * 2
     assert outcome.failed_shots == ()
 
 
@@ -688,10 +716,11 @@ def test_run_generation_names_the_rows_whose_every_request_failed(
     evals = split_records(records, "test")
     resources = build_resources(records, cfg)
     graphs = dict(resources.graphs)
-    if mode == "ser2rep":
-        evals[1] = dataclasses.replace(evals[1], serialization=" ")
-    else:
+    early = 0
+    if mode == "end2end":   # no graph, and a graph with no entities
         del graphs[evals[1].study_id]
+        graphs[evals[2].study_id] = radgraph_from_document({})
+        early = 2
     two_rows = dataclasses.replace(cfg,
                                    experiment=ExperimentConfig(shots=(0, 1)))
     transport = RejectExamplesTransport(
@@ -700,15 +729,23 @@ def test_run_generation_names_the_rows_whose_every_request_failed(
     pool = split_records(records, "train")
     outcome = run_generation(mode, evals, pool, two_rows, scorer, transport,
                              graphs)
-    assert [row.excluded for row in outcome.table.rows] == [1, 4]
+    assert [row.excluded for row in outcome.table.rows] == [early, 4]
     assert outcome.failed_shots == (1,)
+    # A run in which no prompt could be built is bad input: it is refused
+    # before any request.
     if mode == "ser2rep":
-        # Rows that sent nothing hold no client failure either.
         blank = [dataclasses.replace(r, serialization=" ") for r in evals]
-        outcome = run_generation(mode, blank, pool, two_rows, scorer,
-                                 transport, graphs)
-        assert [row.excluded for row in outcome.table.rows] == [4, 4]
-        assert outcome.failed_shots == ()
+        message = "eval records missing serializations"
+    else:
+        blank = evals
+        graphs = {r.study_id: radgraph_from_document({}) for r in evals}
+        message = "no eval study has a graph that serializes to any text"
+    sent = []
+    transport.post = lambda *args: sent.append(args)
+    with pytest.raises(InputError, match=message):
+        run_generation(mode, blank, pool, two_rows, scorer, transport,
+                       graphs)
+    assert sent == []
 
 
 def test_end_to_end_without_a_graphs_file_fails_before_any_request(
@@ -743,6 +780,7 @@ def test_build_client_modes(corpus):
     assert isinstance(transport, EchoReportTransport)
     transport = make_transport(ClientConfig(mode="fixed-mock"), records)
     assert isinstance(transport, FixedReplyTransport)
+    assert transport.text == "No acute cardiopulmonary process."
 
 
 # -------------------------------------------------------------- artifacts
@@ -896,6 +934,9 @@ def test_score_style_eval_counts_hits():
     assert score.per_evaluator["e2"].p_value == 1.0
     assert score.pooled.trials == 16
     assert score.pooled.successes == 8
+    # One report of a set's four is generated: chance is one in four.
+    assert all(r.p0 == 0.25
+               for r in (*score.per_evaluator.values(), score.pooled))
 
 
 def test_score_style_eval_validation():

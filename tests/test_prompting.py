@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from radstyle.errors import InputError
 from radstyle.prompting import (INSTRUCTION, SYSTEM_PROMPT, PromptChain,
                                 PromptMessage, Role, StylePair, build_prompt,
-                                chain_from_wire, derive_selection_seed,
-                                select_examples, wire_messages)
+                                derive_selection_seed, select_examples,
+                                wire_messages)
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,19 +56,6 @@ def test_examples_carried_in_order():
         assert assistant.content == pair.report
 
 
-def test_bare_zero_shot():
-    chain = build_prompt([], "just keywords", bare_zero_shot=True)
-    assert chain.bare
-    assert chain.k == 0
-    assert len(chain.messages) == 1
-    assert chain.messages[0] == PromptMessage(Role.USER, "just keywords")
-
-
-def test_bare_zero_shot_rejects_examples():
-    with pytest.raises(InputError):
-        build_prompt(make_pairs(1), "eval", bare_zero_shot=True)
-
-
 def test_empty_fields_rejected():
     with pytest.raises(InputError, match="evaluation serialization"):
         build_prompt([], "   ")
@@ -88,10 +75,6 @@ def test_chain_validation():
         PromptChain((user, user), k=0)
     with pytest.raises(InputError, match="role user"):
         PromptChain((system, assistant, user, user), k=1)
-    with pytest.raises(InputError):
-        PromptChain((user, user), k=0, bare=True)
-    with pytest.raises(InputError):
-        PromptChain((user,), k=1, bare=True)
 
 
 def test_select_examples_reproducible():
@@ -142,22 +125,7 @@ def test_wire_round_trip():
     chain = build_prompt(make_pairs(2), "eval")
     wire = wire_messages(chain)
     assert wire[0] == {"role": "system", "content": SYSTEM_PROMPT}
-    back = chain_from_wire(wire)
-    assert back == chain
-
-
-def test_bare_wire_round_trip():
-    chain = build_prompt([], "keywords", bare_zero_shot=True)
-    assert chain_from_wire(wire_messages(chain)) == chain
-
-
-def test_chain_from_wire_errors():
-    with pytest.raises(InputError, match="unknown role"):
-        chain_from_wire([{"role": "oracle", "content": "x"}])
-    with pytest.raises(InputError, match="not an object"):
-        chain_from_wire(["nope"])
-    with pytest.raises(InputError, match="content"):
-        chain_from_wire([{"role": "user", "content": 5}])
+    assert wire == [json.loads(m.wire_json) for m in chain.messages]
 
 
 def test_golden_k2_prompt_bytes():

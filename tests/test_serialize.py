@@ -128,13 +128,6 @@ def test_custom_delimiter_and_no_headers():
     assert s.rendered == "lungs clear | no edema | no acute disease"
 
 
-def test_custom_headers():
-    g = radgraph_from_document(SECTIONED_DOC)
-    cfg = SerializerConfig(findings_header="FINDINGS:",
-                           impression_header="IMPRESSION:")
-    assert serialize(g, cfg).rendered.startswith("FINDINGS: ")
-
-
 def test_empty_graph_renders_empty():
     s = serialize(radgraph_from_document({}), SerializerConfig())
     assert s.rendered == ""
