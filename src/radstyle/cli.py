@@ -21,7 +21,7 @@ from .harness import (StyleEvalSet, assemble_style_eval_sets,
                       render_style_eval_set, render_table,
                       require_serializations, score_style_eval,
                       split_records, write_outputs)
-from .jsonfiles import read_json
+from .jsonfiles import read_json, read_study_map
 from .metrics import z_test_proportion
 from .prompting import (build_prompt, derive_selection_seed,
                         select_examples, wire_messages)
@@ -31,28 +31,29 @@ _INPUT_ERRORS = (InputError, SchemaError, ParseError, ConfigError, IoError)
 
 
 def _cmd_serialize(args: argparse.Namespace) -> int:
-    doc = read_json(args.graphs)
     cfg = SerializerConfig(delimiter=args.delimiter,
                            include_headers=not args.no_headers)
-    if isinstance(doc, dict) and not _looks_like_graph_document(doc):
-        # A sidecar object keyed by study id; serialize every entry.
-        for study_id in doc:
-            graph = radgraph_from_document(doc[study_id])
-            print(f"{study_id}\t{serialize(graph, cfg).rendered}")
-    else:
-        graph = radgraph_from_document(doc)
-        print(serialize(graph, cfg).rendered)
+
+    def render(doc) -> str:
+        return serialize(radgraph_from_document(doc), cfg).rendered
+
+    doc = read_json(args.graphs)
+    if _is_graph_document(doc):
+        print(render(doc))
+    else:   # a sidecar: every study is rendered before any is printed
+        for study_id, text in read_study_map(args.graphs, render).items():
+            print(f"{study_id}\t{text}")
     return 0
 
 
-def _looks_like_graph_document(doc: dict) -> bool:
+def _is_graph_document(doc) -> bool:
     """Graph documents key entity objects (tokens/label/...) directly;
     sidecars key whole graph documents by study id."""
-    entries = [value for key, value in doc.items() if key != "text"]
-    if not entries:
-        return True
-    return all(isinstance(v, dict) and "tokens" in v and "label" in v
-               for v in entries)
+    if not isinstance(doc, dict):
+        return True   # neither; ingestion names the fault
+    return isinstance(doc.get("text"), str) or any(
+        isinstance(v, dict) and ("tokens" in v or "label" in v)
+        for v in doc.values())
 
 
 def _cmd_prompt(args: argparse.Namespace) -> int:

@@ -26,7 +26,6 @@ from urllib.parse import urlsplit
 
 from .errors import (ClientError, ConfigError, InputError, ProtocolError,
                      RequestError, TransportError)
-from .jsonfiles import is_int
 from .prompting import INSTRUCTION, PromptChain
 
 log = logging.getLogger(__name__)
@@ -77,10 +76,10 @@ class ClientConfig:
         if not _is_http_url(self.endpoint):
             raise ConfigError(f"client endpoint must be an http or https "
                               f"URL with a host, got {self.endpoint!r}")
-        if not is_int(self.max_retries) or self.max_retries < 0:
+        if self.max_retries < 0:
             raise ConfigError(f"client max_retries must be an integer >= 0, "
                               f"got {self.max_retries!r}")
-        if not is_int(self.parallelism) or self.parallelism < 1:
+        if self.parallelism < 1:
             raise ConfigError(f"client parallelism must be an integer >= 1, "
                               f"got {self.parallelism!r}")
 

@@ -1,19 +1,22 @@
 """Dataclass configuration for evaluation runs, loadable from YAML/JSON.
 
 Unknown keys are rejected so typos fail loudly instead of silently
-falling back to defaults.
+falling back to defaults, and every value is checked against its field's
+type hint, naming the key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
 from .client import ClientConfig
 from .errors import ConfigError, IoError
+from .jsonfiles import is_int
 from .serialize import SerializerConfig
 
 # Table column order: composite first, then clinical, then text overlap.
@@ -76,24 +79,52 @@ class HarnessConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _build(cls, doc: dict, context: str):
+# each leaf type -> what an error says a value must be
+_EXPECTED = {str: "a string", str | None: "a string or null",
+             int: "an integer", float: "a number", bool: "true or false",
+             tuple[int, ...]: "a list of integers",
+             tuple[str, ...]: "a list of strings",
+             dict[str, float]: "a mapping of strings to numbers"}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a decoded value can stand for ``hint``: a bool is no int,
+    an int counts as a float, and a list stands for a tuple."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:   # tuple[X, ...]
+        return (isinstance(value, list)
+                and all(_fits(v, args[0]) for v in value))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+    if hint is float:
+        return is_int(value) or isinstance(value, float)
+    return is_int(value) if hint is int else type(value) is hint
+
+
+def _build(cls, doc, path, prefix: str):
+    """A ``cls`` from the mapping ``doc``; ``prefix`` names its section
+    in errors ("client " for the ``client:`` mapping)."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{context}: expected a mapping")
+        raise ConfigError(f"{path}: {prefix or 'config '}must be a mapping")
     types = get_type_hints(cls)   # field name -> resolved type
     unknown = sorted(set(doc) - set(types))
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}")
+        raise ConfigError(f"{path}: unknown {prefix}keys {unknown}")
     kwargs = {}
     for name, value in doc.items():
-        if is_dataclass(types[name]):
-            value = _build(types[name], value, f"{context}.{name}")
+        hint = types[name]
+        if is_dataclass(hint):
+            value = _build(hint, value, path, f"{prefix}{name} ")
+        elif not _fits(value, hint):
+            raise ConfigError(f"{path}: {prefix}{name} must be "
+                              f"{_EXPECTED[hint]}, got {value!r}")
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def load_config(path: str | Path) -> HarnessConfig:
@@ -108,4 +139,4 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
     if doc is None:
         doc = {}
-    return _build(HarnessConfig, doc, str(path))
+    return _build(HarnessConfig, doc, path, "")

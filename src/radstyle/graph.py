@@ -2,8 +2,9 @@
 
 A report graph consists of anatomical/observational entities (with their
 token span in the source report) connected by directed, typed relations.
-This module covers ingestion from the JSON record format, validation, and
-the undirected-connectivity decomposition the serializer builds on.
+This module covers ingestion from the JSON record format, the one place a
+graph is checked, and the undirected-connectivity decomposition the
+serializer builds on.
 """
 
 from __future__ import annotations
@@ -125,7 +126,9 @@ def _require(condition: bool, message: str) -> None:
 
 
 def radgraph_from_document(doc: dict) -> RadGraph:
-    """Build a validated graph from an already-decoded ingestion document.
+    """Build a graph from an already-decoded ingestion document, checking
+    every rule a graph must meet; nothing else in the package builds a
+    ``RadGraph``.
 
     The document is an object keyed by entity id; each value carries
     "tokens", "label", "start_ix", "end_ix", and "relations" (a list of
@@ -187,63 +190,6 @@ def radgraph_from_document(doc: dict) -> RadGraph:
 
     return RadGraph(entities, tuple(relations), _derive_sections(report_text),
                     report_text)
-
-
-def to_payload(g: RadGraph) -> dict:
-    """Inverse of ingestion: dump a graph back to the JSON record shape."""
-    by_source: dict[str, list[list[str]]] = {eid: [] for eid in g.entities}
-    for rel in g.relations:
-        by_source[rel.source].append([rel.kind.value, rel.target])
-    doc: dict = {}
-    for eid, entity in g.entities.items():
-        doc[eid] = {
-            "tokens": entity.tokens,
-            "label": entity.label.value,
-            "start_ix": entity.start_ix,
-            "end_ix": entity.end_ix,
-            "relations": by_source[eid],
-        }
-    if g.report_text is not None:
-        doc["text"] = g.report_text
-    return doc
-
-
-def validate(g: RadGraph) -> list[str]:
-    """Return every invariant violation, in deterministic order.
-
-    Entities are checked in id order, then relations in sequence order,
-    then the section map. An empty list means the graph is valid.
-    """
-    problems: list[str] = []
-    for eid in sorted(g.entities):
-        entity = g.entities[eid]
-        if entity.id != eid:
-            problems.append(f"entity {eid}: id field {entity.id!r} disagrees with key")
-        if entity.tokens.strip() == "":
-            problems.append(f"entity {eid}: empty tokens")
-        if entity.start_ix < 0:
-            problems.append(f"entity {eid}: negative start_ix")
-        if entity.start_ix > entity.end_ix:
-            problems.append(
-                f"entity {eid}: start_ix {entity.start_ix} > end_ix {entity.end_ix}")
-    seen: set[tuple[str, str, RelationKind]] = set()
-    for rel in g.relations:
-        if rel.source not in g.entities:
-            problems.append(f"dangling relation source {rel.source}")
-        if rel.target not in g.entities:
-            problems.append(f"dangling relation target {rel.target}")
-        if rel.source == rel.target:
-            problems.append(f"self-relation on entity {rel.source}")
-        triple = (rel.source, rel.target, rel.kind)
-        if triple in seen:
-            problems.append(
-                f"duplicate relation ({rel.source}, {rel.target}, {rel.kind.value})")
-        seen.add(triple)
-    f_rng, i_rng = g.sections.findings_range, g.sections.impression_range
-    if f_rng is not None and i_rng is not None:
-        if f_rng[0] <= i_rng[1] and i_rng[0] <= f_rng[1]:
-            problems.append("findings and impression ranges overlap")
-    return problems
 
 
 def weakly_connected_components(g: RadGraph) -> list[set[str]]:

@@ -79,9 +79,6 @@ def load_dataset(path) -> list[StudyRecord]:
         seen[sid] = lineno
         vector = None
         if doc.get("pathology_vector") is not None:
-            if not isinstance(doc["pathology_vector"], list):
-                raise SchemaError(
-                    f"line {lineno}: pathology_vector must be an array")
             try:
                 vector = as_pathology_vector(doc["pathology_vector"])
             except InputError as exc:
@@ -108,14 +105,7 @@ def split_records(records: Sequence[StudyRecord],
 
 def load_graph_documents(path) -> dict[str, RadGraph]:
     """Read a JSON sidecar mapping study id to a report-graph document."""
-    doc = read_study_map(path)
-    out: dict[str, RadGraph] = {}
-    for study_id, payload in doc.items():
-        try:
-            out[study_id] = radgraph_from_document(payload)
-        except (InputError, SchemaError) as exc:
-            raise SchemaError(f"study {study_id}: {exc}") from exc
-    return out
+    return read_study_map(path, radgraph_from_document)
 
 
 @dataclass
@@ -440,9 +430,10 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     "ser2rep" prompts with each study's own serialization. "end2end"
     serializes the study's graph from ``graphs``; a study without one
     becomes an error item, placed after the row's generated items, and
-    ``InputError`` is raised before any request when no eval study has
-    one, or when every eval graph serializes to no text. An item whose
-    prompt cannot be built fails in place.
+    one whose graph serializes to no text fails in place. ``InputError``
+    is raised before any request when no eval study has a graph, or when
+    every eval graph serializes to no text. Each shot count must fit the
+    pool, as ``evaluate`` checks.
     """
     check_disjoint(eval_records, pool_records)
     source = _SOURCES[mode]
@@ -468,36 +459,35 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     failed_shots: list[int] = []
     for k in cfg.experiment.shots:
         chains: list[PromptChain] = []
-        row: list[RunItem | None] = []   # None: awaits the batch's result
-        for record, serialization in pairs:
-            try:
+        for record, text in pairs:
+            if text.strip():
                 seed = derive_selection_seed(cfg.experiment.seed, k,
                                              record.study_id)
                 examples = select_examples(pool_pairs, k, seed)
-                chains.append(build_prompt(examples, serialization))
-                row.append(None)
-            except InputError as exc:
-                row.append(RunItem(record.study_id, mode, k, source, None,
-                                   {}, str(exc)))
+                chains.append(build_prompt(examples, text))
         # The batch's results live only as long as this loop.
-        waiting = [i for i, item in enumerate(row) if item is None]
+        results = iter(complete_batch(
+            chains, cfg.client, parallelism=cfg.client.parallelism,
+            transport=transport))
+        row: list[RunItem] = []
         failures = 0
-        for i, result in zip(waiting, complete_batch(
-                chains, cfg.client, parallelism=cfg.client.parallelism,
-                transport=transport)):
-            record = pairs[i][0]
-            if isinstance(result, Exception):
+        for record, text in pairs:
+            result = next(results) if text.strip() else None
+            if result is None:
+                row.append(RunItem(record.study_id, mode, k, source, None,
+                                   {}, "evaluation serialization is empty"))
+            elif isinstance(result, Exception):
                 failures += 1
-                row[i] = RunItem(record.study_id, mode, k, source, None, {},
-                                 str(result))
+                row.append(RunItem(record.study_id, mode, k, source, None,
+                                   {}, str(result)))
             else:
-                row[i] = RunItem(record.study_id, mode, k, source,
-                                 result.text,
-                                 scorer.score(result.text, record))
+                row.append(RunItem(record.study_id, mode, k, source,
+                                   result.text,
+                                   scorer.score(result.text, record)))
         row.extend(RunItem(r.study_id, mode, k, source, None, {},
                            f"no graph for study {r.study_id}")
                    for r in absent)
-        if waiting and failures == len(waiting):
+        if chains and failures == len(chains):
             failed_shots.append(k)
         rows.append(aggregate_row(mode, k, row, cfg.metrics.names))
         items.extend(row)
@@ -522,14 +512,15 @@ def score_fixed_outputs(records: Sequence[StudyRecord],
     return aggregate_row("baseline", None, items, metric_names), items
 
 
+def _baseline_output(text) -> str:
+    if not isinstance(text, str):
+        raise SchemaError("baseline output must be a string")
+    return text
+
+
 def load_baseline(path) -> dict[str, str]:
     """Read a JSON file mapping study id to a fixed comparison output."""
-    outputs = read_study_map(path)
-    for study_id, text in outputs.items():
-        if not isinstance(text, str):
-            raise SchemaError(
-                f"{path}: study {study_id}: baseline output must be a string")
-    return outputs
+    return read_study_map(path, _baseline_output)
 
 
 def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:

@@ -2,16 +2,17 @@
 
 Every JSON and JSONL input is read here: a file that cannot be read or
 decoded raises ``IoError``, and text that is not JSON raises
-``SchemaError``.
+``SchemaError``. A sidecar, a JSON object keyed by study id, is read and
+checked entry by entry in ``read_study_map``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
-from .errors import IoError, SchemaError
+from .errors import IoError, RadstyleError, SchemaError
 
 
 def is_int(value) -> bool:
@@ -35,12 +36,23 @@ def read_json(path) -> Any:
         raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
 
 
-def read_study_map(path) -> dict:
-    """A JSON object keyed by study id, such as a resource sidecar."""
+def read_study_map(path, convert: Callable[[Any], Any]) -> dict[str, Any]:
+    """The JSON object keyed by study id in ``path``, each entry passed
+    through ``convert``.
+
+    An entry that ``convert`` rejects with any error of this package
+    raises ``SchemaError("<path>: study <id>: <reason>")``.
+    """
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object keyed by study id")
-    return doc
+    out = {}
+    for study_id, entry in doc.items():
+        try:
+            out[study_id] = convert(entry)
+        except RadstyleError as exc:
+            raise SchemaError(f"{path}: study {study_id}: {exc}") from exc
+    return out
 
 
 def read_jsonl(path) -> Iterator[tuple[int, Any]]:

@@ -112,9 +112,9 @@ class RadGraphF1(NamedTuple):
     combined: float
 
 
-def _multiset_f1(pred: Counter, ref: Counter) -> float:
-    n_pred = sum(pred.values())
-    n_ref = sum(ref.values())
+def _multiset_f1(pred: Counter, n_pred: int, ref: Counter,
+                 n_ref: int) -> float:
+    """F1 of two multisets; ``n_pred`` and ``n_ref`` are their sizes."""
     if n_pred == 0 and n_ref == 0:
         return 1.0
     if n_pred == 0 or n_ref == 0:
@@ -130,10 +130,12 @@ def _multiset_f1(pred: Counter, ref: Counter) -> float:
 @dataclass(frozen=True, slots=True)
 class GraphKeys:
     """What RadGraph-F1 reads of one graph: the multisets of its entity
-    keys and relation keys."""
+    keys and relation keys, and their sizes."""
 
     entities: Counter
+    n_entities: int
     relations: Counter
+    n_relations: int
 
 
 def graph_keys(graph: RadGraph | GraphKeys) -> GraphKeys:
@@ -146,9 +148,9 @@ def graph_keys(graph: RadGraph | GraphKeys) -> GraphKeys:
     keys = {eid: (entity.tokens.casefold(), entity.label.value)
             for eid, entity in graph.entities.items()}
     return GraphKeys(
-        Counter(keys.values()),
+        Counter(keys.values()), len(keys),
         Counter((keys[r.source], keys[r.target], r.kind.value)
-                for r in graph.relations))
+                for r in graph.relations), len(graph.relations))
 
 
 def radgraph_f1(pred: RadGraph | GraphKeys,
@@ -162,19 +164,22 @@ def radgraph_f1(pred: RadGraph | GraphKeys,
     """
     pred_keys = graph_keys(pred)
     ref_keys = graph_keys(ref)
-    entity_f1 = _multiset_f1(pred_keys.entities, ref_keys.entities)
-    relation_f1 = _multiset_f1(pred_keys.relations, ref_keys.relations)
+    entity_f1 = _multiset_f1(pred_keys.entities, pred_keys.n_entities,
+                             ref_keys.entities, ref_keys.n_entities)
+    relation_f1 = _multiset_f1(pred_keys.relations, pred_keys.n_relations,
+                               ref_keys.relations, ref_keys.n_relations)
     return RadGraphF1(entity_f1, relation_f1, (entity_f1 + relation_f1) / 2.0)
 
 
-def as_pathology_vector(values: Sequence) -> PathologyVector:
-    """Validate and normalize a 14-long 0/1 indicator sequence."""
-    items = list(values)
-    if len(items) != PATHOLOGY_DIM:
+def as_pathology_vector(values) -> PathologyVector:
+    """Validate and normalize a 14-long 0/1 indicator array."""
+    if not isinstance(values, (list, tuple)):
+        raise InputError("pathology_vector must be an array")
+    if len(values) != PATHOLOGY_DIM:
         raise InputError(
-            f"pathology vector must have {PATHOLOGY_DIM} entries, got {len(items)}")
+            f"pathology vector must have {PATHOLOGY_DIM} entries, got {len(values)}")
     out = []
-    for v in items:
+    for v in values:
         if v not in (0, 1):
             raise InputError(f"pathology indicator must be 0 or 1, got {v!r}")
         out.append(int(v))
@@ -217,11 +222,16 @@ def chexbert_similarity(a: Sequence | NormedVector,
 
 
 def _as_embedding(name: str, rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
+    """``rows`` as a float matrix; ``name`` labels errors."""
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:   # ragged rows, non-numbers
+        raise InputError(
+            f"{name} matrix must be rows of numbers of equal length") from exc
     if arr.ndim != 2 or arr.size == 0:
-        raise InputError(f"{name} embedding matrix must be non-empty and 2-D")
+        raise InputError(f"{name} matrix must be non-empty and 2-D")
     if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} embedding matrix contains non-finite values")
+        raise InputError(f"{name} matrix contains non-finite values")
     return arr
 
 
@@ -237,7 +247,7 @@ def unit_rows(emb, name: str = "candidate") -> UnitRows:
     prepared input passes through unchanged. ``name`` labels errors."""
     if isinstance(emb, UnitRows):
         return emb
-    arr = _as_embedding(name, emb)
+    arr = _as_embedding(f"{name} embedding", emb)
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return UnitRows(arr / norms)
@@ -345,25 +355,20 @@ def z_test_proportion(x: int, n: int, p0: float) -> ZTestResult:
 
 def load_pathology_vectors(path) -> dict[str, PathologyVector]:
     """Read a JSON sidecar mapping study id to a 14-entry indicator array."""
-    doc = read_study_map(path)
-    out: dict[str, PathologyVector] = {}
-    for study_id, values in doc.items():
-        if not isinstance(values, list):
-            raise SchemaError(f"study {study_id}: expected an array of indicators")
-        try:
-            out[study_id] = as_pathology_vector(values)
-        except InputError as exc:
-            raise SchemaError(f"study {study_id}: {exc}") from exc
-    return out
+    return read_study_map(path, as_pathology_vector)
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
-    """Read a JSON sidecar mapping study id to an array-of-arrays of reals."""
-    doc = read_study_map(path)
-    out: dict[str, np.ndarray] = {}
-    for study_id, rows in doc.items():
-        try:
-            out[study_id] = _as_embedding(f"study {study_id}", rows)
-        except (InputError, ValueError) as exc:
-            raise SchemaError(f"study {study_id}: {exc}") from exc
+    """Read a JSON sidecar mapping study id to an array-of-arrays of reals.
+
+    Every matrix must have the same width, since any two may be compared.
+    """
+    out = read_study_map(path, lambda rows: _as_embedding("embedding", rows))
+    first: dict[int, str] = {}   # width -> the first study that has it
+    for study_id, emb in out.items():
+        first.setdefault(emb.shape[1], study_id)
+    if len(first) > 1:
+        (w1, s1), (w2, s2) = list(first.items())[:2]
+        raise SchemaError(f"{path}: embedding widths differ: study {s1} has "
+                          f"{w1}, study {s2} has {w2}")
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InputError
-from .graph import EntityLabel, RadGraph, SectionMap, validate, weakly_connected_components
+from .graph import EntityLabel, RadGraph, SectionMap, weakly_connected_components
 
 
 class Section(Enum):
@@ -95,11 +95,8 @@ def serialize_component(ids: set[str], g: RadGraph) -> ComponentSpan:
 
 
 def serialize(g: RadGraph, cfg: SerializerConfig = SerializerConfig()) -> Serialization:
-    """Serialize a whole graph; deterministic for equal graph and config."""
-    problems = validate(g)
-    if problems:
-        raise InputError("invalid graph: " + "; ".join(problems))
-
+    """Serialize a whole graph; deterministic for equal graph and config.
+    The graph is taken as ``radgraph_from_document`` checked it."""
     spans = [serialize_component(component, g)
              for component in weakly_connected_components(g)]
     findings = tuple(s for s in spans if s.section is Section.FINDINGS)

@@ -65,6 +65,33 @@ def test_serialize_bad_label_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keep", [("1", "2", "3"), ("2",)])
+def test_serialize_graph_with_an_entity_missing_its_label_exits_one(
+        tmp_path, capsys, keep):
+    # Still a graph document, not a sidecar keyed by entity id.
+    doc = {key: SINGLE_GRAPH[key] for key in keep}
+    doc["2"] = {key: value for key, value in doc["2"].items()
+                if key != "label"}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["serialize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: entity 2: missing label\n"
+
+
+def test_serialize_sidecar_with_a_bad_study_prints_nothing(tmp_path, capsys):
+    bad = dict(SINGLE_GRAPH, **{"3": entity_doc("3", "edema", "OBS-XX", 7)})
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps({"s1": SINGLE_GRAPH, "s2": bad,
+                                "s3": SINGLE_GRAPH}), encoding="utf-8")
+    assert cli.main(["serialize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: study s2: unknown entity label 'OBS-XX'\n")
+
+
 def test_serialize_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope", encoding="utf-8")
@@ -306,6 +333,49 @@ def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("mode, section, key, value, message", [
+    ("ser2rep", "metrics", "radcliq_bias", "x",
+     "metrics radcliq_bias must be a number, got 'x'"),
+    ("ser2rep", None, "dataset", 5, "dataset must be a string, got 5"),
+    ("end2end", "serializer", "delimiter", 3,
+     "serializer delimiter must be a string, got 3"),
+    ("ser2rep", "experiment", "shots", 3,
+     "experiment shots must be a list of integers, got 3"),
+    ("ser2rep", "metrics", "names", "bleu2",
+     "metrics names must be a list of strings, got 'bleu2'"),
+    ("ser2rep", "experiment", "seed", "x",
+     "experiment seed must be an integer, got 'x'"),
+    ("ser2rep", "client", "timeout", "x",
+     "client timeout must be a number, got 'x'"),
+    ("ser2rep", "client", "temperature", "hot",
+     "client temperature must be a number, got 'hot'"),
+    ("ser2rep", "client", "max_tokens", True,
+     "client max_tokens must be an integer, got True"),
+    ("ser2rep", "metrics", "radcliq_weights", {"bleu2": "1"},
+     "metrics radcliq_weights must be a mapping of strings to numbers, "
+     "got {'bleu2': '1'}"),
+    ("ser2rep", None, "graphs", ["g.json"],
+     "graphs must be a string or null, got ['g.json']"),
+])
+def test_evaluate_config_value_of_the_wrong_type_exits_one(
+        corpus, tmp_path, capsys, monkeypatch, mode, section, key, value,
+        message):
+    sent = []
+    monkeypatch.setattr(EchoReportTransport, "post",
+                        lambda self, *args: sent.append(args))
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["output"]["directory"] = str(tmp_path / "results")
+    (config.setdefault(section, {}) if section else config)[key] = value
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", mode, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+    assert sent == []
+    assert not (tmp_path / "results").exists()
+
+
 def _break_evaluate_input(config, tmp_path, bad):
     """Point ``config`` at an input that ``evaluate`` must reject; returns
     the text the error names."""
@@ -326,6 +396,16 @@ def _break_evaluate_input(config, tmp_path, bad):
     if bad == "repeated_shots":
         config["experiment"]["shots"] = [1, 1]
         return "shot counts must be distinct: [1]"
+    if bad == "embedding_width":
+        embeddings = json.loads(Path(config["embeddings"]).read_text("utf-8"))
+        first, second = list(embeddings)[:2]
+        embeddings[first] = [row[:4] for row in embeddings[first]]
+        path = tmp_path / "embeddings.json"
+        path.write_text(json.dumps(embeddings), encoding="utf-8")
+        config["embeddings"] = str(path)
+        width = len(embeddings[second][0])
+        return (f"{path}: embedding widths differ: study {first} has 4, "
+                f"study {second} has {width}")
     lines = Path(config["dataset"]).read_text("utf-8").splitlines()
     if bad in ("blank_eval_serializations", "blank_pool_reports"):
         docs = [json.loads(line) for line in lines]
@@ -354,7 +434,7 @@ def _break_evaluate_input(config, tmp_path, bad):
 @pytest.mark.parametrize("bad", ["baseline_missing", "baseline_not_string",
                                  "vector_not_array", "shots_over_pool",
                                  "repeated_shots", "blank_eval_serializations",
-                                 "blank_pool_reports"])
+                                 "blank_pool_reports", "embedding_width"])
 def test_evaluate_bad_input_exits_one_before_any_request(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []

@@ -89,6 +89,48 @@ def test_missing_file():
         load_config("/nonexistent/run.yaml")
 
 
+def test_values_are_checked_against_their_type_hints(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "graphs: null\n"
+        "metrics:\n"
+        "  radcliq_weights: {bleu2: -1}\n"
+        "  radcliq_bias: 4\n"
+        "client:\n"
+        "  temperature: 1\n")
+    cfg = load_config(path)   # an int counts as a float
+    assert cfg.graphs is None
+    assert cfg.metrics.radcliq_weights == {"bleu2": -1}
+    assert cfg.client.temperature == 1
+    for text, message in [
+            ("experiment:\n  shots: [0, true]\n",
+             "experiment shots must be a list of integers, got [0, True]"),
+            ("serializer:\n  include_headers: 1\n",
+             "serializer include_headers must be true or false, got 1"),
+            ("metrics:\n  radcliq_weights: [bleu2]\n",
+             "metrics radcliq_weights must be a mapping of strings to "
+             "numbers, got ['bleu2']"),
+            ("client: [http]\n", "client must be a mapping"),
+            ("[dataset]\n", "config must be a mapping")]:
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
+def test_every_setting_of_the_wrong_type_is_named(tmp_path):
+    path = tmp_path / "run.yaml"
+    for key_path in sorted(_key_paths(HarnessConfig)):
+        *sections, key = key_path.split(".")
+        doc = {key: [[]]}   # no setting's type admits a list of lists
+        for section in reversed(sections):
+            doc = {section: doc}
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{' '.join([*sections, key])} must be ")):
+            load_config(path)
+
+
 def test_client_mode_validated():
     with pytest.raises(ConfigError, match="unknown client mode"):
         ClientConfig(mode="telepathy")

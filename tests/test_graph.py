@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radstyle.errors import ParseError, SchemaError
-from radstyle.graph import (Entity, EntityLabel, RadGraph, Relation,
-                            RelationKind, SectionMap, radgraph_from_document,
-                            to_payload, validate, weakly_connected_components)
+from radstyle.graph import (EntityLabel, RadGraph, Relation, RelationKind,
+                            radgraph_from_document, weakly_connected_components)
 
 from graphgen import edges_of, random_document
 from oracles import wcc_oracle
@@ -126,18 +125,6 @@ def test_text_field_must_be_string():
         radgraph_from_document({"text": 42})
 
 
-def test_round_trip_is_fixed_point():
-    rng = random.Random(20240817)
-    for _ in range(50):
-        doc = random_document(rng)
-        g1 = radgraph_from_document(doc)
-        g2 = radgraph_from_document(to_payload(g1))
-        assert g1.entities == g2.entities
-        assert g1.relations == g2.relations
-        assert g1.sections == g2.sections
-        assert g1.report_text == g2.report_text
-
-
 def test_section_derivation_from_headers():
     doc = {"text": "FINDINGS : lungs clear . IMPRESSION : no disease"}
     g = radgraph_from_document(doc)
@@ -156,33 +143,6 @@ def test_no_headers_leaves_sections_unset():
     assert g.sections.findings_range is None
     assert g.sections.impression_range is None
     assert not g.sections.defines_any()
-
-
-def test_validate_clean_graph():
-    assert validate(radgraph_from_document(TWO_ENTITY_DOC)) == []
-
-
-def test_validate_dangling_target():
-    g = RadGraph(
-        entities={"1": Entity("1", "lungs", EntityLabel.ANAT_DP, 0, 0)},
-        relations=(Relation("1", "99", RelationKind.MODIFY),),
-        sections=SectionMap(), report_text=None)
-    assert "dangling relation target 99" in validate(g)
-
-
-def test_validate_duplicate_triple():
-    rel = Relation("1", "2", RelationKind.MODIFY)
-    g = RadGraph(
-        entities={"1": Entity("1", "a", EntityLabel.ANAT_DP, 0, 0),
-                  "2": Entity("2", "b", EntityLabel.OBS_DP, 1, 1)},
-        relations=(rel, rel), sections=SectionMap(), report_text=None)
-    assert any("duplicate relation (1, 2, modify)" in v for v in validate(g))
-
-
-def test_validate_overlapping_sections():
-    g = RadGraph(entities={}, relations=(),
-                 sections=SectionMap((0, 5), (3, 8)), report_text=None)
-    assert any("overlap" in v for v in validate(g))
 
 
 def test_wcc_single_entity():

@@ -20,7 +20,8 @@ from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
                               Scorer, StudyRecord, StyleEvalSet,
                               aggregate_row, assemble_style_eval_sets,
                               build_resources, evaluate, item_to_dict,
-                              load_dataset, load_graph_documents,
+                              load_baseline, load_dataset,
+                              load_graph_documents,
                               load_scores_jsonl, make_transport,
                               parse_table_csv, render_style_eval_set,
                               render_table, render_table_csv, run_generation,
@@ -28,7 +29,8 @@ from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
                               split_records, write_outputs,
                               write_scores_jsonl)
 from radstyle.metrics import (MetricReport, bert_score, bleu2,
-                              chexbert_similarity, mean_ci, radcliq,
+                              chexbert_similarity, load_embeddings,
+                              load_pathology_vectors, mean_ci, radcliq,
                               radgraph_f1, tokenize)
 from radstyle.prompting import INSTRUCTION
 from radstyle.serialize import serialize
@@ -192,6 +194,34 @@ def test_load_graph_documents_rejects_non_object(tmp_path):
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(SchemaError, match="object keyed by study id"):
         load_graph_documents(path)
+
+
+# loader -> (a good entry, a rejected entry, the reason given for it)
+SIDECAR_LOADERS = {
+    "graphs": (load_graph_documents, GRAPH_DOC, [1],
+               "top-level JSON value must be an object"),
+    "vectors": (load_pathology_vectors, [0] * 14, [0, 2] * 7,
+                "pathology indicator must be 0 or 1, got 2"),
+    "embeddings": (load_embeddings, [[1.0, 2.0]], [[1.0, "x"]],
+                   "embedding matrix must be rows of numbers of equal length"),
+    "baseline": (load_baseline, "a report", None,
+                 "baseline output must be a string"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIDECAR_LOADERS))
+def test_sidecar_reader_names_the_file_and_the_study(tmp_path, kind):
+    load, good, bad, reason = SIDECAR_LOADERS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"a": good, "b": good}), encoding="utf-8")
+    assert sorted(load(path)) == ["a", "b"]
+    path.write_text(json.dumps({"a": good, "b": bad}), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: study b: {reason}"
+    path.write_text(json.dumps([good]), encoding="utf-8")
+    with pytest.raises(SchemaError, match="object keyed by study id"):
+        load(path)
 
 
 # ----------------------------------------------------------------- scorer

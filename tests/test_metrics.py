@@ -191,7 +191,8 @@ multisets = st.dictionaries(
 @given(multisets, multisets)
 @settings(max_examples=150, deadline=None)
 def test_multiset_f1_min_sum_matches_counter_intersection(pred, ref):
-    assert _multiset_f1(pred, ref) == _multiset_f1_by_intersection(pred, ref)
+    assert (_multiset_f1(pred, sum(pred.values()), ref, sum(ref.values()))
+            == _multiset_f1_by_intersection(pred, ref))
 
 
 tokens = st.lists(st.sampled_from("abc"), max_size=10)
@@ -305,6 +306,8 @@ def test_bert_score_input_validation():
         bert_score(np.array([1.0, 2.0]), ok)
     with pytest.raises(InputError, match="non-finite"):
         bert_score(np.array([[np.nan, 1.0]]), np.ones((1, 2)))
+    with pytest.raises(InputError, match="equal length"):
+        bert_score([[1.0, 2.0], [3.0]], ok)
 
 
 def test_radcliq_affine():
@@ -423,3 +426,23 @@ def test_load_embeddings(tmp_path):
     path.write_text(json.dumps({"s1": []}))
     with pytest.raises(SchemaError, match="s1"):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], {"a": 1.0}])
+def test_load_embeddings_rejects_rows_that_are_no_matrix(tmp_path, rows):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps({"s1": [[1.0, 2.0]], "s2": rows}))
+    with pytest.raises(SchemaError) as info:
+        load_embeddings(path)
+    assert str(info.value) == (f"{path}: study s2: embedding matrix must be "
+                               f"rows of numbers of equal length")
+
+
+def test_load_embeddings_rejects_differing_widths(tmp_path):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps({"s1": [[1.0, 2.0, 3.0]], "s2": [[1.0, 2.0, 3.0]],
+                                "s3": [[1.0, 2.0], [3.0, 4.0]]}))
+    with pytest.raises(SchemaError) as info:
+        load_embeddings(path)
+    assert str(info.value) == (f"{path}: embedding widths differ: study s1 "
+                               f"has 3, study s3 has 2")

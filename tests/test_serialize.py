@@ -142,14 +142,6 @@ def test_unknown_component_ids():
         serialize_component(set(), g)
 
 
-def test_invalid_graph_is_rejected():
-    from radstyle.graph import RadGraph, SectionMap
-    g = RadGraph(entities={}, relations=(),
-                 sections=SectionMap((0, 5), (3, 8)), report_text=None)
-    with pytest.raises(InputError, match="invalid graph"):
-        serialize(g, SerializerConfig())
-
-
 def expected_component_text(doc, ids):
     entries = sorted(
         ((doc[eid]["start_ix"], doc[eid]["end_ix"], doc[eid]["tokens"],
