@@ -21,7 +21,7 @@ from .harness import (StyleEvalSet, assemble_style_eval_sets,
                       render_style_eval_set, render_table,
                       require_serializations, score_style_eval,
                       split_records, write_outputs)
-from .jsonfiles import read_json, read_study_map
+from .jsonfiles import read_json, study_map
 from .metrics import z_test_proportion
 from .prompting import (build_prompt, derive_selection_seed,
                         select_examples, wire_messages)
@@ -41,7 +41,7 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
     if _is_graph_document(doc):
         print(render(doc))
     else:   # a sidecar: every study is rendered before any is printed
-        for study_id, text in read_study_map(args.graphs, render).items():
+        for study_id, text in study_map(args.graphs, doc, render).items():
             print(f"{study_id}\t{text}")
     return 0
 

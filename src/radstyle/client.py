@@ -55,8 +55,9 @@ class ClientConfig:
     mode "http" talks to a real endpoint; "identity-mock" echoes each
     study's reference report (offline pipeline checks); "fixed-mock"
     returns one canned report for everything (degenerate baseline).
-    ``evaluate`` sends each shot row's requests with ``parallelism``
-    workers.
+    ``parallelism`` applies to mode "http": ``evaluate`` sends each shot
+    row's requests with that many workers. The mocks never wait, so they
+    answer on the calling thread.
     """
 
     mode: str = "identity-mock"
@@ -357,16 +358,18 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
                    ) -> list[CompletionResult | ClientError]:
     """Complete many chains with ``parallelism`` workers.
 
-    Each worker sends one request at a time, so at most ``parallelism``
-    are in flight. A retryable failure does not hold its worker: the
-    item goes on a heap keyed by the time its backoff ends, and the
-    worker moves on. A worker sends a due retry first, then the next
-    fresh chain; once no fresh chain is left, it takes the earliest
-    retry and sleeps only for what is left of its backoff. Every attempt
-    goes through ``complete`` with retries turned off, so each body is
-    sent as often as ``complete`` alone would send it. The credential is
-    checked once, before any request is sent, and one ``PayloadEncoder``
-    serves the batch.
+    One worker, or one chain, runs on the caller's thread; more start
+    that many threads. ``evaluate`` asks for more than one only in mode
+    "http", so the mocks answer on the calling thread. Each worker sends one request at a time, so at
+    most ``parallelism`` are in flight. A retryable failure does not
+    hold its worker: the item goes on a heap keyed by the time its
+    backoff ends, and the worker moves on. A worker sends a due retry
+    first, then the next fresh chain; once no fresh chain is left, it
+    takes the earliest retry and sleeps only for what is left of its
+    backoff. Every attempt goes through ``complete`` with retries turned
+    off, so each body is sent as often as ``complete`` alone would send
+    it. The credential is checked once, before any request is sent, and
+    one ``PayloadEncoder`` serves the batch.
 
     Results align with the input order; an item that fails with a
     ``ClientError`` yields that exception instead of aborting the batch.
@@ -442,12 +445,15 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
             with lock:
                 failures.append(exc)
 
-    workers = [threading.Thread(target=work)
-               for _ in range(min(parallelism, len(chains)))]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
+    n_workers = min(parallelism, len(chains))
+    if n_workers == 1:
+        work()
+    else:
+        workers = [threading.Thread(target=work) for _ in range(n_workers)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
     if failures:
         raise failures[0]
     return results

@@ -454,6 +454,10 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
         where = f"in {cfg.graphs}" if cfg.graphs else "(no graphs file set)"
         blank = " that serializes to any text" if pairs else ""
         raise InputError(f"no eval study has a graph{blank} {where}")
+    # Only a transport that waits on the network gains from more workers;
+    # the mocks answer at once, so they run on this thread.
+    workers = (cfg.client.parallelism
+               if isinstance(transport, HttpTransport) else 1)
     rows: list[ResultRow] = []
     items: list[RunItem] = []
     failed_shots: list[int] = []
@@ -467,8 +471,7 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
                 chains.append(build_prompt(examples, text))
         # The batch's results live only as long as this loop.
         results = iter(complete_batch(
-            chains, cfg.client, parallelism=cfg.client.parallelism,
-            transport=transport))
+            chains, cfg.client, parallelism=workers, transport=transport))
         row: list[RunItem] = []
         failures = 0
         for record, text in pairs:

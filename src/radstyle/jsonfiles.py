@@ -2,8 +2,8 @@
 
 Every JSON and JSONL input is read here: a file that cannot be read or
 decoded raises ``IoError``, and text that is not JSON raises
-``SchemaError``. A sidecar, a JSON object keyed by study id, is read and
-checked entry by entry in ``read_study_map``.
+``SchemaError``. A sidecar, a JSON object keyed by study id, is checked
+entry by entry in ``study_map``.
 """
 
 from __future__ import annotations
@@ -38,12 +38,17 @@ def read_json(path) -> Any:
 
 def read_study_map(path, convert: Callable[[Any], Any]) -> dict[str, Any]:
     """The JSON object keyed by study id in ``path``, each entry passed
-    through ``convert``.
+    through ``convert``, as ``study_map`` does."""
+    return study_map(path, read_json(path), convert)
+
+
+def study_map(path, doc, convert: Callable[[Any], Any]) -> dict[str, Any]:
+    """``doc``, the JSON document read from ``path``, as an object keyed
+    by study id, each entry passed through ``convert``.
 
     An entry that ``convert`` rejects with any error of this package
     raises ``SchemaError("<path>: study <id>: <reason>")``.
     """
-    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object keyed by study id")
     out = {}

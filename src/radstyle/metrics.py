@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, SchemaError
 from .graph import RadGraph
-from .jsonfiles import read_study_map
+from .jsonfiles import is_int, read_study_map
 
 # Token sequences are plain lists of lower-cased strings; pathology vectors
 # are 14-tuples of 0/1 ints; embedding matrices are (tokens, dim) float arrays.
@@ -178,12 +178,10 @@ def as_pathology_vector(values) -> PathologyVector:
     if len(values) != PATHOLOGY_DIM:
         raise InputError(
             f"pathology vector must have {PATHOLOGY_DIM} entries, got {len(values)}")
-    out = []
     for v in values:
-        if v not in (0, 1):
+        if not is_int(v) or v not in (0, 1):   # JSON true is no indicator
             raise InputError(f"pathology indicator must be 0 or 1, got {v!r}")
-        out.append(int(v))
-    return tuple(out)
+    return tuple(values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,12 +220,19 @@ def chexbert_similarity(a: Sequence | NormedVector,
 
 
 def _as_embedding(name: str, rows) -> np.ndarray:
-    """``rows`` as a float matrix; ``name`` labels errors."""
+    """``rows`` as a float matrix; ``name`` labels errors.
+
+    Only numbers are read: text, ``null``, objects and a matrix of
+    booleans are refused, though a boolean among numbers is not.
+    """
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(rows)
+        if arr.dtype.kind not in "if":   # text, null, objects, booleans
+            raise TypeError(f"{arr.dtype} entries")
     except (TypeError, ValueError) as exc:   # ragged rows, non-numbers
         raise InputError(
             f"{name} matrix must be rows of numbers of equal length") from exc
+    arr = arr.astype(float, copy=False)
     if arr.ndim != 2 or arr.size == 0:
         raise InputError(f"{name} matrix must be non-empty and 2-D")
     if not np.all(np.isfinite(arr)):

@@ -92,6 +92,23 @@ def test_serialize_sidecar_with_a_bad_study_prints_nothing(tmp_path, capsys):
         f"error: {path}: study s2: unknown entity label 'OBS-XX'\n")
 
 
+def test_serialize_reads_a_sidecar_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps({"s1": SINGLE_GRAPH, "s2": SINGLE_GRAPH}),
+                    encoding="utf-8")
+    reads = []
+    real_read_text = Path.read_text
+
+    def read_text(self, *args, **kwargs):
+        if self == path:
+            reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+    monkeypatch.setattr(Path, "read_text", read_text)
+    assert cli.main(["serialize", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert len(reads) == 1
+
+
 def test_serialize_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope", encoding="utf-8")
@@ -396,6 +413,27 @@ def _break_evaluate_input(config, tmp_path, bad):
     if bad == "repeated_shots":
         config["experiment"]["shots"] = [1, 1]
         return "shot counts must be distinct: [1]"
+    if bad == "vectors_sidecar_true":
+        docs = [json.loads(line) for line in
+                Path(config["dataset"]).read_text("utf-8").splitlines()]
+        vectors = {d["study_id"]: d["pathology_vector"] for d in docs}
+        study_id = docs[-1]["study_id"]
+        vectors[study_id] = [True] + [0] * 13
+        path = tmp_path / "vectors.json"
+        path.write_text(json.dumps(vectors), encoding="utf-8")
+        config["vectors"] = str(path)
+        return (f"{path}: study {study_id}: pathology indicator must be 0 "
+                f"or 1, got True")
+    if bad == "embedding_text":
+        embeddings = json.loads(Path(config["embeddings"]).read_text("utf-8"))
+        study_id = list(embeddings)[1]
+        embeddings[study_id] = [[str(v) for v in row]
+                                for row in embeddings[study_id]]
+        path = tmp_path / "embeddings.json"
+        path.write_text(json.dumps(embeddings), encoding="utf-8")
+        config["embeddings"] = str(path)
+        return (f"{path}: study {study_id}: embedding matrix must be rows of "
+                f"numbers of equal length")
     if bad == "embedding_width":
         embeddings = json.loads(Path(config["embeddings"]).read_text("utf-8"))
         first, second = list(embeddings)[:2]
@@ -423,18 +461,23 @@ def _break_evaluate_input(config, tmp_path, bad):
         tests = sorted(d["study_id"] for d in docs if d["split"] == "test")
         return f"eval records missing serializations: {tests}"
     doc = json.loads(lines[2])
-    doc["pathology_vector"] = 5
+    doc["pathology_vector"] = (5 if bad == "vector_not_array"
+                               else [True] + [0] * 13)
     lines[2] = json.dumps(doc)
     path = tmp_path / "dataset.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     config["dataset"] = str(path)
-    return "line 3: pathology_vector must be an array"
+    if bad == "vector_not_array":
+        return "line 3: pathology_vector must be an array"
+    return "line 3: pathology indicator must be 0 or 1, got True"
 
 
 @pytest.mark.parametrize("bad", ["baseline_missing", "baseline_not_string",
-                                 "vector_not_array", "shots_over_pool",
+                                 "vector_not_array", "vector_true",
+                                 "vectors_sidecar_true", "shots_over_pool",
                                  "repeated_shots", "blank_eval_serializations",
-                                 "blank_pool_reports", "embedding_width"])
+                                 "blank_pool_reports", "embedding_width",
+                                 "embedding_text"])
 def test_evaluate_bad_input_exits_one_before_any_request(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []

@@ -685,6 +685,30 @@ def test_batch_stops_while_a_retry_waits():
     assert sorted(transport.sent) == ["s0", "s1"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_one_worker_batch_stops_at_an_interrupt(n):
+    # One worker runs on the caller's thread. An interrupt at request n
+    # reaches the caller, and nothing is sent after it, not even the
+    # retry that s0's 503 left waiting.
+    threads = []
+
+    class Interrupting(KeyedTransport):
+        def post(self, url, headers, payload, timeout):
+            threads.append(threading.get_ident())
+            if len(threads) == n:
+                raise KeyboardInterrupt
+            return super().post(url, headers, payload, timeout)
+
+    scripts = {f"s{i}": [503] if i == 0 else [] for i in range(6)}
+    transport = Interrupting(scripts)
+    with pytest.raises(KeyboardInterrupt):
+        complete_batch([chain_for(key) for key in scripts],
+                       ClientConfig(max_retries=1), parallelism=1,
+                       transport=transport, sleep=lambda _: None)
+    assert threads == [threading.get_ident()] * n
+    assert transport.sent == [f"s{i}" for i in range(n - 1)]
+
+
 def test_retry_heap_under_frequent_thread_switches():
     scripts = {f"s{i}": [503, "transport"] if i % 7 == 0 else
                [429] if i % 5 == 0 else [] for i in range(300)}

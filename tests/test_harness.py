@@ -1,16 +1,20 @@
 import dataclasses
+import functools
+import hashlib
 import json
 import math
 import random
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radstyle.client as client
 import radstyle.harness as harness
-from radstyle.client import (ClientConfig, EchoReportTransport,
+from radstyle.client import (ClientConfig, EchoReportTransport, HttpTransport,
                              TransportResponse)
 from radstyle.config import (ExperimentConfig, HarnessConfig, MetricsConfig,
                              OutputConfig, load_config)
@@ -791,6 +795,88 @@ def test_end_to_end_without_a_graphs_file_fails_before_any_request(
             "no eval study has a graph (no graphs file set)")):
         evaluate(no_graphs, "end2end")
     assert sent == []
+
+
+@pytest.mark.parametrize("mode, base", [
+    ("identity-mock", "EchoReportTransport"),
+    ("fixed-mock", "FixedReplyTransport")])
+def test_mocks_answer_on_the_calling_thread(corpus, monkeypatch, mode, base):
+    paths, cfg = corpus
+    threads = []
+
+    class Recording(getattr(harness, base)):
+        def post(self, url, headers, payload, timeout):
+            threads.append(threading.get_ident())
+            return super().post(url, headers, payload, timeout)
+
+    monkeypatch.setattr(harness, base, Recording)
+    four = dataclasses.replace(
+        cfg, client=ClientConfig(mode=mode, parallelism=4))
+    evaluate(four, "ser2rep")
+    evals = split_records(load_dataset(cfg.dataset), "test")
+    assert threads == ([threading.get_ident()]
+                       * len(evals) * len(cfg.experiment.shots))
+
+
+def hashed_fault_http(mapping, salt):
+    """An ``HttpTransport`` that sends nothing: each body gets, by a hash
+    of the salt and the body, a 400, 429, 503, a malformed body or the
+    identity mock's 200. It records the thread of every request."""
+    echo = EchoReportTransport(mapping)
+
+    class HashedFaultHttp(HttpTransport):
+        threads = []
+
+        def post(self, url, headers, payload, timeout):
+            HashedFaultHttp.threads.append(threading.get_ident())
+            digest = hashlib.sha256(f"{salt}\n{payload}".encode()).digest()
+            answer = digest[0] % 8
+            if answer < 3:
+                return TransportResponse((400, 429, 503)[answer], "failed")
+            if answer == 3:
+                return TransportResponse(200, "not json")
+            return echo.post(url, headers, payload, timeout)
+    return HashedFaultHttp
+
+
+@pytest.fixture(scope="module")
+def larger_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("larger_corpus")
+    paths = make_synthetic_corpus(out, n_records=48, n_train=12, seed=3)
+    return out, load_config(paths["config"])
+
+
+@settings(max_examples=12, deadline=None)
+@given(salt=st.integers(0, 2 ** 32 - 1), parallelism=st.integers(2, 8))
+def test_artifacts_do_not_depend_on_parallelism(larger_corpus, salt,
+                                                parallelism):
+    # The table, CSV and scores.jsonl bytes of an http run are the same
+    # for any worker count, under replies that fail per body.
+    out, cfg = larger_corpus
+    records = load_dataset(cfg.dataset)
+    mapping = {r.serialization: r.report for r in records}
+    artifacts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("RADSTYLE_TEST_KEY", "k")
+        mp.setattr(harness, "complete_batch", functools.partial(
+            client.complete_batch, sleep=lambda _: None))
+        for workers in (1, parallelism):
+            transport = hashed_fault_http(mapping, salt)
+            mp.setattr(harness, "HttpTransport", transport)
+            run_cfg = dataclasses.replace(
+                cfg, client=ClientConfig(mode="http", parallelism=workers,
+                                         api_key_env="RADSTYLE_TEST_KEY"),
+                output=OutputConfig(directory=str(out / f"p{workers}")))
+            paths = write_outputs(evaluate(run_cfg, "ser2rep"), run_cfg)
+            artifacts[workers] = {kind: path.read_bytes()
+                                  for kind, path in paths.items()}
+            # One worker sends from the calling thread; more never do.
+            on_caller = threading.get_ident() in transport.threads
+            assert on_caller == (workers == 1)
+    assert artifacts[parallelism] == artifacts[1]
+    items = [json.loads(line) for line in artifacts[1]["scores"].splitlines()]
+    assert any(item["error"] for item in items)
+    assert any(item["scores"].get("radgraph_f1") == 1.0 for item in items)
 
 
 def test_score_fixed_outputs_missing_study():

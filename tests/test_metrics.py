@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from radstyle.errors import ConfigError, InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
-from radstyle.metrics import (MetricReport, _multiset_f1, bert_score, bleu2,
+from radstyle.metrics import (MetricReport, _multiset_f1,
+                              as_pathology_vector, bert_score, bleu2,
                               chexbert_similarity, graph_keys,
                               load_embeddings, load_pathology_vectors,
                               mean_ci, ngram_counts, normal_cdf,
@@ -403,6 +404,18 @@ def test_load_pathology_vectors(tmp_path):
     assert vectors["s1"] == tuple([0, 1] * 7)
 
 
+def test_pathology_indicator_is_no_boolean(tmp_path):
+    with pytest.raises(InputError) as info:
+        as_pathology_vector([True] + [0] * 13)
+    assert str(info.value) == "pathology indicator must be 0 or 1, got True"
+    path = tmp_path / "vectors.json"
+    path.write_text(json.dumps({"s1": [0] * 14, "s2": [0] * 13 + [False]}))
+    with pytest.raises(SchemaError) as info:
+        load_pathology_vectors(path)
+    assert str(info.value) == (f"{path}: study s2: pathology indicator must "
+                               f"be 0 or 1, got False")
+
+
 def test_load_pathology_vectors_errors(tmp_path):
     path = tmp_path / "vectors.json"
     path.write_text(json.dumps({"s1": [0, 1]}))
@@ -428,7 +441,10 @@ def test_load_embeddings(tmp_path):
         load_embeddings(path)
 
 
-@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], {"a": 1.0}])
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], {"a": 1.0},
+                                  [["1.5", "2"]], [[1.5, "2"]],
+                                  [[None, 1.0]], [[{"a": 1.0}, 2.0]],
+                                  [[True, False]]])
 def test_load_embeddings_rejects_rows_that_are_no_matrix(tmp_path, rows):
     path = tmp_path / "emb.json"
     path.write_text(json.dumps({"s1": [[1.0, 2.0]], "s2": rows}))
