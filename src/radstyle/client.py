@@ -1,11 +1,12 @@
 """Chat-completion client with a pluggable transport.
 
 The HTTP layer is isolated behind the Transport protocol so tests and
-offline runs can substitute deterministic fakes. Retries cover rate
+offline runs can substitute deterministic fakes. ``complete`` sends one
+request; ``complete_batch`` holds the only retry loop. It retries rate
 limits (429), server errors (5xx), and transport exceptions with
 exponential backoff, never shorter than a numeric ``Retry-After``; other
 4xx responses fail immediately. Credentials are read from an environment
-variable before a call sends its first request, and never logged.
+variable before a batch sends its first request, and never logged.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ class ClientConfig:
         if not _is_http_url(self.endpoint):
             raise ConfigError(f"client endpoint must be an http or https "
                               f"URL with a host, got {self.endpoint!r}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ConfigError(f"client timeout must be a finite number > 0, "
+                              f"got {self.timeout!r}")
         if self.max_retries < 0:
             raise ConfigError(f"client max_retries must be an integer >= 0, "
                               f"got {self.max_retries!r}")
@@ -309,67 +313,43 @@ def _backoff(exc: ClientError, attempts: int, rng: random.Random) -> float:
     return used
 
 
-def complete(chain: PromptChain, cfg: ClientConfig,
-             transport: Transport | None = None,
-             sleep: Callable[[float], None] = time.sleep,
-             rng: random.Random | None = None, *,
-             headers: dict[str, str] | None = None,
-             encode: PayloadEncoder | None = None) -> CompletionResult:
-    """Run one chat completion, retrying transient failures.
+def complete(chain: PromptChain, cfg: ClientConfig, transport: Transport,
+             headers: dict[str, str],
+             encode: PayloadEncoder) -> CompletionResult:
+    """Send one chat completion request and parse its reply.
 
-    ``sleep`` and ``rng`` are injectable so retry schedules are testable
-    without waiting; without ``rng``, a fresh ``random.Random`` is built
-    when a retry first sleeps. ``headers`` and ``encode`` let a batch
-    pass what it prepared once; by default they are built for this call.
-    The ``ClientError`` raised when it gives up carries ``elapsed``.
+    A failed send, a status other than 200 or a reply that is no
+    completion raises its ``ClientError``; whether to retry is
+    ``complete_batch``'s decision.
     """
-    if transport is None:
-        transport = HttpTransport()
-    if headers is None:
-        headers = _headers(cfg, transport)
-    payload = (encode or PayloadEncoder(cfg))(chain)
+    payload = encode(chain)
     start = time.perf_counter()
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            resp = transport.post(cfg.endpoint, headers, payload, cfg.timeout)
-            if resp.status != 200:
-                raise RequestError(resp.status, resp.body, resp.retry_after)
-            text, usage = _parse_completion(resp.body)
-        except ClientError as exc:
-            if attempts > cfg.max_retries or not _retryable(exc):
-                exc.elapsed = time.perf_counter() - start
-                raise
-            log.debug("retryable failure on attempt %d: %s", attempts, exc)
-            if rng is None:
-                rng = random.Random()
-            delay = _backoff(exc, attempts, rng)
-        else:
-            latency = time.perf_counter() - start
-            return CompletionResult(text, usage, latency, attempts)
-        sleep(delay)
+    resp = transport.post(cfg.endpoint, headers, payload, cfg.timeout)
+    if resp.status != 200:
+        raise RequestError(resp.status, resp.body, resp.retry_after)
+    text, usage = _parse_completion(resp.body)
+    return CompletionResult(text, usage, time.perf_counter() - start, 1)
 
 
 def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
-                   parallelism: int = 4,
-                   transport: Transport | None = None,
+                   parallelism: int, transport: Transport,
                    sleep: Callable[[float], None] = time.sleep,
                    ) -> list[CompletionResult | ClientError]:
-    """Complete many chains with ``parallelism`` workers.
+    """Complete many chains with ``parallelism`` workers: the client's
+    only retry loop.
 
     One worker, or one chain, runs on the caller's thread; more start
     that many threads. ``evaluate`` asks for more than one only in mode
-    "http", so the mocks answer on the calling thread. Each worker sends one request at a time, so at
-    most ``parallelism`` are in flight. A retryable failure does not
-    hold its worker: the item goes on a heap keyed by the time its
-    backoff ends, and the worker moves on. A worker sends a due retry
-    first, then the next fresh chain; once no fresh chain is left, it
-    takes the earliest retry and sleeps only for what is left of its
-    backoff. Every attempt goes through ``complete`` with retries turned
-    off, so each body is sent as often as ``complete`` alone would send
-    it. The credential is checked once, before any request is sent, and
-    one ``PayloadEncoder`` serves the batch.
+    "http", so the mocks answer on the calling thread. Each worker sends
+    one request at a time through ``complete``, so at most
+    ``parallelism`` are in flight. A retryable failure does not hold its
+    worker: the item goes on a heap keyed by the time its backoff ends,
+    and the worker moves on. A worker sends a due retry first, then the
+    next fresh chain; once no fresh chain is left, it takes the earliest
+    retry and calls ``sleep`` only for what is left of its backoff. A
+    retried item's latency runs from its first send. The credential is
+    checked once, before any request is sent, and one ``PayloadEncoder``
+    serves the batch.
 
     Results align with the input order; an item that fails with a
     ``ClientError`` yields that exception instead of aborting the batch.
@@ -378,12 +358,9 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
     """
     if parallelism < 1:
         raise InputError(f"parallelism must be positive, got {parallelism}")
-    if transport is None:
-        transport = HttpTransport()
     headers = _headers(cfg, transport)
     encode = PayloadEncoder(cfg)
-    once = dataclasses.replace(cfg, max_retries=0)
-    results: list[CompletionResult | ClientError] = [None] * len(chains)  # type: ignore[list-item]
+    results: list = [None] * len(chains)   # a result or error per chain
     fresh = iter(range(len(chains)))
     # (due, index, attempts so far, time of the first send) per retry
     retries: list[tuple[float, int, int, float]] = []
@@ -407,29 +384,25 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
     def send(due: float | None, i: int, attempts: int,
              first: float | None) -> None:
         nonlocal rng
-        if due is not None:
-            wait = due - time.perf_counter()
-            if wait > 0:
-                sleep(wait)
-                if failures:
-                    return
+        if due is None:
+            first = time.perf_counter()
+        elif (wait := due - time.perf_counter()) > 0:
+            sleep(wait)
+            if failures:
+                return
         try:
-            result = complete(chains[i], once, transport, headers=headers,
-                              encode=encode)
+            result = complete(chains[i], cfg, transport, headers, encode)
         except ClientError as exc:
             attempts += 1
             if attempts > cfg.max_retries or not _retryable(exc):
                 results[i] = exc
                 return
             log.debug("retryable failure on attempt %d: %s", attempts, exc)
-            now = time.perf_counter()
-            if first is None:
-                first = now - exc.elapsed
             with lock:
                 if rng is None:
                     rng = random.Random()
-                delay = _backoff(exc, attempts, rng)
-                heapq.heappush(retries, (now + delay, i, attempts, first))
+                due = time.perf_counter() + _backoff(exc, attempts, rng)
+                heapq.heappush(retries, (due, i, attempts, first))
             return
         if attempts:
             result = dataclasses.replace(

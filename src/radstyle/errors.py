@@ -30,21 +30,18 @@ class IoError(RadstyleError):
 
 
 class ClientError(RadstyleError):
-    """Base class for chat-completion client failures.
-
-    ``elapsed`` is set by ``client.complete`` when it gives up: seconds
-    from its first send to this failure.
-    """
-
-    elapsed: float | None = None
+    """Base class for chat-completion client failures."""
 
 
 class TransportError(ClientError):
-    """All delivery attempts failed (network errors or retryable statuses)."""
+    """A request could not be delivered or its reply not received."""
 
 
 class RequestError(ClientError):
-    """The service rejected the request with a non-retryable status."""
+    """The service answered with a status other than 200.
+
+    ``client.complete_batch`` retries a 429 or 5xx; any other is final.
+    """
 
     def __init__(self, status: int, body: str,
                  retry_after: float | None = None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -222,13 +222,17 @@ def chexbert_similarity(a: Sequence | NormedVector,
 def _as_embedding(name: str, rows) -> np.ndarray:
     """``rows`` as a float matrix; ``name`` labels errors.
 
-    Only numbers are read: text, ``null``, objects and a matrix of
-    booleans are refused, though a boolean among numbers is not.
+    Only numbers are read: text, ``null``, objects and booleans are
+    refused, a boolean among numbers too. An ``ndarray`` is not scanned
+    for booleans again: its dtype already tells.
     """
     try:
         arr = np.asarray(rows)
         if arr.dtype.kind not in "if":   # text, null, objects, booleans
             raise TypeError(f"{arr.dtype} entries")
+        if (arr.ndim == 2 and not isinstance(rows, np.ndarray)
+                and bool in set(map(type, chain.from_iterable(rows)))):
+            raise TypeError("boolean entries")   # numpy read them as numbers
     except (TypeError, ValueError) as exc:   # ragged rows, non-numbers
         raise InputError(
             f"{name} matrix must be rows of numbers of equal length") from exc

@@ -20,7 +20,8 @@ class ChatServer(ThreadingHTTPServer):
     """Serves on 127.0.0.1 and records every request that arrives.
 
     Each request takes the next reply from ``replies`` as (status, body,
-    headers); once the script runs out it gets a 200 completion of "hi".
+    headers), where a callable body is called with the request's headers;
+    once the script runs out it gets a 200 completion of "hi".
     While ``stalled`` is set, a request gets no reply until the fixture
     ends.
     """
@@ -57,6 +58,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
             server.release.wait(timeout=10)
         status, text, headers = (server.replies.pop(0) if server.replies
                                  else (200, completion_body("hi"), {}))
+        if callable(text):
+            text = text(self.headers)
         payload = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")

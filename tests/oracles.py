@@ -115,3 +115,31 @@ def radgraph_f1_oracle(pred_doc: dict, ref_doc: dict) -> tuple:
     relation_f1 = _f1_from_lists(relation_keys(pred_doc, pred_e),
                                  relation_keys(ref_doc, ref_e))
     return entity_f1, relation_f1, (entity_f1 + relation_f1) / 2.0
+
+
+def retry_oracle(script, max_retries, reply):
+    """The outcome of one request under the client's retry rule, worked
+    out from its script alone.
+
+    Attempt n plays ``script[n]``, and a 200 once the script runs out:
+    200 answers ``reply``, "malformed" is a 200 whose body is no
+    completion, "transport" a network failure, any other number that
+    status. A 429, a 5xx or a network failure is tried again, at most
+    ``max_retries`` times; anything else ends the request. Returns
+    ``((reply, attempts) or (error class name, status), sends)``.
+    """
+    sends = 0
+    while True:
+        action = script[sends] if sends < len(script) else 200
+        sends += 1
+        if action == 200:
+            return (reply, sends), sends
+        if action == "malformed":
+            return ("ProtocolError", None), sends
+        if action == "transport":
+            failure, again = ("TransportError", None), True
+        else:
+            failure, again = ("RequestError", action), (action == 429
+                                                        or action >= 500)
+        if not again or sends > max_retries:
+            return failure, sends

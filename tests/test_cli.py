@@ -292,6 +292,27 @@ def test_evaluate_exits_two_when_a_shot_row_scored_nothing(
         assert all(row.excluded < row.n_items for row in table.rows)
 
 
+def test_credential_reaches_no_artifact(corpus, tmp_path, capsys,
+                                       monkeypatch, chat_server):
+    # The one 400 reply echoes the Authorization header it received.
+    key = "sk-never-written-7f3a"
+    monkeypatch.setenv("RADSTYLE_TEST_KEY", key)
+    chat_server.replies.append(
+        (400, lambda headers: json.dumps(
+            {"error": f"bad credential {headers['Authorization']}"}), {}))
+    path = _http_config(corpus, tmp_path, chat_server.url, [0, 2])
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert chat_server.received[0][1]["Authorization"] == f"Bearer {key}"
+    assert chat_server.replies == []
+    written = sorted((tmp_path / "results").rglob("*"))
+    assert written
+    for artifact in written:
+        assert key.encode() not in artifact.read_bytes(), artifact
+    assert key not in captured.out + captured.err
+
+
 def test_evaluate_end2end_without_an_eval_graph_exits_one(
         corpus, tmp_path, capsys, monkeypatch, chat_server):
     # An input fault, not a client failure: nothing is sent or written.
@@ -335,7 +356,8 @@ def test_evaluate_credential_no_header_can_carry_exits_one(
     ("max_retries", -1), ("max_retries", "x"), ("max_retries", True),
     ("parallelism", 0), ("parallelism", "2"),
     ("endpoint", "file:///etc/hosts"), ("endpoint", "http:///v1"),
-    ("endpoint", "http://127.0.0.1:port/v1")])
+    ("endpoint", "http://127.0.0.1:port/v1"), ("timeout", -1),
+    ("timeout", 0), ("timeout", float("inf")), ("timeout", float("nan"))])
 def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
                                              key, value):
     config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
@@ -424,11 +446,14 @@ def _break_evaluate_input(config, tmp_path, bad):
         config["vectors"] = str(path)
         return (f"{path}: study {study_id}: pathology indicator must be 0 "
                 f"or 1, got True")
-    if bad == "embedding_text":
+    if bad in ("embedding_text", "embedding_true"):
         embeddings = json.loads(Path(config["embeddings"]).read_text("utf-8"))
         study_id = list(embeddings)[1]
-        embeddings[study_id] = [[str(v) for v in row]
-                                for row in embeddings[study_id]]
+        if bad == "embedding_true":
+            embeddings[study_id][0][0] = True
+        else:
+            embeddings[study_id] = [[str(v) for v in row]
+                                    for row in embeddings[study_id]]
         path = tmp_path / "embeddings.json"
         path.write_text(json.dumps(embeddings), encoding="utf-8")
         config["embeddings"] = str(path)
@@ -477,7 +502,7 @@ def _break_evaluate_input(config, tmp_path, bad):
                                  "vectors_sidecar_true", "shots_over_pool",
                                  "repeated_shots", "blank_eval_serializations",
                                  "blank_pool_reports", "embedding_width",
-                                 "embedding_text"])
+                                 "embedding_text", "embedding_true"])
 def test_evaluate_bad_input_exits_one_before_any_request(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []

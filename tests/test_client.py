@@ -14,17 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radstyle.client
 from radstyle.client import (ClientConfig, EchoReportTransport,
                              FixedReplyTransport, HttpTransport,
                              PayloadEncoder, TransportResponse, _backoff,
-                             complete, complete_batch)
-from radstyle.errors import (ClientError, InputError, ProtocolError,
-                             RequestError, TransportError)
+                             complete_batch)
+from radstyle.errors import (InputError, ProtocolError, RequestError,
+                             TransportError)
 from radstyle.prompting import (INSTRUCTION, PromptChain, PromptMessage,
                                 Role, StylePair, build_prompt,
                                 wire_messages)
 
 from conftest import completion_body, running_chat_server
+from oracles import retry_oracle
 
 
 def chain_for(text="no edema"):
@@ -46,10 +48,35 @@ class ScriptedTransport:
         return action
 
 
+def complete_one(chain, cfg, transport, sleep=lambda _: None):
+    """The result of a one-chain, one-worker batch: a completion or the
+    ``ClientError`` it ended with."""
+    [result] = complete_batch([chain], cfg, 1, transport, sleep=sleep)
+    return result
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """A fake ``perf_counter`` for ``radstyle.client`` that only
+    ``clock.sleep`` advances, recording each wait in ``clock.delays``. A
+    batch sleeps until a retry is due, so each wait then equals its
+    backoff exactly, and a retried latency is the sum of the waits."""
+    now = [0.0]
+    delays = []
+
+    def sleep(seconds):
+        delays.append(seconds)
+        now[0] += seconds
+
+    monkeypatch.setattr(radstyle.client, "time",
+                        SimpleNamespace(perf_counter=lambda: now[0]))
+    return SimpleNamespace(sleep=sleep, delays=delays)
+
+
 def test_fixed_reply_and_wire_format():
     cfg = ClientConfig(model="test-model", temperature=0.5, max_tokens=99)
-    result = complete(chain_for(), cfg,
-                      transport=FixedReplyTransport("A fine report."))
+    result = complete_one(chain_for(), cfg,
+                          FixedReplyTransport("A fine report."))
     assert result.text == "A fine report."
     assert result.attempts == 1
     assert result.usage == {"prompt_tokens": 0, "completion_tokens": 0}
@@ -57,7 +84,7 @@ def test_fixed_reply_and_wire_format():
     # shows what goes on the wire.
     transport = ScriptedTransport(
         [TransportResponse(200, completion_body("A fine report."))])
-    result = complete(chain_for(), cfg, transport=transport)
+    result = complete_one(chain_for(), cfg, transport)
     assert result.text == "A fine report."
     assert result.attempts == 1
     _, _, sent, _ = transport.requests[0]
@@ -70,32 +97,31 @@ def test_fixed_reply_and_wire_format():
 
 def test_echo_transport_strips_instruction_and_maps():
     transport = EchoReportTransport({"no edema": "There is no edema."})
-    result = complete(chain_for("no edema"), ClientConfig(),
-                      transport=transport)
+    result = complete_one(chain_for("no edema"), ClientConfig(), transport)
     assert result.text == "There is no edema."
     # Unmapped serializations echo back unchanged.
-    result = complete(chain_for("maybe nodule"), ClientConfig(),
-                      transport=transport)
+    result = complete_one(chain_for("maybe nodule"), ClientConfig(),
+                          transport)
     assert result.text == "maybe nodule"
     assert INSTRUCTION not in result.text
 
 
-def test_retries_on_429_and_5xx_with_backoff():
+def test_retries_on_429_and_5xx_with_backoff(clock):
     transport = ScriptedTransport([
         TransportResponse(429, "slow down"),
         TransportResponse(503, "unavailable"),
         TransportResponse(200, completion_body("ok")),
     ])
-    delays = []
-    result = complete(chain_for(), ClientConfig(max_retries=2),
-                      transport=transport, sleep=delays.append,
-                      rng=random.Random(0))
+    delays = clock.delays
+    result = complete_one(chain_for(), ClientConfig(max_retries=2),
+                          transport, sleep=clock.sleep)
     assert result.text == "ok"
     assert result.attempts == 3
     assert len(delays) == 2
     # Exponential base 1s doubling, jitter multiplies by [1, 1.25).
     assert 1.0 <= delays[0] <= 1.25
     assert 2.0 <= delays[1] <= 2.5
+    assert result.latency == sum(delays)
 
 
 def test_transport_exception_retried():
@@ -103,29 +129,29 @@ def test_transport_exception_retried():
         TransportError("connection reset"),
         TransportResponse(200, completion_body("recovered")),
     ])
-    result = complete(chain_for(), ClientConfig(max_retries=1),
-                      transport=transport, sleep=lambda _: None)
+    result = complete_one(chain_for(), ClientConfig(max_retries=1),
+                          transport)
     assert result.text == "recovered"
     assert result.attempts == 2
 
 
 def test_retries_exhausted_raises_last_error():
     transport = ScriptedTransport([TransportResponse(500, "boom")] * 3)
-    with pytest.raises(RequestError) as info:
-        complete(chain_for(), ClientConfig(max_retries=2),
-                 transport=transport, sleep=lambda _: None)
-    assert info.value.status == 500
+    error = complete_one(chain_for(), ClientConfig(max_retries=2),
+                         transport)
+    assert isinstance(error, RequestError)
+    assert error.status == 500
     assert len(transport.requests) == 3
 
 
 def test_client_4xx_fails_immediately():
     transport = ScriptedTransport([TransportResponse(404, "missing")])
     delays = []
-    with pytest.raises(RequestError) as info:
-        complete(chain_for(), ClientConfig(max_retries=5),
-                 transport=transport, sleep=delays.append)
-    assert info.value.status == 404
-    assert info.value.body == "missing"
+    error = complete_one(chain_for(), ClientConfig(max_retries=5),
+                         transport, sleep=delays.append)
+    assert isinstance(error, RequestError)
+    assert error.status == 404
+    assert error.body == "missing"
     assert delays == []
     assert len(transport.requests) == 1
 
@@ -138,15 +164,15 @@ def test_client_4xx_fails_immediately():
 ])
 def test_malformed_response_is_protocol_error(body):
     transport = ScriptedTransport([TransportResponse(200, body)])
-    with pytest.raises(ProtocolError):
-        complete(chain_for(), ClientConfig(), transport=transport)
+    assert isinstance(complete_one(chain_for(), ClientConfig(), transport),
+                      ProtocolError)
 
 
 def test_missing_credential_env(monkeypatch):
     monkeypatch.delenv("DEMO_KEY_ENV", raising=False)
     cfg = ClientConfig(api_key_env="DEMO_KEY_ENV")
     with pytest.raises(InputError, match="DEMO_KEY_ENV"):
-        complete(chain_for(), cfg)
+        complete_one(chain_for(), cfg, HttpTransport())
 
 
 def test_http_transport_headers_and_key_never_logged(chat_server,
@@ -155,7 +181,7 @@ def test_http_transport_headers_and_key_never_logged(chat_server,
     cfg = ClientConfig(endpoint=chat_server.url, api_key_env="DEMO_KEY_ENV",
                        model="test-model")
     with caplog.at_level(logging.DEBUG):
-        result = complete(chain_for(), cfg)
+        result = complete_one(chain_for(), cfg, HttpTransport())
     assert result.text == "hi"
     [(path, headers, body)] = chat_server.received
     assert path == "/v1/chat/completions"
@@ -169,7 +195,7 @@ def test_api_key_header_style(chat_server, monkeypatch):
     monkeypatch.setenv("DEMO_KEY_ENV", "k123")
     cfg = ClientConfig(endpoint=chat_server.url, api_key_env="DEMO_KEY_ENV",
                        auth_header="api-key")
-    complete(chain_for(), cfg)
+    complete_one(chain_for(), cfg, HttpTransport())
     [(_, headers, _)] = chat_server.received
     assert headers["api-key"] == "k123"
     assert "Authorization" not in headers
@@ -183,8 +209,9 @@ def test_http_transport_wraps_connection_refused(no_proxy_env,
     monkeypatch.setenv("DEMO_KEY_ENV", "k")
     cfg = ClientConfig(endpoint=f"http://127.0.0.1:{port}/v1",
                        api_key_env="DEMO_KEY_ENV", max_retries=0)
-    with pytest.raises(TransportError, match="refused"):
-        complete(chain_for(), cfg)
+    error = complete_one(chain_for(), cfg, HttpTransport())
+    assert isinstance(error, TransportError)
+    assert "refused" in str(error)
 
 
 def test_http_transport_wraps_read_timeout(chat_server, monkeypatch):
@@ -193,8 +220,9 @@ def test_http_transport_wraps_read_timeout(chat_server, monkeypatch):
     cfg = ClientConfig(endpoint=chat_server.url, api_key_env="DEMO_KEY_ENV",
                        timeout=0.2, max_retries=0)
     start = time.perf_counter()
-    with pytest.raises(TransportError, match="timed out"):
-        complete(chain_for(), cfg)
+    error = complete_one(chain_for(), cfg, HttpTransport())
+    assert isinstance(error, TransportError)
+    assert "timed out" in str(error)
     assert time.perf_counter() - start < 5
     assert len(chat_server.received) == 1
 
@@ -207,10 +235,10 @@ def test_http_transport_does_not_follow_redirects(chat_server, monkeypatch,
     with running_chat_server() as elsewhere:
         chat_server.replies.append(
             (status, "moved", {"Location": elsewhere.url}))
-        with pytest.raises(RequestError) as info:
-            complete(chain_for(), cfg)
+        error = complete_one(chain_for(), cfg, HttpTransport())
         assert elsewhere.received == []
-    assert (info.value.status, info.value.body) == (status, "moved")
+    assert isinstance(error, RequestError)
+    assert (error.status, error.body) == (status, "moved")
     assert len(chat_server.received) == 1
 
 
@@ -250,7 +278,8 @@ def test_complete_batch_alignment_and_error_capture():
 
 def test_complete_batch_parallelism_validation():
     with pytest.raises(InputError):
-        complete_batch([], ClientConfig(), parallelism=0)
+        complete_batch([], ClientConfig(), parallelism=0,
+                       transport=FixedReplyTransport("x"))
     assert complete_batch([], ClientConfig(), parallelism=2,
                           transport=FixedReplyTransport("x")) == []
 
@@ -470,21 +499,22 @@ def test_no_rng_built_without_a_retry(monkeypatch):
     assert [r.attempts for r in results] == [1] * 6
 
 
-def test_retry_jitter_without_injected_rng():
+def test_retry_jitter_without_injected_rng(clock):
     transport = ScriptedTransport([
         TransportResponse(429, "slow down"),
         TransportError("connection reset"),
         TransportResponse(503, "unavailable"),
         TransportResponse(200, completion_body("ok")),
     ])
-    delays = []
-    result = complete(chain_for(), ClientConfig(max_retries=3),
-                      transport=transport, sleep=delays.append)
+    delays = clock.delays
+    result = complete_one(chain_for(), ClientConfig(max_retries=3),
+                          transport, sleep=clock.sleep)
     assert result.attempts == 4
     assert len(delays) == 3
     for attempt, delay in enumerate(delays):
         backoff = 2.0 ** attempt
         assert backoff <= delay <= 1.25 * backoff
+    assert result.latency == sum(delays)
 
 
 def test_importing_the_cli_leaves_requests_unloaded():
@@ -500,17 +530,17 @@ def test_importing_the_cli_leaves_requests_unloaded():
     assert out.stdout.strip() == "False False"
 
 
-def test_retry_after_sets_the_least_delay():
+def test_retry_after_sets_the_least_delay(clock):
     transport = ScriptedTransport([
         TransportResponse(429, "slow down", retry_after=3.0),
         TransportResponse(200, completion_body("ok")),
     ])
-    delays = []
-    result = complete(chain_for(), ClientConfig(max_retries=1),
-                      transport=transport, sleep=delays.append,
-                      rng=random.Random(0))
+    delays = clock.delays
+    result = complete_one(chain_for(), ClientConfig(max_retries=1),
+                          transport, sleep=clock.sleep)
     assert result.attempts == 2
     assert len(delays) == 1 and delays[0] >= 3.0
+    assert result.latency == delays[0]
 
 
 @pytest.mark.parametrize("header, expected", [
@@ -526,18 +556,17 @@ def test_http_transport_reads_numeric_retry_after(chat_server, header,
         429, "slow down", expected)
 
 
-def test_retry_after_is_bounded(caplog):
+def test_retry_after_is_bounded(caplog, clock):
     transport = ScriptedTransport([
         TransportResponse(429, "slow down", retry_after=86400.0),
         TransportResponse(200, completion_body("ok")),
     ])
-    delays = []
     with caplog.at_level(logging.WARNING):
-        result = complete(chain_for(), ClientConfig(max_retries=1),
-                          transport=transport, sleep=delays.append,
-                          rng=random.Random(0))
+        result = complete_one(chain_for(), ClientConfig(max_retries=1),
+                              transport, sleep=clock.sleep)
     assert result.attempts == 2
-    assert delays == [60.0]
+    assert clock.delays == [60.0]
+    assert result.latency == 60.0
     assert "86400 s" in caplog.text and "60 s" in caplog.text
 
 
@@ -593,7 +622,7 @@ class KeyedTransport:
 
 def outcome(result):
     if isinstance(result, Exception):
-        return type(result), getattr(result, "status", None)
+        return type(result).__name__, getattr(result, "status", None)
     return result.text, result.attempts
 
 
@@ -601,24 +630,20 @@ def outcome(result):
 @given(scripts=st.lists(st.lists(_ACTIONS, max_size=4), min_size=1,
                         max_size=8),
        parallelism=st.integers(1, 4), max_retries=st.integers(0, 3))
-def test_complete_batch_matches_sequential_complete(scripts, parallelism,
-                                                    max_retries):
+def test_complete_batch_matches_the_retry_model(scripts, parallelism,
+                                                max_retries):
     scripts = {f"s{i}": script for i, script in enumerate(scripts)}
     chains = [chain_for(key) for key in scripts]
     cfg = ClientConfig(max_retries=max_retries)
-    oracle = KeyedTransport(scripts)
-    expected = []
-    for chain in chains:
-        try:
-            expected.append(outcome(complete(chain, cfg, oracle,
-                                             sleep=lambda _: None)))
-        except ClientError as exc:
-            expected.append(outcome(exc))
+    expected = {key: retry_oracle(script, max_retries, f"r-{key}")
+                for key, script in scripts.items()}
     transport = KeyedTransport(scripts, hold=0.001)
     results = complete_batch(chains, cfg, parallelism=parallelism,
                              transport=transport, sleep=lambda _: None)
-    assert [outcome(r) for r in results] == expected
-    assert sorted(transport.sent) == sorted(oracle.sent)
+    assert [outcome(r) for r in results] == [
+        result for result, _ in expected.values()]
+    assert sorted(transport.sent) == sorted(
+        key for key, (_, sends) in expected.items() for _ in range(sends))
     assert transport.peak <= parallelism
 
 

@@ -879,6 +879,37 @@ def test_artifacts_do_not_depend_on_parallelism(larger_corpus, salt,
     assert any(item["scores"].get("radgraph_f1") == 1.0 for item in items)
 
 
+@settings(max_examples=6, deadline=None)
+@given(salt=st.integers(0, 2 ** 32 - 1))
+def test_end2end_items_equal_ser2rep_items_under_faults(larger_corpus, salt):
+    # The synthetic corpus stores serialize(graph) as each serialization,
+    # so both modes send the same bodies and get the same replies: every
+    # scores.jsonl item is the same but for its method and source.
+    out, cfg = larger_corpus
+    records = load_dataset(cfg.dataset)
+    mapping = {r.serialization: r.report for r in records}
+    items = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("RADSTYLE_TEST_KEY", "k")
+        mp.setattr(harness, "complete_batch", functools.partial(
+            client.complete_batch, sleep=lambda _: None))
+        mp.setattr(harness, "HttpTransport", hashed_fault_http(mapping, salt))
+        run_cfg = dataclasses.replace(
+            cfg, client=ClientConfig(mode="http", parallelism=2,
+                                     api_key_env="RADSTYLE_TEST_KEY"),
+            output=OutputConfig(directory=str(out / "modes")))
+        for mode in ("ser2rep", "end2end"):
+            paths = write_outputs(evaluate(run_cfg, mode), run_cfg)
+            items[mode] = [
+                {key: value for key, value in json.loads(line).items()
+                 if key not in ("method", "source")}
+                for line in paths["scores"].read_text("utf-8").splitlines()]
+    assert items["end2end"] == items["ser2rep"]
+    assert any(item["error"] for item in items["ser2rep"])
+    assert any(item["scores"].get("radgraph_f1") == 1.0
+               for item in items["ser2rep"])
+
+
 def test_score_fixed_outputs_missing_study():
     scorer = Scorer(MetricsConfig(names=("bleu2",)), Resources())
     records = [StudyRecord("a", "x y"), StudyRecord("b", "z")]

@@ -444,7 +444,8 @@ def test_load_embeddings(tmp_path):
 @pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], {"a": 1.0},
                                   [["1.5", "2"]], [[1.5, "2"]],
                                   [[None, 1.0]], [[{"a": 1.0}, 2.0]],
-                                  [[True, False]]])
+                                  [[True, False]], [[1.5, True]],
+                                  [[False, 2.0]]])
 def test_load_embeddings_rejects_rows_that_are_no_matrix(tmp_path, rows):
     path = tmp_path / "emb.json"
     path.write_text(json.dumps({"s1": [[1.0, 2.0]], "s2": rows}))
