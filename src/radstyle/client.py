@@ -78,6 +78,12 @@ class ClientConfig:
         if not _is_http_url(self.endpoint):
             raise ConfigError(f"client endpoint must be an http or https "
                               f"URL with a host, got {self.endpoint!r}")
+        if not math.isfinite(self.temperature):
+            raise ConfigError(f"client temperature must be a finite number, "
+                              f"got {self.temperature!r}")
+        if self.max_tokens < 1:
+            raise ConfigError(f"client max_tokens must be an integer >= 1, "
+                              f"got {self.max_tokens!r}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ConfigError(f"client timeout must be a finite number > 0, "
                               f"got {self.timeout!r}")

@@ -7,6 +7,7 @@ type hint, naming the key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -40,6 +41,20 @@ class MetricsConfig:
     radcliq_weights: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_RADCLIQ_WEIGHTS))
     radcliq_bias: float = DEFAULT_RADCLIQ_BIAS
+
+    def __post_init__(self) -> None:
+        if not self.names:
+            raise ConfigError("metrics names must name at least one metric")
+        repeated = sorted({n for n in self.names if self.names.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"metrics names must be distinct: {repeated}")
+        if not math.isfinite(self.radcliq_bias):
+            raise ConfigError(f"metrics radcliq_bias must be a finite "
+                              f"number, got {self.radcliq_bias!r}")
+        for name, weight in self.radcliq_weights.items():
+            if not math.isfinite(weight):
+                raise ConfigError(f"metrics radcliq_weights {name} must be "
+                                  f"a finite number, got {weight!r}")
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,12 @@ class Scorer:
     BLEU-2, equal text) gets the very same features; any other candidate
     is prepared afresh and never kept. A study id must name one record
     throughout, as ``load_dataset`` guarantees.
+
+    A generation that reproduces its study's reference text verbatim has
+    scores that depend on the study alone, and a K-shot table asks for
+    them once per row. So they are computed on the first such call, kept
+    by study id (at most one entry per study) and returned as a copy on
+    every later one; no other generation's scores are kept.
     """
 
     def __init__(self, cfg: MetricsConfig, resources: Resources) -> None:
@@ -182,6 +188,8 @@ class Scorer:
             needed.update(cfg.radcliq_weights)
         # metric name -> study id -> the reference's prepared features
         self._references: dict[str, dict] = {n: {} for n in _BASE_METRICS}
+        # study id -> the scores of its reference text as a generation
+        self._reproduced: dict[str, dict[str, float | None]] = {}
         res = resources
         # metric -> (reference of a record, candidate of a generated text,
         # whether a candidate is the reference's own, prepare, metric).
@@ -215,6 +223,9 @@ class Scorer:
     def score(self, generated: str,
               record: StudyRecord) -> dict[str, float | None]:
         sid = record.study_id
+        reproduced = generated == record.report
+        if reproduced and sid in self._reproduced:
+            return dict(self._reproduced[sid])
         base: dict[str, float | None] = {}
         for (name, memo, reference, candidate, same, prepare,
              metric) in self._steps:
@@ -239,6 +250,8 @@ class Scorer:
             else:   # radcliq reads only the weighted components of base
                 out[name] = radcliq(base, self.cfg.radcliq_weights,
                                     self.cfg.radcliq_bias)
+        if reproduced:
+            self._reproduced[sid] = dict(out)
         return out
 
 

@@ -357,7 +357,9 @@ def test_evaluate_credential_no_header_can_carry_exits_one(
     ("parallelism", 0), ("parallelism", "2"),
     ("endpoint", "file:///etc/hosts"), ("endpoint", "http:///v1"),
     ("endpoint", "http://127.0.0.1:port/v1"), ("timeout", -1),
-    ("timeout", 0), ("timeout", float("inf")), ("timeout", float("nan"))])
+    ("timeout", 0), ("timeout", float("inf")), ("timeout", float("nan")),
+    ("temperature", float("nan")), ("temperature", float("inf")),
+    ("temperature", float("-inf")), ("max_tokens", 0), ("max_tokens", -5)])
 def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
                                              key, value):
     config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
@@ -370,6 +372,54 @@ def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"client {key}" in err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("radcliq_bias", float("inf"),
+     "metrics radcliq_bias must be a finite number, got inf"),
+    ("radcliq_bias", float("nan"),
+     "metrics radcliq_bias must be a finite number, got nan"),
+    ("radcliq_weights", {"bleu2": -1.0, "chexbert": float("-inf")},
+     "metrics radcliq_weights chexbert must be a finite number, got -inf"),
+    ("names", ["bleu2", "chexbert", "bleu2"],
+     "metrics names must be distinct: ['bleu2']"),
+    ("names", [], "metrics names must name at least one metric")])
+def test_evaluate_bad_metrics_value_exits_one(corpus, tmp_path, capsys,
+                                              monkeypatch, key, value,
+                                              message):
+    sent = []
+    monkeypatch.setattr(EchoReportTransport, "post",
+                        lambda self, *args: sent.append(args))
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["output"]["directory"] = str(tmp_path / "results")
+    config["metrics"] = {key: value}
+    path = tmp_path / "bad_metrics.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert sent == []
+    assert not (tmp_path / "results").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("mode", ["ser2rep", "end2end"])
+def test_mock_run_scores_are_strict_json(corpus, tmp_path, mode):
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["output"]["directory"] = str(tmp_path / "results")
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", mode, "--config", str(path)]) == 0
+    lines = (tmp_path / "results" / "mock_scores.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    assert lines
+    for line in lines:
+        json.loads(line, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("mode, section, key, value, message", [

@@ -312,8 +312,8 @@ def chains_sharing_messages(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(chains=chains_sharing_messages(), model=_JSON_TEXT,
-       temperature=st.floats(allow_nan=False),
-       max_tokens=st.integers(-2**70, 2**70))
+       temperature=st.floats(allow_nan=False, allow_infinity=False),
+       max_tokens=st.integers(1, 2**70))
 def test_payload_encoder_matches_json_dumps(chains, model, temperature,
                                             max_tokens):
     cfg = ClientConfig(model=model, temperature=temperature,

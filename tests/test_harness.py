@@ -439,6 +439,87 @@ def test_scorer_keeps_no_features_of_unknown_generations():
         assert all(memo[sid] is kept[name][sid] for sid in memo)
 
 
+_METRIC_NAMES = ("tokenize", "bleu2", "bert_score", "chexbert_similarity",
+                 "radgraph_f1")
+
+
+def test_scorer_scores_a_reproduced_reference_once_per_study(corpus,
+                                                             monkeypatch):
+    # Four shot rows of an identity run: each generation is its study's
+    # reference, so each metric runs once per study, not once per row.
+    _, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    res = build_resources(records, cfg)
+    scorer = Scorer(cfg.metrics, res)
+    calls = {name: 0 for name in _METRIC_NAMES}
+    for name in _METRIC_NAMES:
+        def counted(*args, _name=name, _real=getattr(harness, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(harness, name, counted)
+    for _ in range(4):
+        for record in records:
+            assert scorer.score(record.report, record) == bare_scores(
+                cfg.metrics, res, record.report, record)
+    assert calls == {name: len(records) for name in _METRIC_NAMES}
+
+
+def test_scorer_keeps_reproduced_scores_by_study_not_by_text():
+    # Two studies with one report text and their own resources: the
+    # text lookups find study a's, so b's reproduction scores below a's.
+    lungs_only = {"text": REPORT, "1": entity_doc("1", "lungs", "ANAT-DP", 2)}
+    graphs = {"a": radgraph_from_document(GRAPH_DOC),
+              "b": radgraph_from_document(lungs_only)}
+    vectors = {"a": tuple([1] + [0] * 13), "b": tuple([0, 1] + [0] * 12)}
+    embeddings = {"a": np.array([[1.0, 0.0], [0.0, 1.0]]),
+                  "b": np.array([[0.6, 0.8]])}
+    res = Resources(graphs=graphs, vectors=vectors, embeddings=embeddings,
+                    graph_by_text={REPORT: graphs["a"]},
+                    vector_by_text={REPORT: vectors["a"]},
+                    embedding_by_text={REPORT: embeddings["a"]})
+    cfg = MetricsConfig()
+    scorer = Scorer(cfg, res)
+    records = [StudyRecord("a", REPORT), StudyRecord("b", REPORT)]
+    for _ in range(3):
+        for record in records:
+            assert scorer.score(REPORT, record) == bare_scores(
+                cfg, res, REPORT, record)
+    assert (bare_scores(cfg, res, REPORT, records[0])
+            != bare_scores(cfg, res, REPORT, records[1]))
+
+
+def test_scorer_keeps_only_reproductions_one_per_study():
+    records, res = random_resources(random.Random(7))
+    cfg = MetricsConfig()
+    scorer = Scorer(cfg, res)
+    others = ["unmatched generation", "No acute cardiopulmonary process ."]
+    for _ in range(3):
+        for record in records:
+            for text in others + [r.report for r in records]:
+                if text != record.report:
+                    assert scorer.score(text, record) == bare_scores(
+                        cfg, res, text, record)
+    assert scorer._reproduced == {}
+    for _ in range(3):
+        for record in records:
+            assert scorer.score(record.report, record) == bare_scores(
+                cfg, res, record.report, record)
+            assert scorer.score(others[0], record) == bare_scores(
+                cfg, res, others[0], record)
+    assert scorer._reproduced.keys() == {r.study_id for r in records}
+
+
+def test_scorer_result_can_be_changed_by_its_caller():
+    res = full_resources()
+    cfg = MetricsConfig()
+    record = StudyRecord("a", REPORT)
+    scorer = Scorer(cfg, res)
+    for _ in range(3):
+        scores = scorer.score(REPORT, record)
+        assert scores == bare_scores(cfg, res, REPORT, record)
+        scores.update(dict.fromkeys(scores, -1.0), extra=None)
+
+
 # ------------------------------------------------------------ aggregation
 
 

@@ -61,8 +61,11 @@ def test_traced_counts_follow_the_corpus(tmp_path, mode):
     assert metrics["metrics.tokenize_calls"] == eval_studies + len(baseline)
     assert metrics["serialize.serialize_calls"] == (
         eval_studies if mode == "end2end" else 0)
-    # BLEU-2 scores every item; the resource-backed metrics score only
-    # the generations, since no resource knows the baseline's text.
-    assert metrics["metrics.bleu2_calls"] == n_items
+    # Every generation reproduces its reference, and the ``Scorer``
+    # computes a reproduction's scores once per study, whatever the
+    # number of rows. So BLEU-2 runs once per eval study and once per
+    # baseline output, and the resource-backed metrics once per eval
+    # study only, since no resource knows the baseline's text.
+    assert metrics["metrics.bleu2_calls"] == eval_studies + len(baseline)
     for name in ("bert_score", "chexbert_similarity", "radgraph_f1"):
-        assert metrics[f"metrics.{name}_calls"] == requests
+        assert metrics[f"metrics.{name}_calls"] == eval_studies
