@@ -22,6 +22,8 @@ from .serialize import SerializerConfig
 
 # Table column order: composite first, then clinical, then text overlap.
 DEFAULT_METRICS = ("radcliq", "radgraph_f1", "chexbert", "bleu2", "bert_score")
+# The metrics a scorer computes itself; radcliq combines them.
+BASE_METRICS = ("bleu2", "bert_score", "chexbert", "radgraph_f1")
 
 # Placeholder composite: rewards every sub-metric equally and flips the
 # sign so that lower is better. Real deployments should fit these weights
@@ -48,6 +50,16 @@ class MetricsConfig:
         repeated = sorted({n for n in self.names if self.names.count(n) > 1})
         if repeated:
             raise ConfigError(f"metrics names must be distinct: {repeated}")
+        for name in self.names:
+            if name != "radcliq" and name not in BASE_METRICS:
+                raise ConfigError(f"metrics names: unknown metric {name!r}")
+        for name in self.radcliq_weights:
+            if name not in BASE_METRICS:
+                raise ConfigError(
+                    f"metrics radcliq_weights: unknown metric {name!r}")
+        if "radcliq" in self.names and not self.radcliq_weights:
+            raise ConfigError("metrics radcliq_weights must weight at least "
+                              "one metric when names holds radcliq")
         if not math.isfinite(self.radcliq_bias):
             raise ConfigError(f"metrics radcliq_bias must be a finite "
                               f"number, got {self.radcliq_bias!r}")

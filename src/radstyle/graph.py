@@ -28,25 +28,16 @@ class EntityLabel(Enum):
     OBS_DA = "OBS-DA"
     OBS_U = "OBS-U"
 
-    @classmethod
-    def from_string(cls, value: str) -> "EntityLabel":
-        try:
-            return cls(value)
-        except ValueError:
-            raise SchemaError(f"unknown entity label {value!r}") from None
-
 
 class RelationKind(Enum):
     MODIFY = "modify"
     LOCATED_AT = "located_at"
     SUGGESTIVE_OF = "suggestive_of"
 
-    @classmethod
-    def from_string(cls, value: str) -> "RelationKind":
-        try:
-            return cls(value)
-        except ValueError:
-            raise SchemaError(f"unknown relation kind {value!r}") from None
+
+# document string -> member; a dict lookup skips Enum.__call__
+_LABELS = {label.value: label for label in EntityLabel}
+_KINDS = {kind.value: kind for kind in RelationKind}
 
 
 @dataclass(frozen=True)
@@ -120,11 +111,6 @@ def _derive_sections(report_text: str | None) -> SectionMap:
     return SectionMap(impression_range=(i_ix, last))
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
-
-
 def radgraph_from_document(doc: dict) -> RadGraph:
     """Build a graph from an already-decoded ingestion document, checking
     every rule a graph must meet; nothing else in the package builds a
@@ -135,13 +121,16 @@ def radgraph_from_document(doc: dict) -> RadGraph:
     [kind, target_id] pairs). An optional sibling "text" field holds the
     source report. Other non-object top-level fields are ignored.
     """
+    # Every graph of a run passes through here, so each check is a plain
+    # test and its message is formatted only when the check fails.
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
 
     report_text = None
     if "text" in doc:
-        _require(isinstance(doc["text"], str), 'field "text" must be a string')
         report_text = doc["text"]
+        if not isinstance(report_text, str):
+            raise SchemaError('field "text" must be a string')
 
     entities: dict[str, Entity] = {}
     raw_relations: list[tuple[str, str, str]] = []
@@ -150,40 +139,51 @@ def radgraph_from_document(doc: dict) -> RadGraph:
             continue
         eid = str(key)
         tokens = value.get("tokens")
-        _require(isinstance(tokens, str) and tokens.strip() != "",
-                 f"entity {eid}: missing or empty tokens")
-        label_raw = value.get("label")
-        _require(isinstance(label_raw, str), f"entity {eid}: missing label")
-        label = EntityLabel.from_string(label_raw)
+        if not isinstance(tokens, str) or not tokens.strip():
+            raise SchemaError(f"entity {eid}: missing or empty tokens")
+        label = value.get("label")
+        if not isinstance(label, str):
+            raise SchemaError(f"entity {eid}: missing label")
+        if label not in _LABELS:
+            raise SchemaError(f"unknown entity label {label!r}")
         start_ix = value.get("start_ix")
         end_ix = value.get("end_ix")
-        _require(is_int(start_ix), f"entity {eid}: start_ix must be an integer")
-        _require(is_int(end_ix), f"entity {eid}: end_ix must be an integer")
-        _require(start_ix >= 0, f"entity {eid}: negative start_ix")
-        _require(start_ix <= end_ix,
-                 f"entity {eid}: start_ix {start_ix} > end_ix {end_ix}")
-        entities[eid] = Entity(eid, tokens.strip(), label, start_ix, end_ix)
+        if not is_int(start_ix):
+            raise SchemaError(f"entity {eid}: start_ix must be an integer")
+        if not is_int(end_ix):
+            raise SchemaError(f"entity {eid}: end_ix must be an integer")
+        if start_ix < 0:
+            raise SchemaError(f"entity {eid}: negative start_ix")
+        if start_ix > end_ix:
+            raise SchemaError(
+                f"entity {eid}: start_ix {start_ix} > end_ix {end_ix}")
+        entities[eid] = Entity(eid, tokens.strip(), _LABELS[label],
+                               start_ix, end_ix)
 
         rels = value.get("relations", [])
-        _require(isinstance(rels, list), f"entity {eid}: relations must be a list")
+        if not isinstance(rels, list):
+            raise SchemaError(f"entity {eid}: relations must be a list")
         for pair in rels:
-            _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
-                     f"entity {eid}: relation entries must be [kind, target] pairs")
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise SchemaError(f"entity {eid}: relation entries must be "
+                                  f"[kind, target] pairs")
             raw_relations.append((eid, str(pair[1]), str(pair[0])))
 
     relations: list[Relation] = []
-    seen: set[tuple[str, str, RelationKind]] = set()
-    for source, target, kind_raw in raw_relations:
-        kind = RelationKind.from_string(kind_raw)
+    seen: set[tuple[str, str, str]] = set()
+    for triple in raw_relations:
+        source, target, kind_raw = triple
+        kind = _KINDS.get(kind_raw)
+        if kind is None:
+            raise SchemaError(f"unknown relation kind {kind_raw!r}")
         if target not in entities:
             raise SchemaError(f"dangling relation target {target}")
         if source == target:
             raise SchemaError(f"self-relation on entity {source}")
-        triple = (source, target, kind)
         if triple in seen:
             # Noisy extraction output repeats edges; keep one copy.
             log.warning("duplicate relation (%s, %s, %s) collapsed",
-                        source, target, kind.value)
+                        source, target, kind_raw)
             continue
         seen.add(triple)
         relations.append(Relation(source, target, kind))

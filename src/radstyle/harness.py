@@ -11,6 +11,7 @@ simply drops out of the affected metrics.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import random
@@ -23,8 +24,8 @@ import numpy as np
 
 from .client import (ClientConfig, EchoReportTransport, FixedReplyTransport,
                      HttpTransport, Transport, complete_batch)
-from .config import HarnessConfig, MetricsConfig
-from .errors import ConfigError, InputError, IoError, SchemaError
+from .config import BASE_METRICS, HarnessConfig, MetricsConfig
+from .errors import InputError, IoError, SchemaError
 from .graph import RadGraph, radgraph_from_document
 from .jsonfiles import is_int, read_jsonl, read_study_map
 from .metrics import (MetricReport, PathologyVector, ZTestResult,
@@ -149,9 +150,6 @@ def build_resources(records: Sequence[StudyRecord],
     return res
 
 
-_BASE_METRICS = ("bleu2", "bert_score", "chexbert", "radgraph_f1")
-
-
 class Scorer:
     """Computes the configured metrics for one (generated, record) pair.
 
@@ -175,19 +173,12 @@ class Scorer:
     """
 
     def __init__(self, cfg: MetricsConfig, resources: Resources) -> None:
-        for name in cfg.names:
-            if name != "radcliq" and name not in _BASE_METRICS:
-                raise ConfigError(f"unknown metric {name!r}")
-        for name in cfg.radcliq_weights:
-            if name not in _BASE_METRICS:
-                raise ConfigError(
-                    f"composite weight references unknown metric {name!r}")
         self.cfg = cfg
         needed = {n for n in cfg.names if n != "radcliq"}
         if "radcliq" in cfg.names:
             needed.update(cfg.radcliq_weights)
         # metric name -> study id -> the reference's prepared features
-        self._references: dict[str, dict] = {n: {} for n in _BASE_METRICS}
+        self._references: dict[str, dict] = {n: {} for n in BASE_METRICS}
         # study id -> the scores of its reference text as a generation
         self._reproduced: dict[str, dict[str, float | None]] = {}
         res = resources
@@ -544,34 +535,56 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
 
     Every input, the baseline included, is read and checked before the
     first request is sent.
+
+    The cyclic garbage collector is paused while the inputs load (decoded
+    JSON holds no reference cycles, so a collection would only walk it
+    again), and the loaded inputs are then frozen out of its collections,
+    unless something was frozen before. The collector leaves as it came.
     """
     if mode not in _SOURCES:
         raise InputError(f"unknown evaluation mode {mode!r}")
-    records = load_dataset(cfg.dataset)
-    pool_records = split_records(records, cfg.experiment.pool_split)
-    eval_records = split_records(records, cfg.experiment.eval_split)
-    if not eval_records:
-        raise InputError(
-            f"no records in eval split {cfg.experiment.eval_split!r}")
-    most = max(cfg.experiment.shots, default=0)
-    if most > len(pool_records):
-        raise InputError(f"shots {most} exceeds the {len(pool_records)} "
-                         f"studies in pool split "
-                         f"{cfg.experiment.pool_split!r}")
-    resources = build_resources(records, cfg)
-    scorer = Scorer(cfg.metrics, resources)
-    transport = make_transport(cfg.client, records)
-    outputs = load_baseline(cfg.baseline) if cfg.baseline else None
-    outcome = run_generation(mode, eval_records, pool_records, cfg, scorer,
-                             transport, resources.graphs)
-    if outputs is not None:
-        row, baseline_items = score_fixed_outputs(
-            eval_records, outputs, scorer, cfg.metrics.names)
-        outcome = RunOutcome(
-            ResultTable(outcome.table.metric_names,
-                        outcome.table.rows + (row,)),
-            outcome.items + baseline_items, outcome.failed_shots)
-    return outcome
+    enabled = gc.isenabled()
+    freeze = gc.get_freeze_count() == 0
+    gc.disable()
+    try:
+        records = load_dataset(cfg.dataset)
+        pool_records = split_records(records, cfg.experiment.pool_split)
+        eval_records = split_records(records, cfg.experiment.eval_split)
+        if not eval_records:
+            raise InputError(
+                f"no records in eval split {cfg.experiment.eval_split!r}")
+        most = max(cfg.experiment.shots, default=0)
+        if most > len(pool_records):
+            raise InputError(f"shots {most} exceeds the {len(pool_records)} "
+                             f"studies in pool split "
+                             f"{cfg.experiment.pool_split!r}")
+        resources = build_resources(records, cfg)
+        scorer = Scorer(cfg.metrics, resources)
+        transport = make_transport(cfg.client, records)
+        outputs = load_baseline(cfg.baseline) if cfg.baseline else None
+        if outputs is not None and not any(r.study_id in outputs
+                                           for r in eval_records):
+            raise InputError(f"baseline {cfg.baseline} covers no study in "
+                             f"eval split {cfg.experiment.eval_split!r}")
+        if freeze:
+            gc.freeze()
+        if enabled:
+            gc.enable()
+        outcome = run_generation(mode, eval_records, pool_records, cfg,
+                                 scorer, transport, resources.graphs)
+        if outputs is not None:
+            row, baseline_items = score_fixed_outputs(
+                eval_records, outputs, scorer, cfg.metrics.names)
+            outcome = RunOutcome(
+                ResultTable(outcome.table.metric_names,
+                            outcome.table.rows + (row,)),
+                outcome.items + baseline_items, outcome.failed_shots)
+        return outcome
+    finally:
+        if freeze:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 def item_to_dict(item: RunItem) -> dict:

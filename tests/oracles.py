@@ -2,12 +2,23 @@
 
 These deliberately avoid the library's data structures and algorithmic
 choices: union-find instead of BFS, list removal instead of Counter
-intersection, explicit loops instead of vectorized counting.
+intersection, explicit loops instead of vectorized counting. The one
+exception is the graph ingestion reference, which must build the
+library's own ``RadGraph`` to be compared with it: it keeps the slower
+first form of the checks that the library has since made cheaper.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+
+from radstyle.errors import ParseError, SchemaError
+from radstyle.graph import (Entity, EntityLabel, RadGraph, Relation,
+                            RelationKind, _derive_sections)
+from radstyle.jsonfiles import is_int
+
+graph_log = logging.getLogger("oracles.graph")
 
 
 class UnionFind:
@@ -143,3 +154,83 @@ def retry_oracle(script, max_retries, reply):
                                                         or action >= 500)
         if not again or sends > max_retries:
             return failure, sends
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise SchemaError(message)
+
+
+def _label_oracle(value: str) -> EntityLabel:
+    try:
+        return EntityLabel(value)
+    except ValueError:
+        raise SchemaError(f"unknown entity label {value!r}") from None
+
+
+def _kind_oracle(value: str) -> RelationKind:
+    try:
+        return RelationKind(value)
+    except ValueError:
+        raise SchemaError(f"unknown relation kind {value!r}") from None
+
+
+def radgraph_from_document_oracle(doc: dict) -> RadGraph:
+    """The graph ingestion as first written: every check through
+    ``_require`` with its message formatted up front, and labels and
+    kinds looked up through the enums' constructors. Duplicate relations
+    are logged to ``graph_log``."""
+    if not isinstance(doc, dict):
+        raise ParseError("top-level JSON value must be an object")
+
+    report_text = None
+    if "text" in doc:
+        _require(isinstance(doc["text"], str), 'field "text" must be a string')
+        report_text = doc["text"]
+
+    entities: dict[str, Entity] = {}
+    raw_relations: list[tuple[str, str, str]] = []
+    for key, value in doc.items():
+        if key == "text" or not isinstance(value, dict):
+            continue
+        eid = str(key)
+        tokens = value.get("tokens")
+        _require(isinstance(tokens, str) and tokens.strip() != "",
+                 f"entity {eid}: missing or empty tokens")
+        label_raw = value.get("label")
+        _require(isinstance(label_raw, str), f"entity {eid}: missing label")
+        label = _label_oracle(label_raw)
+        start_ix = value.get("start_ix")
+        end_ix = value.get("end_ix")
+        _require(is_int(start_ix), f"entity {eid}: start_ix must be an integer")
+        _require(is_int(end_ix), f"entity {eid}: end_ix must be an integer")
+        _require(start_ix >= 0, f"entity {eid}: negative start_ix")
+        _require(start_ix <= end_ix,
+                 f"entity {eid}: start_ix {start_ix} > end_ix {end_ix}")
+        entities[eid] = Entity(eid, tokens.strip(), label, start_ix, end_ix)
+
+        rels = value.get("relations", [])
+        _require(isinstance(rels, list), f"entity {eid}: relations must be a list")
+        for pair in rels:
+            _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
+                     f"entity {eid}: relation entries must be [kind, target] pairs")
+            raw_relations.append((eid, str(pair[1]), str(pair[0])))
+
+    relations: list[Relation] = []
+    seen: set[tuple[str, str, RelationKind]] = set()
+    for source, target, kind_raw in raw_relations:
+        kind = _kind_oracle(kind_raw)
+        if target not in entities:
+            raise SchemaError(f"dangling relation target {target}")
+        if source == target:
+            raise SchemaError(f"self-relation on entity {source}")
+        triple = (source, target, kind)
+        if triple in seen:
+            graph_log.warning("duplicate relation (%s, %s, %s) collapsed",
+                              source, target, kind.value)
+            continue
+        seen.add(triple)
+        relations.append(Relation(source, target, kind))
+
+    return RadGraph(entities, tuple(relations), _derive_sections(report_text),
+                    report_text)

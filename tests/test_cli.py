@@ -383,7 +383,12 @@ def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
      "metrics radcliq_weights chexbert must be a finite number, got -inf"),
     ("names", ["bleu2", "chexbert", "bleu2"],
      "metrics names must be distinct: ['bleu2']"),
-    ("names", [], "metrics names must name at least one metric")])
+    ("names", [], "metrics names must name at least one metric"),
+    ("names", ["bleu2", "bleu3"], "metrics names: unknown metric 'bleu3'"),
+    ("radcliq_weights", {"bleu2": -1.0, "bleu3": 1.0},
+     "metrics radcliq_weights: unknown metric 'bleu3'"),
+    ("radcliq_weights", {}, "metrics radcliq_weights must weight at least "
+     "one metric when names holds radcliq")])
 def test_evaluate_bad_metrics_value_exits_one(corpus, tmp_path, capsys,
                                               monkeypatch, key, value,
                                               message):
@@ -479,6 +484,12 @@ def _break_evaluate_input(config, tmp_path, bad):
         path.write_text(json.dumps(baseline), encoding="utf-8")
         config["baseline"] = str(path)
         return f"{path}: study {study_id}: baseline output must be a string"
+    if bad == "baseline_covers_no_eval_study":
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"nope1": "x", "nope2": "y"}),
+                        encoding="utf-8")
+        config["baseline"] = str(path)
+        return f"baseline {path} covers no study in eval split 'test'"
     if bad == "shots_over_pool":
         config["experiment"]["shots"] = [0, 50]
         return "shots 50 exceeds the 10 studies in pool split 'train'"
@@ -552,7 +563,8 @@ def _break_evaluate_input(config, tmp_path, bad):
                                  "vectors_sidecar_true", "shots_over_pool",
                                  "repeated_shots", "blank_eval_serializations",
                                  "blank_pool_reports", "embedding_width",
-                                 "embedding_text", "embedding_true"])
+                                 "embedding_text", "embedding_true",
+                                 "baseline_covers_no_eval_study"])
 def test_evaluate_bad_input_exits_one_before_any_request(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []

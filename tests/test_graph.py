@@ -11,7 +11,7 @@ from radstyle.graph import (EntityLabel, RadGraph, Relation, RelationKind,
                             radgraph_from_document, weakly_connected_components)
 
 from graphgen import edges_of, random_document
-from oracles import wcc_oracle
+from oracles import graph_log, radgraph_from_document_oracle, wcc_oracle
 
 
 def entity_doc(eid, tokens, label, start, end=None, relations=()):
@@ -207,3 +207,87 @@ def test_entity_ids_are_opaque_strings():
     }
     comps = weakly_connected_components(radgraph_from_document(doc))
     assert comps == [{"10"}, {"9"}]
+
+
+# values of the wrong type for any field of a graph document
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                  st.floats(allow_nan=False), st.text(max_size=3),
+                  st.lists(st.integers(0, 2), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 2),
+                                  max_size=2))
+_MUTATIONS = ("wrong_type", "true_index", "bad_index", "unknown_label",
+              "unknown_kind", "dangling", "self_relation", "bad_pair",
+              "blank", "text")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid graph document, perhaps with a duplicate edge, with up to
+    three faults put into it."""
+    doc = random_document(random.Random(draw(st.integers(0, 2 ** 32 - 1))),
+                          max_entities=5, max_relations=6)
+    ids = [key for key in doc if key != "text"]
+    if len(ids) > 1 and draw(st.booleans()):   # a duplicate edge is no fault
+        source, target = draw(st.permutations(ids))[:2]
+        pair = [draw(st.sampled_from(("modify", "located_at"))), target]
+        doc[source]["relations"].extend([pair, list(pair)])
+    for _ in range(draw(st.integers(0, 3))):
+        mutation = draw(st.sampled_from(_MUTATIONS))
+        if mutation == "text":
+            doc["text"] = draw(_JUNK)
+            continue
+        if not ids:
+            continue
+        eid = draw(st.sampled_from(ids))
+        entry, rels = doc[eid], doc[eid]["relations"]
+        if mutation == "wrong_type":
+            entry[draw(st.sampled_from(("tokens", "label", "start_ix",
+                                        "end_ix", "relations")))] = draw(_JUNK)
+        elif mutation == "true_index":
+            entry[draw(st.sampled_from(("start_ix", "end_ix")))] = draw(
+                st.booleans())
+        elif mutation == "bad_index":
+            entry["start_ix"] = draw(st.integers(-2, 12))
+        elif mutation == "unknown_label":
+            entry["label"] = draw(st.sampled_from(("OBS-XX", "anat-dp", "")))
+        elif mutation == "blank":
+            entry["tokens"] = draw(st.sampled_from(("", "  ", "\t")))
+        elif not isinstance(rels, list):
+            continue
+        elif mutation == "unknown_kind":
+            rels.append([draw(st.sampled_from(("MODIFY", "near", 1))),
+                         draw(st.sampled_from(ids))])
+        elif mutation == "dangling":
+            rels.append(["modify", draw(st.sampled_from(("99", 7, None)))])
+        elif mutation == "self_relation":
+            rels.append(["located_at", eid])
+        elif mutation == "bad_pair":
+            rels.append(draw(st.sampled_from((["modify"], "modify", None,
+                                              ["modify", "1", "2"]))))
+    return doc
+
+
+def _ingest(convert, doc, logger):
+    """``convert(doc)``, or the type and message of what it raised, with
+    the messages it logged."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger.addHandler(handler)
+    try:
+        return convert(doc), messages
+    except Exception as exc:
+        return (type(exc), str(exc)), messages
+    finally:
+        logger.removeHandler(handler)
+
+
+@given(mutated_documents())
+@settings(max_examples=200, deadline=None)
+def test_ingestion_matches_the_reference_on_mutated_documents(doc):
+    """Each document gives an equal graph, or the same error type and
+    message, and logs the same duplicate relations as the reference."""
+    got = _ingest(radgraph_from_document, doc,
+                  logging.getLogger("radstyle.graph"))
+    want = _ingest(radgraph_from_document_oracle, doc, graph_log)
+    assert got == want

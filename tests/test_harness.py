@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from radstyle.client import (ClientConfig, EchoReportTransport, HttpTransport,
                              TransportResponse)
 from radstyle.config import (ExperimentConfig, HarnessConfig, MetricsConfig,
                              OutputConfig, load_config)
-from radstyle.errors import ConfigError, InputError, IoError, SchemaError
+from radstyle.errors import InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
 from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
                               Scorer, StudyRecord, StyleEvalSet,
@@ -275,17 +276,6 @@ def test_scorer_record_vector_preferred_over_sidecar(tmp_path):
     scorer = Scorer(MetricsConfig(names=("chexbert",)), res)
     assert scorer.score(REPORT, records[0])["chexbert"] == 1.0
     assert scorer.score(records[1].report, records[1])["chexbert"] == 1.0
-
-
-def test_scorer_rejects_unknown_metric():
-    with pytest.raises(ConfigError, match="nope"):
-        Scorer(MetricsConfig(names=("bleu2", "nope")), Resources())
-
-
-def test_scorer_rejects_unknown_composite_weight():
-    cfg = MetricsConfig(radcliq_weights={"bleu2": -1.0, "nope": 2.0})
-    with pytest.raises(ConfigError, match="nope"):
-        Scorer(cfg, Resources())
 
 
 def test_scorer_radcliq_uses_only_weighted_components():
@@ -711,6 +701,44 @@ def test_evaluate_requires_eval_records(tmp_path, corpus):
                            client=ClientConfig(mode="identity-mock"))
     with pytest.raises(InputError, match="eval split"):
         evaluate(broken, "ser2rep")
+
+
+@pytest.mark.parametrize("case", ["run", "bad_graph", "disabled"])
+def test_evaluate_leaves_the_collector_as_it_found_it(tmp_path, corpus,
+                                                       monkeypatch, case):
+    paths, cfg = corpus
+    if case == "bad_graph":
+        graphs = json.loads(paths["graphs"].read_text(encoding="utf-8"))
+        entity = next(v for v in graphs[sorted(graphs)[-1]].values()
+                      if isinstance(v, dict))
+        entity["label"] = "OBS-XX"
+        path = tmp_path / "graphs.json"
+        path.write_text(json.dumps(graphs), encoding="utf-8")
+        cfg = dataclasses.replace(cfg, graphs=str(path))
+    during = []
+    real_run = harness.run_generation
+
+    def run_generation(*args):
+        during.append((gc.isenabled(), gc.get_freeze_count() > 0))
+        return real_run(*args)
+    monkeypatch.setattr(harness, "run_generation", run_generation)
+    was_enabled = gc.isenabled()
+    try:
+        if case == "disabled":
+            gc.disable()
+        before = (gc.isenabled(), gc.get_freeze_count())
+        if case == "bad_graph":
+            with pytest.raises(SchemaError, match="OBS-XX"):
+                evaluate(cfg, "ser2rep")
+        else:
+            assert evaluate(cfg, "ser2rep").items
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        if was_enabled:
+            gc.enable()
+    # generation runs with the loaded inputs frozen and the collector as
+    # the caller had it
+    assert during == ([] if case == "bad_graph" else [(before[0], True)])
 
 
 def test_run_rejects_overlapping_splits(corpus):
