@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import (ClientError, ConfigError, InputError, IoError,
-                     ParseError, SchemaError)
+from .errors import (ClientError, InputError, IoError, RadstyleError,
+                     SchemaError)
 from .graph import radgraph_from_document
 from .harness import (StyleEvalSet, assemble_style_eval_sets,
                       check_disjoint, evaluate, example_pool, load_dataset,
@@ -26,9 +26,6 @@ from .metrics import z_test_proportion
 from .prompting import (build_prompt, derive_selection_seed,
                         select_examples, wire_messages)
 from .serialize import SerializerConfig, serialize
-
-_INPUT_ERRORS = (InputError, SchemaError, ParseError, ConfigError, IoError)
-
 
 def _cmd_serialize(args: argparse.Namespace) -> int:
     cfg = SerializerConfig(delimiter=args.delimiter,
@@ -212,12 +209,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ClientError as exc:
         print(f"client error: {exc}", file=sys.stderr)
         return 2
+    except RadstyleError as exc:   # any other fault is in the input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ variable before a batch sends its first request, and never logged.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import json
 import logging
@@ -321,20 +320,17 @@ def _backoff(exc: ClientError, attempts: int, rng: random.Random) -> float:
 
 def complete(chain: PromptChain, cfg: ClientConfig, transport: Transport,
              headers: dict[str, str],
-             encode: PayloadEncoder) -> CompletionResult:
-    """Send one chat completion request and parse its reply.
+             encode: PayloadEncoder) -> tuple[str, dict]:
+    """Send one chat completion request; return its reply's text, usage.
 
     A failed send, a status other than 200 or a reply that is no
     completion raises its ``ClientError``; whether to retry is
     ``complete_batch``'s decision.
     """
-    payload = encode(chain)
-    start = time.perf_counter()
-    resp = transport.post(cfg.endpoint, headers, payload, cfg.timeout)
+    resp = transport.post(cfg.endpoint, headers, encode(chain), cfg.timeout)
     if resp.status != 200:
         raise RequestError(resp.status, resp.body, resp.retry_after)
-    text, usage = _parse_completion(resp.body)
-    return CompletionResult(text, usage, time.perf_counter() - start, 1)
+    return _parse_completion(resp.body)
 
 
 def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
@@ -345,17 +341,16 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
     only retry loop.
 
     One worker, or one chain, runs on the caller's thread; more start
-    that many threads. ``evaluate`` asks for more than one only in mode
-    "http", so the mocks answer on the calling thread. Each worker sends
-    one request at a time through ``complete``, so at most
-    ``parallelism`` are in flight. A retryable failure does not hold its
-    worker: the item goes on a heap keyed by the time its backoff ends,
-    and the worker moves on. A worker sends a due retry first, then the
-    next fresh chain; once no fresh chain is left, it takes the earliest
-    retry and calls ``sleep`` only for what is left of its backoff. A
-    retried item's latency runs from its first send. The credential is
-    checked once, before any request is sent, and one ``PayloadEncoder``
-    serves the batch.
+    that many threads. Each worker sends one request at a time through
+    ``complete``, so at most ``parallelism`` are in flight. A retryable
+    failure does not hold its worker: the item goes on a heap keyed by
+    the time its backoff ends, and the worker moves on. A worker sends a
+    due retry first, then the next fresh chain; once no fresh chain is
+    left, it takes the earliest retry and calls ``sleep`` only for what
+    is left of its backoff. An item's result is built once, when it is
+    final, with its latency measured from its first send. The credential
+    is checked once, before any request is sent, and one
+    ``PayloadEncoder`` serves the batch.
 
     Results align with the input order; an item that fails with a
     ``ClientError`` yields that exception instead of aborting the batch.
@@ -397,7 +392,7 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
             if failures:
                 return
         try:
-            result = complete(chains[i], cfg, transport, headers, encode)
+            text, usage = complete(chains[i], cfg, transport, headers, encode)
         except ClientError as exc:
             attempts += 1
             if attempts > cfg.max_retries or not _retryable(exc):
@@ -410,11 +405,8 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
                 due = time.perf_counter() + _backoff(exc, attempts, rng)
                 heapq.heappush(retries, (due, i, attempts, first))
             return
-        if attempts:
-            result = dataclasses.replace(
-                result, latency=time.perf_counter() - first,
-                attempts=attempts + 1)
-        results[i] = result
+        latency = time.perf_counter() - first
+        results[i] = CompletionResult(text, usage, latency, attempts + 1)
 
     def work() -> None:
         try:

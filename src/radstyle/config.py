@@ -8,6 +8,7 @@ type hint, naming the key.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -16,8 +17,8 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .client import ClientConfig
-from .errors import ConfigError, IoError
-from .jsonfiles import is_int
+from .errors import ConfigError
+from .jsonfiles import is_int, read_text
 from .serialize import SerializerConfig
 
 # Table column order: composite first, then clinical, then text overlap.
@@ -35,6 +36,9 @@ DEFAULT_RADCLIQ_WEIGHTS = {
     "bert_score": -1.0,
 }
 DEFAULT_RADCLIQ_BIAS = 4.0
+# The largest |bias| + sum of |weights|: no metric exceeds 2 ** 54 in size
+# (BERTScore F1 as P + R nears 0), so mean_ci's squares stay finite.
+RADCLIQ_SCALE_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,12 @@ class MetricsConfig:
             if not math.isfinite(weight):
                 raise ConfigError(f"metrics radcliq_weights {name} must be "
                                   f"a finite number, got {weight!r}")
+        scale = abs(self.radcliq_bias) + sum(
+            map(abs, self.radcliq_weights.values()))
+        if scale > RADCLIQ_SCALE_MAX:
+            raise ConfigError(f"metrics radcliq_bias and radcliq_weights: "
+                              f"|bias| + the sum of |weights| must be at "
+                              f"most {RADCLIQ_SCALE_MAX:g}, got {scale:g}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +96,19 @@ class ExperimentConfig:
             raise ConfigError("pool and eval splits must differ")
 
 
+# blank, . or .., or holding a path separator, NUL or lone surrogate
+_NOT_A_FILE_NAME = re.compile(r"\A(\s*|\.\.?)\Z|[/\\\x00\ud800-\udfff]")
+
+
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "results"
-    prefix: str = "run"
+    prefix: str = "run"   # names files in ``directory``, never a subdirectory
+
+    def __post_init__(self) -> None:
+        if _NOT_A_FILE_NAME.search(self.prefix):
+            raise ConfigError(f"output prefix must be a plain file name, "
+                              f"got {self.prefix!r}")
 
 
 @dataclass(frozen=True)
@@ -157,11 +176,7 @@ def _build(cls, doc, path, prefix: str):
 def load_config(path: str | Path) -> HarnessConfig:
     """Read a harness configuration from a YAML (or JSON) file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = yaml.safe_load(text)
+        doc = yaml.safe_load(read_text(path))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
     if doc is None:

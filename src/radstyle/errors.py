@@ -5,12 +5,8 @@ class RadstyleError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(RadstyleError):
-    """Input document is not syntactically valid (e.g. malformed JSON)."""
-
-
 class SchemaError(RadstyleError):
-    """Input document is well-formed but violates the expected schema."""
+    """Input document is malformed or violates the expected schema."""
 
 
 class InputError(RadstyleError):

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ParseError, SchemaError
+from .errors import SchemaError
 from .jsonfiles import is_int
 
 log = logging.getLogger(__name__)
@@ -44,7 +44,6 @@ _KINDS = {kind.value: kind for kind in RelationKind}
 class Entity:
     """A labelled text span; start_ix/end_ix are token indices in the report."""
 
-    id: str
     tokens: str
     label: EntityLabel
     start_ix: int
@@ -75,27 +74,23 @@ class SectionMap:
 
 @dataclass(frozen=True)
 class RadGraph:
-    """Immutable report graph. Entity ids are opaque strings."""
+    """Immutable report graph; ``entities`` is keyed by opaque entity id."""
 
     entities: dict[str, Entity] = field(default_factory=dict)
     relations: tuple[Relation, ...] = ()
     sections: SectionMap = field(default_factory=SectionMap)
-    report_text: str | None = None
 
 
-_SECTION_HEADERS = {"findings": "findings", "impression": "impression"}
-
-
-def _derive_sections(report_text: str | None) -> SectionMap:
+def _derive_sections(text: str | None) -> SectionMap:
     """Locate FINDINGS/IMPRESSION header tokens (case-insensitive) and turn
     them into token ranges. Missing headers leave the range unset."""
-    if not report_text:
+    if not text:
         return SectionMap()
-    tokens = report_text.split()
+    tokens = text.split()
     positions: dict[str, int] = {}
     for ix, token in enumerate(tokens):
-        name = _SECTION_HEADERS.get(token.rstrip(":").casefold())
-        if name is not None and name not in positions:
+        name = token.rstrip(":").casefold()
+        if name in ("findings", "impression") and name not in positions:
             positions[name] = ix
     if not positions:
         return SectionMap()
@@ -124,13 +119,11 @@ def radgraph_from_document(doc: dict) -> RadGraph:
     # Every graph of a run passes through here, so each check is a plain
     # test and its message is formatted only when the check fails.
     if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
+        raise SchemaError("top-level JSON value must be an object")
 
-    report_text = None
-    if "text" in doc:
-        report_text = doc["text"]
-        if not isinstance(report_text, str):
-            raise SchemaError('field "text" must be a string')
+    text = doc.get("text")
+    if "text" in doc and not isinstance(text, str):
+        raise SchemaError('field "text" must be a string')
 
     entities: dict[str, Entity] = {}
     raw_relations: list[tuple[str, str, str]] = []
@@ -157,8 +150,7 @@ def radgraph_from_document(doc: dict) -> RadGraph:
         if start_ix > end_ix:
             raise SchemaError(
                 f"entity {eid}: start_ix {start_ix} > end_ix {end_ix}")
-        entities[eid] = Entity(eid, tokens.strip(), _LABELS[label],
-                               start_ix, end_ix)
+        entities[eid] = Entity(tokens.strip(), _LABELS[label], start_ix, end_ix)
 
         rels = value.get("relations", [])
         if not isinstance(rels, list):
@@ -188,8 +180,7 @@ def radgraph_from_document(doc: dict) -> RadGraph:
         seen.add(triple)
         relations.append(Relation(source, target, kind))
 
-    return RadGraph(entities, tuple(relations), _derive_sections(report_text),
-                    report_text)
+    return RadGraph(entities, tuple(relations), _derive_sections(text))
 
 
 def weakly_connected_components(g: RadGraph) -> list[set[str]]:

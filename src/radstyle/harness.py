@@ -661,8 +661,13 @@ class StyleEvalSet:
             raise SchemaError("generated_index must be an int in [0, 3]")
         if not is_int(doc.get("order_seed")):
             raise SchemaError("order_seed must be an int")
-        return StyleEvalSet(str(doc.get("radiologist_id", "")),
-                            tuple(reports), idx, doc["order_seed"])
+        rid = doc.get("radiologist_id")
+        if not isinstance(rid, str):
+            raise SchemaError(f"radiologist_id must be a string, got {rid!r}")
+        if len(set(reports)) != 4:
+            raise SchemaError(
+                f"radiologist {rid}: duplicate report text in one set")
+        return StyleEvalSet(rid, tuple(reports), idx, doc["order_seed"])
 
 
 def assemble_style_eval_sets(human: Mapping[str, Sequence[str]],

@@ -1,9 +1,9 @@
-"""Reading JSON and JSONL input files.
+"""Reading input files.
 
-Every JSON and JSONL input is read here: a file that cannot be read or
-decoded raises ``IoError``, and text that is not JSON raises
-``SchemaError``. A sidecar, a JSON object keyed by study id, is checked
-entry by entry in ``study_map``.
+Every input file is read here, the YAML run config too: a file that
+cannot be read or decoded raises ``IoError``, and text that is not JSON
+raises ``SchemaError``. A sidecar, a JSON object keyed by study id, is
+checked entry by entry in ``study_map``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -29,9 +30,8 @@ def _read_text(path) -> str:
 
 def read_json(path) -> Any:
     """The JSON document in ``path``."""
-    text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
 
@@ -65,7 +65,7 @@ def read_jsonl(path) -> Iterator[tuple[int, Any]]:
 
     The whole file is read before the first document is yielded.
     """
-    lines = _read_text(path).splitlines()
+    lines = read_text(path).splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 
-from radstyle.errors import ParseError, SchemaError
+from radstyle.errors import SchemaError
 from radstyle.graph import (Entity, EntityLabel, RadGraph, Relation,
                             RelationKind, _derive_sections)
 from radstyle.jsonfiles import is_int
@@ -181,7 +181,7 @@ def radgraph_from_document_oracle(doc: dict) -> RadGraph:
     kinds looked up through the enums' constructors. Duplicate relations
     are logged to ``graph_log``."""
     if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
+        raise SchemaError("top-level JSON value must be an object")
 
     report_text = None
     if "text" in doc:
@@ -207,7 +207,7 @@ def radgraph_from_document_oracle(doc: dict) -> RadGraph:
         _require(start_ix >= 0, f"entity {eid}: negative start_ix")
         _require(start_ix <= end_ix,
                  f"entity {eid}: start_ix {start_ix} > end_ix {end_ix}")
-        entities[eid] = Entity(eid, tokens.strip(), label, start_ix, end_ix)
+        entities[eid] = Entity(tokens.strip(), label, start_ix, end_ix)
 
         rels = value.get("relations", [])
         _require(isinstance(rels, list), f"entity {eid}: relations must be a list")
@@ -232,5 +232,4 @@ def radgraph_from_document_oracle(doc: dict) -> RadGraph:
         seen.add(triple)
         relations.append(Relation(source, target, kind))
 
-    return RadGraph(entities, tuple(relations), _derive_sections(report_text),
-                    report_text)
+    return RadGraph(entities, tuple(relations), _derive_sections(report_text))

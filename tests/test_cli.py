@@ -1,12 +1,17 @@
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radstyle.cli as cli
+import radstyle.harness as harness
 from radstyle.client import EchoReportTransport
-from radstyle.config import load_config
+from radstyle.config import BASE_METRICS, load_config
 from radstyle.errors import RequestError
 from radstyle.harness import load_dataset, parse_table_csv
 from radstyle.prompting import INSTRUCTION, SYSTEM_PROMPT
@@ -145,6 +150,44 @@ def test_prompt_is_deterministic(corpus, capsys):
     first = capsys.readouterr().out
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_prompt_prints_the_messages_evaluate_sends(tmp_path, capsys,
+                                                   monkeypatch):
+    """``radstyle prompt`` and ``evaluate`` build their chains apart; for
+    every eval study and shot count they must agree on the messages."""
+    paths = make_synthetic_corpus(tmp_path, n_records=50, n_train=20, seed=0)
+    config = yaml.safe_load(paths["config"].read_text(encoding="utf-8"))
+    config["experiment"]["seed"] = 7
+    config["output"]["directory"] = str(tmp_path / "results")
+    path = tmp_path / "seeded.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    sent = []   # request bodies in the order evaluate sends them
+
+    class Recording(EchoReportTransport):
+        def post(self, url, headers, payload, timeout):
+            sent.append(json.loads(payload))
+            return super().post(url, headers, payload, timeout)
+
+    make_transport = harness.make_transport
+    monkeypatch.setattr(harness, "make_transport", lambda cfg, records: (
+        Recording(make_transport(cfg, records).mapping)))
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 0
+    capsys.readouterr()
+    eval_ids = [r.study_id for r in load_dataset(paths["dataset"])
+                if r.split == "test"]
+    shots = config["experiment"]["shots"]
+    assert len(sent) == len(shots) * len(eval_ids)
+    bodies = iter(sent)
+    for k in shots:   # one batch per shot row, eval studies in order
+        for study_id in eval_ids:
+            assert cli.main(["prompt", "--eval-study", study_id,
+                             "--shots", str(k), "--seed", "7",
+                             "--dataset", str(paths["dataset"])]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed["messages"] == next(bodies)["messages"], (
+                study_id, k)
 
 
 def test_prompt_for_raw_serialization(corpus, capsys):
@@ -388,7 +431,17 @@ def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
     ("radcliq_weights", {"bleu2": -1.0, "bleu3": 1.0},
      "metrics radcliq_weights: unknown metric 'bleu3'"),
     ("radcliq_weights", {}, "metrics radcliq_weights must weight at least "
-     "one metric when names holds radcliq")])
+     "one metric when names holds radcliq"),
+    # finite, but too large for mean_ci to summarize the composite
+    ("radcliq_weights", {"bleu2": 1e200},
+     "metrics radcliq_bias and radcliq_weights: |bias| + the sum of "
+     "|weights| must be at most 1e+100, got 1e+200"),
+    ("radcliq_weights", {"bleu2": 1e308, "chexbert": 1e308},
+     "metrics radcliq_bias and radcliq_weights: |bias| + the sum of "
+     "|weights| must be at most 1e+100, got inf"),
+    ("radcliq_bias", -2e100,
+     "metrics radcliq_bias and radcliq_weights: |bias| + the sum of "
+     "|weights| must be at most 1e+100, got 2e+100")])
 def test_evaluate_bad_metrics_value_exits_one(corpus, tmp_path, capsys,
                                               monkeypatch, key, value,
                                               message):
@@ -409,6 +462,27 @@ def test_evaluate_bad_metrics_value_exits_one(corpus, tmp_path, capsys,
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("prefix", ["sub/x", "", " ", ".", "..", "/x",
+                                    "a\0b", "\ud800"])
+def test_evaluate_bad_output_prefix_exits_one(corpus, tmp_path, capsys,
+                                              monkeypatch, prefix):
+    sent = []
+    monkeypatch.setattr(EchoReportTransport, "post",
+                        lambda self, *args: sent.append(args))
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["output"] = {"directory": str(tmp_path / "results"),
+                        "prefix": prefix}
+    path = tmp_path / "bad_prefix.json"   # JSON carries any prefix
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: output prefix must be a plain file "
+                            f"name, got {prefix!r}\n")
+    assert sent == []
+    assert not (tmp_path / "results").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -425,6 +499,40 @@ def test_mock_run_scores_are_strict_json(corpus, tmp_path, mode):
     assert lines
     for line in lines:
         json.loads(line, parse_constant=_reject_constant)
+
+
+# finite values, the extremes that summing or squaring can overflow too
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -1.0, 4.0, 1e100, -1e100, 1e154, 1e200,
+                     -sys.float_info.max, sys.float_info.max]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights=st.dictionaries(st.sampled_from(BASE_METRICS), _FINITE,
+                               max_size=len(BASE_METRICS)),
+       bias=_FINITE,
+       prefix=st.one_of(st.just("mock"), st.text(max_size=6),
+                        st.sampled_from(["", " ", ".", "..", "sub/x",
+                                         "a\0b"])))
+def test_evaluate_exits_cleanly_on_any_metrics_and_prefix(corpus, weights,
+                                                          bias, prefix):
+    """Whatever radcliq weights, bias and output prefix a config holds,
+    ``evaluate`` exits 0, 1 or 2, and writes only strict JSON scores."""
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["metrics"] = {"radcliq_weights": weights, "radcliq_bias": bias}
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp) / "results"
+        config["output"] = {"directory": str(outdir), "prefix": prefix}
+        path = Path(tmp) / "config.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        code = cli.main(["evaluate", "--mode", "ser2rep",
+                         "--config", str(path)])
+        assert code in (0, 1, 2)
+        if code != 1:
+            [scores] = outdir.glob("*_scores.jsonl")
+            for line in scores.read_text(encoding="utf-8").splitlines():
+                json.loads(line, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("mode, section, key, value, message", [
@@ -700,6 +808,10 @@ def _bad_style_eval_argv(tmp_path, bad):
         sets["sets"][1]["order_seed"] = "x"
     elif bad == "generated_index_bool":
         sets["sets"][0]["generated_index"] = True
+    elif bad == "reports_repeated":
+        sets["sets"][0]["reports"] = ["a", "a", "a", "a"]
+    elif bad == "radiologist_id_null":
+        sets["sets"][0]["radiologist_id"] = None
     elif bad == "answers_not_array":
         answers["e1"] = 5
     else:   # answer_bool
@@ -714,6 +826,8 @@ def _bad_style_eval_argv(tmp_path, bad):
 STYLE_EVAL_ERRORS = {
     "order_seed_string": "order_seed must be an int",
     "generated_index_bool": "generated_index must be an int",
+    "reports_repeated": "radiologist r0: duplicate report text in one set",
+    "radiologist_id_null": "radiologist_id must be a string, got None",
     "answers_not_array": "evaluator e1: answers must be an array",
     "answer_bool": "evaluator e1, set 0: answer must be an index",
     "human_string": "human file: radiologist r0: expected an array",

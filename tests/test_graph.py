@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radstyle.errors import ParseError, SchemaError
+from radstyle.errors import SchemaError
 from radstyle.graph import (EntityLabel, RadGraph, Relation, RelationKind,
                             radgraph_from_document, weakly_connected_components)
 
@@ -45,7 +45,7 @@ def test_parse_empty_entity_map():
 
 
 def test_malformed_json_is_parse_error():
-    with pytest.raises(ParseError):
+    with pytest.raises(SchemaError):
         radgraph_from_document(json.loads("[1, 2]"))
 
 
@@ -171,7 +171,7 @@ def test_wcc_direction_and_kind_invariance():
             relations=tuple(Relation(r.target, r.source,
                                      RelationKind.MODIFY)
                             for r in g.relations),
-            sections=g.sections, report_text=g.report_text)
+            sections=g.sections)
         assert (weakly_connected_components(g)
                 == weakly_connected_components(flipped))
 

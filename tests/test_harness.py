@@ -1163,6 +1163,17 @@ def test_style_set_dict_round_trip():
     {"reports": ["a", "b", "c", "d"], "generated_index": 0,
      "order_seed": "x"},
     {"reports": ["a", "b", "c", "d"], "generated_index": 0},
+    # assemble writes four distinct reports and a string radiologist id
+    {"radiologist_id": "r0", "reports": ["a", "a", "a", "a"],
+     "generated_index": 0, "order_seed": 0},
+    {"radiologist_id": "r0", "reports": ["a", "b", "c", "a"],
+     "generated_index": 0, "order_seed": 0},
+    {"radiologist_id": None, "reports": ["a", "b", "c", "d"],
+     "generated_index": 0, "order_seed": 0},
+    {"radiologist_id": 5, "reports": ["a", "b", "c", "d"],
+     "generated_index": 0, "order_seed": 0},
+    {"reports": ["a", "b", "c", "d"], "generated_index": 0,
+     "order_seed": 0},
 ])
 def test_style_set_from_dict_rejects(doc):
     with pytest.raises(SchemaError):
