@@ -110,7 +110,7 @@ def _cmd_style_assemble(args: argparse.Namespace) -> int:
     try:
         Path(args.out).write_text(json.dumps(out, indent=2),
                                   encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
         raise IoError(f"cannot write {args.out}: {exc}") from exc
     if args.render:
         for i, s in enumerate(sets):

@@ -8,6 +8,7 @@ type hint, naming the key.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
@@ -106,9 +107,36 @@ class OutputConfig:
     prefix: str = "run"   # names files in ``directory``, never a subdirectory
 
     def __post_init__(self) -> None:
+        try:
+            nameable = b"\0" not in os.fsencode(self.directory)
+        except UnicodeEncodeError:   # a lone surrogate
+            nameable = False
+        if not nameable:
+            raise ConfigError(f"output directory must be a path the file "
+                              f"system can name, got {self.directory!r}")
         if _NOT_A_FILE_NAME.search(self.prefix):
             raise ConfigError(f"output prefix must be a plain file name, "
                               f"got {self.prefix!r}")
+        name = f"{self.prefix}_scores.jsonl"   # the longest name written
+        size = len(os.fsencode(name))
+        where, name_max = _name_max(self.directory)
+        if name_max is not None and size > name_max:
+            raise ConfigError(
+                f"output prefix too long: {name!r} has {size} bytes, over "
+                f"the {name_max} that file names in {where} may have")
+
+
+def _name_max(directory) -> tuple[str, int | None]:
+    """The nearest existing ancestor of ``directory``, itself included,
+    and the most bytes a file name there may have (None if unknown)."""
+    path = Path(directory).absolute()
+    where = str(next((p for p in (path, *path.parents)
+                      if os.path.exists(p)), path))
+    try:
+        name_max = os.pathconf(where, "PC_NAME_MAX")
+    except (AttributeError, OSError):   # no pathconf here, or no answer
+        return where, None
+    return where, name_max if name_max > 0 else None   # -1: no limit
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ def read_text(path) -> str:
     """The UTF-8 text of ``path``."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    # a ValueError: undecodable bytes, or a path holding a NUL or a
+    # character the file system cannot encode
+    except (OSError, ValueError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 

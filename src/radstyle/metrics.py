@@ -10,6 +10,7 @@ files so every number is reproducible offline.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -29,32 +30,23 @@ PathologyVector = tuple[int, ...]
 
 PATHOLOGY_DIM = 14
 
-_PUNCT = set(".,:;()/")
+# One token: a punctuation mark (.,:;()/), or the run of a whitespace-free
+# word from its first to its last character that is not one.
+_TOKEN = re.compile(r"[.,:;()/]|[^\s.,:;()/](?:\S*[^\s.,:;()/])?")
 
 
 def tokenize(text: str) -> TokenSequence:
     """Lower-case, split on whitespace, and peel leading/trailing
     punctuation marks (.,:;()/ ) off into their own tokens."""
-    out: list[str] = []
-    for word in text.lower().split():
-        leading: list[str] = []
-        while word and word[0] in _PUNCT:
-            leading.append(word[0])
-            word = word[1:]
-        trailing: list[str] = []
-        while word and word[-1] in _PUNCT:
-            trailing.append(word[-1])
-            word = word[:-1]
-        out.extend(leading)
-        if word:
-            out.append(word)
-        out.extend(reversed(trailing))
-    return out
+    return _TOKEN.findall(text.lower())
 
 
 def _clipped_matches(cand: Counter, ref: Counter) -> int:
     """Sum over the candidate's keys of min(candidate count, reference
-    count): the size of the multiset intersection."""
+    count): the size of the multiset intersection. A multiset meets
+    itself in its own size."""
+    if cand is ref:
+        return sum(cand.values())
     return sum(map(min, cand.values(), map(ref.get, cand, repeat(0))))
 
 
@@ -144,12 +136,13 @@ def graph_keys(graph: RadGraph | GraphKeys) -> GraphKeys:
     if isinstance(graph, GraphKeys):
         return graph
     # Keys hold the enums' string values: Python caches a string's hash,
-    # while hashing an enum member runs Python code on every lookup.
-    keys = {eid: (entity.tokens.casefold(), entity.label.value)
+    # while hashing an enum member runs Python code on every lookup. The
+    # values are read from ``_value_``, which ``value`` wraps in a property.
+    keys = {eid: (entity.tokens.casefold(), entity.label._value_)
             for eid, entity in graph.entities.items()}
     return GraphKeys(
         Counter(keys.values()), len(keys),
-        Counter((keys[r.source], keys[r.target], r.kind.value)
+        Counter((keys[r.source], keys[r.target], r.kind._value_)
                 for r in graph.relations), len(graph.relations))
 
 
@@ -257,7 +250,9 @@ def unit_rows(emb, name: str = "candidate") -> UnitRows:
     if isinstance(emb, UnitRows):
         return emb
     arr = _as_embedding(f"{name} embedding", emb)
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    # the reduction ``np.linalg.norm(arr, axis=1, keepdims=True)`` runs on
+    # real input, without its Python wrapper: the bits are the same
+    norms = np.sqrt(np.add.reduce(arr * arr, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     return UnitRows(arr / norms)
 
@@ -280,9 +275,12 @@ def bert_score(cand_emb, ref_emb) -> float:
         # differs from the general product's; keep one arithmetic path.
         ref = ref.copy()
     sim = cand @ ref.T
-    # sum / n is the float64 ``mean()`` without its Python wrapper
-    precision = float(sim.max(axis=1).sum()) / sim.shape[0]
-    recall = float(sim.max(axis=0).sum()) / sim.shape[1]
+    # The ufunc reductions that ``max(axis)`` and ``sum()`` run, without
+    # their Python wrappers; sum / n is the float64 ``mean()``.
+    best_ref = np.maximum.reduce(sim, axis=1)   # per candidate row
+    best_cand = np.maximum.reduce(sim, axis=0)   # per reference row
+    precision = float(np.add.reduce(best_ref)) / sim.shape[0]
+    recall = float(np.add.reduce(best_cand)) / sim.shape[1]
     if precision + recall == 0.0:
         return 0.0
     return 2 * precision * recall / (precision + recall)

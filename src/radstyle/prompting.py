@@ -13,7 +13,8 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import InputError
@@ -43,6 +44,14 @@ class PromptMessage:
 
 
 SYSTEM_MESSAGE = PromptMessage(Role.SYSTEM, SYSTEM_PROMPT)
+_ROLE = attrgetter("role")
+
+
+@cache
+def _chain_roles(n: int) -> tuple[Role, ...]:
+    """The roles of a valid chain of ``n`` = 2 + 2k messages, in order."""
+    return (Role.SYSTEM, *(Role.USER, Role.ASSISTANT) * (n // 2 - 1),
+            Role.USER)
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,10 @@ class PromptChain:
             raise InputError(
                 f"chain with k={self.k} needs {expected} messages, "
                 f"got {len(self.messages)}")
+        if (tuple(map(_ROLE, self.messages))
+                == _chain_roles(len(self.messages))):
+            return
+        # the roles are wrong somewhere: find the first and name it
         if self.messages[0].role is not Role.SYSTEM:
             raise InputError("first message must be the system message")
         for i, msg in enumerate(self.messages[1:], start=1):
@@ -111,6 +124,8 @@ def select_examples(pool: Sequence[StylePair], k: int,
         raise InputError(f"k must be non-negative, got {k}")
     if k > len(pool):
         raise InputError(f"k={k} exceeds pool size {len(pool)}")
+    if k == 0:   # every seed draws nothing; seeding an RNG costs more
+        return []
     return random.Random(seed).sample(pool, k)
 
 

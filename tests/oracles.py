@@ -50,6 +50,27 @@ def wcc_oracle(entity_ids, edges) -> list[frozenset]:
     return [frozenset(g) for g in groups.values()]
 
 
+def tokenize_oracle(text: str) -> list[str]:
+    """The tokenizer as first written: split on whitespace, then peel the
+    punctuation marks .,:;()/ off each word's ends one at a time."""
+    punct = set(".,:;()/")
+    out: list[str] = []
+    for word in text.lower().split():
+        leading: list[str] = []
+        while word and word[0] in punct:
+            leading.append(word[0])
+            word = word[1:]
+        trailing: list[str] = []
+        while word and word[-1] in punct:
+            trailing.append(word[-1])
+            word = word[:-1]
+        out.extend(leading)
+        if word:
+            out.append(word)
+        out.extend(reversed(trailing))
+    return out
+
+
 def bleu2_oracle(candidate, reference, eps: float = 1e-9) -> float:
     """Brute-force BLEU-2: count clipped matches by scanning, no Counter.
 

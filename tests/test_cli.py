@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -483,6 +484,52 @@ def test_evaluate_bad_output_prefix_exits_one(corpus, tmp_path, capsys,
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("bad", ["directory_nul", "directory_surrogate",
+                                 "prefix_too_long"])
+def test_evaluate_output_the_file_system_cannot_name_exits_one(
+        corpus, tmp_path, capsys, monkeypatch, bad):
+    sent = []
+    monkeypatch.setattr(EchoReportTransport, "post",
+                        lambda self, *args: sent.append(args))
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    directory, prefix = str(tmp_path / "results"), "mock"
+    if bad == "prefix_too_long":   # one byte over the limit
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        prefix = "p" * (name_max - len("_scores.jsonl") + 1)
+        name = f"{prefix}_scores.jsonl"
+        message = (f"output prefix too long: {name!r} has {len(name)} "
+                   f"bytes, over the {name_max} that file names in "
+                   f"{tmp_path} may have")
+    else:
+        directory += "/a\0b" if bad == "directory_nul" else "/\ud800"
+        message = (f"output directory must be a path the file system can "
+                   f"name, got {directory!r}")
+    config["output"] = {"directory": directory, "prefix": prefix}
+    path = tmp_path / "bad_output.json"   # JSON carries any string
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert sent == []
+    assert not (tmp_path / "results").exists()
+
+
+def test_evaluate_takes_the_longest_prefix_the_file_system_allows(
+        corpus, tmp_path):
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    prefix = "p" * (os.pathconf(tmp_path, "PC_NAME_MAX")
+                     - len("_scores.jsonl"))
+    config["output"] = {"directory": str(tmp_path / "results"),
+                        "prefix": prefix}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 0
+    assert (tmp_path / "results" / f"{prefix}_scores.jsonl").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -581,6 +628,10 @@ def test_evaluate_config_value_of_the_wrong_type_exits_one(
 def _break_evaluate_input(config, tmp_path, bad):
     """Point ``config`` at an input that ``evaluate`` must reject; returns
     the text the error names."""
+    if bad.endswith("_nul"):   # a path holding a NUL names no file
+        path = str(tmp_path / "a\0b")
+        config[bad.removesuffix("_nul")] = path
+        return f"cannot read {path}: embedded null byte"
     if bad == "baseline_missing":
         config["baseline"] = str(tmp_path / "absent.json")
         return f"cannot read {tmp_path / 'absent.json'}"
@@ -672,7 +723,8 @@ def _break_evaluate_input(config, tmp_path, bad):
                                  "repeated_shots", "blank_eval_serializations",
                                  "blank_pool_reports", "embedding_width",
                                  "embedding_text", "embedding_true",
-                                 "baseline_covers_no_eval_study"])
+                                 "baseline_covers_no_eval_study",
+                                 "dataset_nul", "graphs_nul", "baseline_nul"])
 def test_evaluate_bad_input_exits_one_before_any_request(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []
@@ -695,10 +747,14 @@ def test_evaluate_bad_input_exits_one_before_any_request(
     assert not (tmp_path / "results").exists()
 
 
-@pytest.mark.parametrize("bad", ["dataset", "config", "graphs"])
+@pytest.mark.parametrize("bad", ["dataset", "config", "graphs",
+                                 "config_nul", "graphs_nul"])
 def test_undecodable_input_file_exits_one(corpus, tmp_path, capsys, bad):
+    """A file that is not UTF-8, or (``_nul``) a path holding a NUL."""
     undecodable = tmp_path / "undecodable"
     undecodable.write_bytes(b"\xff\xfe{")
+    if bad.endswith("_nul"):
+        undecodable = tmp_path / "a\0b"
     config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
     config["dataset"] = str(undecodable)
     path = tmp_path / "c.yaml"
@@ -706,9 +762,12 @@ def test_undecodable_input_file_exits_one(corpus, tmp_path, capsys, bad):
     argv = {"dataset": ["evaluate", "--mode", "ser2rep", "--config", str(path)],
             "config": ["evaluate", "--mode", "ser2rep",
                        "--config", str(undecodable)],
-            "graphs": ["serialize", str(undecodable)]}[bad]
+            "graphs": ["serialize", str(undecodable)]}[
+                bad.removesuffix("_nul")]
     assert cli.main(argv) == 1
-    assert f"cannot read {undecodable}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {undecodable}")
+    assert err.count("\n") == 1
 
 
 def style_files(tmp_path):
@@ -792,6 +851,9 @@ def _bad_style_eval_argv(tmp_path, bad):
     """argv of a ``style-eval`` command whose input ``bad`` breaks."""
     hp, gp = style_files(tmp_path)
     out = tmp_path / "sets.json"
+    if bad == "out_nul":
+        return ["style-eval", "assemble", "--human", str(hp), "--generated",
+                str(gp), "--sets", "2", "--out", str(tmp_path / "a\0b")]
     if bad in ("human_string", "generated_ints"):
         path = hp if bad == "human_string" else gp
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -832,6 +894,7 @@ STYLE_EVAL_ERRORS = {
     "answer_bool": "evaluator e1, set 0: answer must be an index",
     "human_string": "human file: radiologist r0: expected an array",
     "generated_ints": "generated file: radiologist r0: expected an array",
+    "out_nul": "embedded null byte",
 }
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,7 @@ from radstyle.metrics import (MetricReport, _multiset_f1,
                               unit_rows, z_test_proportion)
 
 from graphgen import perturb_document, random_document
-from oracles import bleu2_oracle, radgraph_f1_oracle
+from oracles import bleu2_oracle, radgraph_f1_oracle, tokenize_oracle
 from test_graph import entity_doc
 
 
@@ -50,6 +51,46 @@ def test_tokenize_no_mixed_edges(text):
             assert token == token.lower()
             assert token[0] not in ".,:;()/"
             assert token[-1] not in ".,:;()/"
+
+
+# The marks the tokenizer peels; characters ``str.split`` takes for
+# whitespace that a regex may not (file, group, record and unit
+# separators, NEL, no-break and ideographic space); letters whose lower
+# case is longer (İ) or depends on context (Σ), or which have none (ß).
+_TOKENIZER_ALPHABET = (".,:;()/" " \x1c\x1d\x1e\x1f\x85\xa0\u3000"
+                       "\u0130\u00df\u03a3aA")
+
+
+@given(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_tokenize_matches_the_word_by_word_oracle(text):
+    assert tokenize(text) == tokenize_oracle(text)
+
+
+def _long_token(n):
+    """A token of about ``n`` characters: a leading mark, a core with
+    interior marks, and a long run of trailing marks."""
+    return "(" + "a." * (n // 4) + "b" + "." * (n // 2)
+
+
+def test_tokenize_is_linear_in_a_token_s_length():
+    """One 10^5-character token takes about as long as ten of a tenth
+    its length; peeling its ends one slice at a time, as the oracle does,
+    takes several times longer."""
+    n = 10 ** 5
+    token = _long_token(n)
+    assert tokenize(token) == ["(", "a." * (n // 4) + "b"] + ["."] * (n // 2)
+    tenth = " ".join([_long_token(n // 10)] * 10)
+
+    def best(text):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            tokenize(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(token) < 3 * best(tenth)
 
 
 def test_bleu2_identity_is_one():
@@ -240,6 +281,58 @@ def test_kernels_round_exactly_as_their_plain_formulas(va, vb, seed):
         recall = float(sim.max(axis=0).mean())
         assert bert_score(cand, ref) == (
             2 * precision * recall / (precision + recall))
+
+
+@given(tokens, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_an_input_scored_against_itself_equals_an_equal_copy(toks, seed):
+    """One prepared object on both sides counts its own size as its
+    matches; an equal fresh copy goes through the per-key minimum."""
+    prepared = ngram_counts(toks)
+    assert bleu2(prepared, prepared) == bleu2(prepared, ngram_counts(toks))
+    graph = graph_of(random_document(random.Random(seed), max_entities=6,
+                                     max_relations=6))
+    keys = graph_keys(graph)
+    assert radgraph_f1(keys, keys) == radgraph_f1(keys, graph_keys(graph))
+
+
+def _unit_rows_reference(arr):
+    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return arr / norms
+
+
+def _bert_score_reference(cand, ref):
+    sim = _unit_rows_reference(cand) @ _unit_rows_reference(ref).T
+    precision = float(sim.max(axis=1).sum()) / sim.shape[0]
+    recall = float(sim.max(axis=0).sum()) / sim.shape[1]
+    if precision + recall == 0.0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def _tied_matrix(rng, rows, dim):
+    """Small integers (so rows tie and repeat), some rows all zero, scaled
+    by one random factor."""
+    arr = rng.integers(-2, 3, size=(rows, dim)).astype(float)
+    arr[rng.random(rows) < 0.3] = 0.0
+    return arr * rng.uniform(0.1, 10.0)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_unit_rows_and_bert_score_equal_their_numpy_method_formulas(seed):
+    """The ufunc reductions give the bits ``np.linalg.norm``, ``max()``
+    and ``sum()`` give, on zero rows and ties too."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    shapes = [(int(rng.integers(1, 13)), dim) for _ in range(2)]
+    tied = [_tied_matrix(rng, *shape) for shape in shapes]
+    normal = [rng.normal(size=shape) for shape in shapes]
+    for a, b in (tied, normal, (tied[0], normal[1]), (tied[0], tied[0])):
+        assert (unit_rows(a).rows.tobytes()
+                == _unit_rows_reference(a).tobytes())   # bit for bit
+        assert bert_score(a, b) == _bert_score_reference(a, b)
 
 
 def test_chexbert_similarity():

@@ -76,6 +76,31 @@ def test_chain_validation():
     with pytest.raises(InputError, match="role user"):
         PromptChain((system, assistant, user, user), k=1)
 
+    for k in (0, 1, 3):
+        messages = build_prompt(make_pairs(k), "eval").messages
+        # a wrong role at each position: the message names it
+        for i, msg in enumerate(messages):
+            for wrong in set(Role) - {msg.role}:
+                bad = list(messages)
+                bad[i] = PromptMessage(wrong, msg.content)
+                with pytest.raises(InputError) as info:
+                    PromptChain(tuple(bad), k=k)
+                assert str(info.value) == (
+                    "first message must be the system message" if i == 0
+                    else f"message {i} must have role {msg.role.value}, "
+                         f"got {wrong.value}")
+        # well-formed roles, but not as many as k asks for
+        for claimed in (k - 1, k + 1):
+            with pytest.raises(InputError) as info:
+                PromptChain(messages, k=claimed)
+            assert str(info.value) == (
+                f"chain with k={claimed} needs {2 + 2 * claimed} messages, "
+                f"got {len(messages)}")
+    # two wrong roles: the first is named
+    with pytest.raises(InputError) as info:
+        PromptChain((system, assistant, user, user), k=1)
+    assert str(info.value) == "message 1 must have role user, got assistant"
+
 
 def test_select_examples_reproducible():
     pool = make_pairs(20)
@@ -109,6 +134,17 @@ def test_select_examples_bounds():
         select_examples(pool, 4, seed=0)
     with pytest.raises(InputError):
         select_examples(pool, -1, seed=0)
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_select_examples_draws_nothing_for_zero_shots(seed, size):
+    pool = make_pairs(size)
+    assert select_examples(pool, 0, seed) == []
+    with pytest.raises(InputError, match="must be non-negative, got -1"):
+        select_examples(pool, -1, seed)
+    with pytest.raises(InputError, match=f"k={size + 1} exceeds pool size"):
+        select_examples(pool, size + 1, seed)
 
 
 def test_derive_selection_seed_stable_and_distinct():
