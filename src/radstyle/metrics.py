@@ -275,12 +275,9 @@ def bert_score(cand_emb, ref_emb) -> float:
         # differs from the general product's; keep one arithmetic path.
         ref = ref.copy()
     sim = cand @ ref.T
-    # The ufunc reductions that ``max(axis)`` and ``sum()`` run, without
-    # their Python wrappers; sum / n is the float64 ``mean()``.
-    best_ref = np.maximum.reduce(sim, axis=1)   # per candidate row
-    best_cand = np.maximum.reduce(sim, axis=0)   # per reference row
-    precision = float(np.add.reduce(best_ref)) / sim.shape[0]
-    recall = float(np.add.reduce(best_cand)) / sim.shape[1]
+    # sum / n is the float64 ``mean()`` without its Python wrapper
+    precision = float(sim.max(axis=1).sum()) / sim.shape[0]
+    recall = float(sim.max(axis=0).sum()) / sim.shape[1]
     if precision + recall == 0.0:
         return 0.0
     return 2 * precision * recall / (precision + recall)

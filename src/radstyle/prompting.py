@@ -83,18 +83,16 @@ class PromptChain:
             raise InputError(
                 f"chain with k={self.k} needs {expected} messages, "
                 f"got {len(self.messages)}")
-        if (tuple(map(_ROLE, self.messages))
-                == _chain_roles(len(self.messages))):
+        roles = tuple(map(_ROLE, self.messages))
+        want = _chain_roles(len(roles))
+        if roles == want:
             return
-        # the roles are wrong somewhere: find the first and name it
-        if self.messages[0].role is not Role.SYSTEM:
+        i = next((i for i, (r, w) in enumerate(zip(roles, want))
+                  if r is not w), 0)
+        if i == 0:
             raise InputError("first message must be the system message")
-        for i, msg in enumerate(self.messages[1:], start=1):
-            want = Role.USER if i % 2 == 1 else Role.ASSISTANT
-            if msg.role is not want:
-                raise InputError(
-                    f"message {i} must have role {want.value}, "
-                    f"got {msg.role.value}")
+        raise InputError(f"message {i} must have role {want[i].value}, "
+                         f"got {roles[i].value}")
 
 
 def _user_content(serialization: str) -> str:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -74,23 +75,28 @@ def _long_token(n):
 
 
 def test_tokenize_is_linear_in_a_token_s_length():
-    """One 10^5-character token takes about as long as ten of a tenth
-    its length; peeling its ends one slice at a time, as the oracle does,
-    takes several times longer."""
-    n = 10 ** 5
+    """One 10^6-character token takes about as long as the same length
+    in 100-character tokens; peeling its ends one slice at a time, as the
+    oracle does, takes about a hundred times longer."""
+    n = 10 ** 6
     token = _long_token(n)
     assert tokenize(token) == ["(", "a." * (n // 4) + "b"] + ["."] * (n // 2)
-    tenth = " ".join([_long_token(n // 10)] * 10)
+    short = " ".join([_long_token(100)] * (n // 100))
 
     def best(text):
         times = []
-        for _ in range(5):
+        for _ in range(3):
             start = time.perf_counter()
             tokenize(text)
             times.append(time.perf_counter() - start)
         return min(times)
 
-    assert best(token) < 3 * best(tenth)
+    gc.disable()   # a collection inside one timed run would skew it
+    try:
+        ratio = best(token) / best(short)
+    finally:
+        gc.enable()
+    assert ratio < 10
 
 
 def test_bleu2_identity_is_one():
@@ -322,8 +328,9 @@ def _tied_matrix(rng, rows, dim):
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_unit_rows_and_bert_score_equal_their_numpy_method_formulas(seed):
-    """The ufunc reductions give the bits ``np.linalg.norm``, ``max()``
-    and ``sum()`` give, on zero rows and ties too."""
+    """The ufunc reduction in ``unit_rows`` gives the bits
+    ``np.linalg.norm`` gives, and ``bert_score`` the value of the plain
+    formula, on zero rows and ties too."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 9))
     shapes = [(int(rng.integers(1, 13)), dim) for _ in range(2)]

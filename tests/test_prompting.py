@@ -100,6 +100,10 @@ def test_chain_validation():
     with pytest.raises(InputError) as info:
         PromptChain((system, assistant, user, user), k=1)
     assert str(info.value) == "message 1 must have role user, got assistant"
+    # a negative k asks for no messages; an empty chain has no system one
+    with pytest.raises(InputError) as info:
+        PromptChain((), k=-1)
+    assert str(info.value) == "first message must be the system message"
 
 
 def test_select_examples_reproducible():
