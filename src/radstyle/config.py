@@ -19,7 +19,7 @@ import yaml
 
 from .client import ClientConfig
 from .errors import ConfigError
-from .jsonfiles import is_int, read_text
+from .jsonfiles import read_text
 from .serialize import SerializerConfig
 
 # Table column order: composite first, then clinical, then text overlap.
@@ -174,8 +174,8 @@ def _fits(value, hint) -> bool:
         return isinstance(value, dict) and all(
             _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
     if hint is float:
-        return is_int(value) or isinstance(value, float)
-    return is_int(value) if hint is int else type(value) is hint
+        return type(value) is int or isinstance(value, float)
+    return type(value) is hint
 
 
 def _build(cls, doc, path, prefix: str):
@@ -207,6 +207,8 @@ def load_config(path: str | Path) -> HarnessConfig:
         doc = yaml.safe_load(read_text(path))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: YAML nested too deeply") from exc
     if doc is None:
         doc = {}
     return _build(HarnessConfig, doc, path, "")

@@ -13,10 +13,6 @@ class InputError(RadstyleError):
     """An argument violates a documented precondition."""
 
 
-class ShapeError(RadstyleError):
-    """Matrix or vector dimensions do not line up."""
-
-
 class ConfigError(RadstyleError):
     """Configuration is missing a required entry or contains an unknown one."""
 

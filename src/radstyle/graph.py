@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import SchemaError
-from .jsonfiles import is_int
 
 log = logging.getLogger(__name__)
 
@@ -141,9 +140,9 @@ def radgraph_from_document(doc: dict) -> RadGraph:
             raise SchemaError(f"unknown entity label {label!r}")
         start_ix = value.get("start_ix")
         end_ix = value.get("end_ix")
-        if not is_int(start_ix):
+        if type(start_ix) is not int:
             raise SchemaError(f"entity {eid}: start_ix must be an integer")
-        if not is_int(end_ix):
+        if type(end_ix) is not int:
             raise SchemaError(f"entity {eid}: end_ix must be an integer")
         if start_ix < 0:
             raise SchemaError(f"entity {eid}: negative start_ix")

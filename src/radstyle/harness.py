@@ -27,7 +27,7 @@ from .client import (ClientConfig, EchoReportTransport, FixedReplyTransport,
 from .config import BASE_METRICS, HarnessConfig, MetricsConfig
 from .errors import InputError, IoError, SchemaError
 from .graph import RadGraph, radgraph_from_document
-from .jsonfiles import is_int, read_jsonl, read_study_map
+from .jsonfiles import read_jsonl, read_study_map
 from .metrics import (MetricReport, PathologyVector, ZTestResult,
                       as_pathology_vector, bert_score, bleu2,
                       chexbert_similarity, graph_keys, load_embeddings,
@@ -91,7 +91,7 @@ def load_dataset(path) -> list[StudyRecord]:
         records.append(StudyRecord(
             study_id=sid,
             report=doc["report"],
-            split=doc.get("split", "train"),
+            split="train" if doc.get("split") is None else doc["split"],
             serialization=doc.get("serialization"),
             radiologist_id=doc.get("radiologist_id"),
             pathology_vector=vector,
@@ -657,9 +657,9 @@ class StyleEvalSet:
                 or not all(isinstance(r, str) for r in reports)):
             raise SchemaError("style set needs exactly four report strings")
         idx = doc.get("generated_index")
-        if not is_int(idx) or not 0 <= idx <= 3:
+        if type(idx) is not int or not 0 <= idx <= 3:
             raise SchemaError("generated_index must be an int in [0, 3]")
-        if not is_int(doc.get("order_seed")):
+        if type(doc.get("order_seed")) is not int:
             raise SchemaError("order_seed must be an int")
         rid = doc.get("radiologist_id")
         if not isinstance(rid, str):
@@ -684,11 +684,10 @@ def assemble_style_eval_sets(human: Mapping[str, Sequence[str]],
     rad_ids = sorted(human)
     if not rad_ids:
         raise InputError("no radiologists in the human report pool")
-    assigned = [rad_ids[i % len(rad_ids)] for i in range(n_sets)]
-    counts = {rid: assigned.count(rid) for rid in rad_ids}
-    for rid, n in counts.items():
-        if n == 0:
-            continue
+    # set i goes to rad_ids[i % len(rad_ids)]; count without listing them
+    quotient, remainder = divmod(n_sets, len(rad_ids))
+    for j, rid in enumerate(rad_ids):
+        n = quotient + (j < remainder)
         have_h = len(human.get(rid, ()))
         have_g = len(generated.get(rid, ()))
         if have_h < 3 * n or have_g < n:
@@ -701,7 +700,8 @@ def assemble_style_eval_sets(human: Mapping[str, Sequence[str]],
     gen_pool = {rid: rng.sample(list(generated[rid]), len(generated[rid]))
                 for rid in rad_ids if rid in generated}
     sets: list[StyleEvalSet] = []
-    for rid in assigned:
+    for i in range(n_sets):
+        rid = rad_ids[i % len(rad_ids)]
         chosen_h = [human_pool[rid].pop() for _ in range(3)]
         chosen_g = gen_pool[rid].pop()
         texts = chosen_h + [chosen_g]
@@ -753,7 +753,7 @@ def score_style_eval(answers: Mapping[str, Sequence[int]],
                 f"got {len(choices)}")
         x = 0
         for i, choice in enumerate(choices):
-            if not is_int(choice) or not 0 <= choice <= 3:
+            if type(choice) is not int or not 0 <= choice <= 3:
                 raise InputError(
                     f"evaluator {evaluator}, set {i}: answer must be an "
                     f"index in [0, 3], got {choice!r}")

@@ -1,9 +1,10 @@
 """Reading input files.
 
 Every input file is read here, the YAML run config too: a file that
-cannot be read or decoded raises ``IoError``, and text that is not JSON
-raises ``SchemaError``. A sidecar, a JSON object keyed by study id, is
-checked entry by entry in ``study_map``.
+cannot be read or decoded raises ``IoError``, and text that is not JSON,
+or is nested too deeply to decode, raises ``SchemaError``. A sidecar, a
+JSON object keyed by study id, is checked entry by entry in
+``study_map``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from .errors import IoError, RadstyleError, SchemaError
-
-
-def is_int(value) -> bool:
-    """An int that is not a bool: JSON's ``true`` is no index or count."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def read_text(path) -> str:
@@ -36,6 +32,8 @@ def read_json(path) -> Any:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nested too deeply") from exc
 
 
 def read_study_map(path, convert: Callable[[Any], Any]) -> dict[str, Any]:
@@ -75,4 +73,7 @@ def read_jsonl(path) -> Iterator[tuple[int, Any]]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"line {lineno}: malformed JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SchemaError(
+                f"{path}: line {lineno}: JSON nested too deeply") from exc
         yield lineno, doc

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, SchemaError
 from .graph import RadGraph
-from .jsonfiles import is_int, read_study_map
+from .jsonfiles import read_study_map
 
 # Token sequences are plain lists of lower-cased strings; pathology vectors
 # are 14-tuples of 0/1 ints; embedding matrices are (tokens, dim) float arrays.
@@ -172,7 +172,7 @@ def as_pathology_vector(values) -> PathologyVector:
         raise InputError(
             f"pathology vector must have {PATHOLOGY_DIM} entries, got {len(values)}")
     for v in values:
-        if not is_int(v) or v not in (0, 1):   # JSON true is no indicator
+        if type(v) is not int or v not in (0, 1):   # JSON true is no indicator
             raise InputError(f"pathology indicator must be 0 or 1, got {v!r}")
     return tuple(values)
 

@@ -1,21 +1,26 @@
 """Reference numerics for the content-extraction model.
 
-These are small, exact numpy implementations of the operations the
-trained model composes: attention pooling of text features against topic
-queries, additive fusion with layer normalization, max-pooling over
-region features, and the multi-label cross-entropy objective. They exist
-to be checked (including by finite differences), not to be fast.
+The paper's first step, extracting clinical content from an image, is
+out of scope for the package. These small, exact numpy implementations
+of the operations its trained model composes (attention pooling of text
+features against topic queries, additive fusion with layer
+normalization, and the multi-label cross-entropy objective) are kept
+here to be checked, including by finite differences, not to be fast.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from radstyle.errors import InputError, RadstyleError
+
+
+class ShapeError(RadstyleError):
+    """Matrix or vector dimensions do not line up."""
 
 
 def softmax(logits, axis: int = -1) -> np.ndarray:
@@ -92,15 +97,6 @@ def fuse(d_img, d_txt, params: LayerNormParams | None = None) -> np.ndarray:
     return normed
 
 
-def max_pool_features(vectors: Sequence) -> np.ndarray:
-    """Elementwise maximum over a sequence of equal-length vectors."""
-    if len(vectors) == 0:
-        raise InputError("max_pool_features requires at least one vector")
-    arr = np.asarray(vectors, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeError("vectors must share one length")
-    return arr.max(axis=0)
-
 
 def cross_entropy(probs, targets, floor: float = 1e-12) -> float:
     """Mean negative log-likelihood of one-hot targets.
@@ -154,17 +150,4 @@ def grad_check(f: Callable[[np.ndarray], float], analytic_grad: np.ndarray,
         denom = max(abs(numeric), abs(flat_grad[i]), 1e-8)
         worst = max(worst, abs(numeric - flat_grad[i]) / denom)
     return worst
-
-
-def project_image_feature(pooled, projections) -> np.ndarray:
-    """Per-topic linear maps from one pooled image vector to topic
-    descriptors: row i of the result is projections[i] @ pooled."""
-    v = np.asarray(pooled, dtype=float)
-    mats = np.asarray(projections, dtype=float)
-    if v.ndim != 1:
-        raise ShapeError("pooled feature must be 1-D")
-    if mats.ndim != 3 or mats.shape[2] != v.shape[0]:
-        raise ShapeError(
-            f"projections must have shape (topics, out, {v.shape[0]})")
-    return mats @ v
 

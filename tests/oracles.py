@@ -16,9 +16,13 @@ import math
 from radstyle.errors import SchemaError
 from radstyle.graph import (Entity, EntityLabel, RadGraph, Relation,
                             RelationKind, _derive_sections)
-from radstyle.jsonfiles import is_int
 
 graph_log = logging.getLogger("oracles.graph")
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool: JSON's ``true`` is no index."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class UnionFind:

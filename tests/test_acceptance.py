@@ -22,14 +22,14 @@ from radstyle.graph import (EntityLabel, radgraph_from_document,
                             weakly_connected_components)
 from radstyle.harness import load_scores_jsonl, parse_table_csv
 from radstyle.metrics import bleu2, mean_ci, radgraph_f1, z_test_proportion
-from radstyle.model_math import (LayerNormParams, attention_pool,
-                                 cross_entropy, fuse, grad_check, softmax)
 from radstyle.prompting import (INSTRUCTION, SYSTEM_PROMPT, build_prompt,
                                 wire_messages)
 from radstyle.serialize import serialize, serialize_component
 from radstyle.synthetic import make_synthetic_corpus
 
 from graphgen import edges_of, perturb_document, random_document
+from model_math import (LayerNormParams, attention_pool, cross_entropy, fuse,
+                        grad_check, softmax)
 from oracles import bleu2_oracle, radgraph_f1_oracle, wcc_oracle
 from test_model_math import attention_sum_grad
 from test_prompting import DATA, GOLDEN_EVAL, GOLDEN_EXAMPLES

@@ -20,6 +20,9 @@ from radstyle.synthetic import make_synthetic_corpus
 
 from test_graph import entity_doc
 
+# nested past the JSON and YAML decoders' recursion limits
+DEEP = "[" * 100_000 + "]" * 100_000
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -632,6 +635,12 @@ def _break_evaluate_input(config, tmp_path, bad):
         path = str(tmp_path / "a\0b")
         config[bad.removesuffix("_nul")] = path
         return f"cannot read {path}: embedded null byte"
+    if bad.endswith("_deep"):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP, encoding="utf-8")
+        config[bad.removesuffix("_deep")] = str(path)
+        line = "line 1: " if bad == "dataset_deep" else ""
+        return f"{path}: {line}JSON nested too deeply"
     if bad == "baseline_missing":
         config["baseline"] = str(tmp_path / "absent.json")
         return f"cannot read {tmp_path / 'absent.json'}"
@@ -724,7 +733,9 @@ def _break_evaluate_input(config, tmp_path, bad):
                                  "blank_pool_reports", "embedding_width",
                                  "embedding_text", "embedding_true",
                                  "baseline_covers_no_eval_study",
-                                 "dataset_nul", "graphs_nul", "baseline_nul"])
+                                 "dataset_nul", "graphs_nul", "baseline_nul",
+                                 "dataset_deep", "graphs_deep",
+                                 "baseline_deep"])
 def test_evaluate_bad_input_exits_one_before_any_request(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []
@@ -748,13 +759,17 @@ def test_evaluate_bad_input_exits_one_before_any_request(
 
 
 @pytest.mark.parametrize("bad", ["dataset", "config", "graphs",
-                                 "config_nul", "graphs_nul"])
+                                 "config_nul", "graphs_nul", "dataset_deep",
+                                 "config_deep", "graphs_deep", "prompt_deep"])
 def test_undecodable_input_file_exits_one(corpus, tmp_path, capsys, bad):
-    """A file that is not UTF-8, or (``_nul``) a path holding a NUL."""
+    """A file that is not UTF-8, (``_nul``) a path holding a NUL, or
+    (``_deep``) a file nested too deeply to decode."""
     undecodable = tmp_path / "undecodable"
     undecodable.write_bytes(b"\xff\xfe{")
     if bad.endswith("_nul"):
         undecodable = tmp_path / "a\0b"
+    if bad.endswith("_deep"):
+        undecodable.write_text(DEEP, encoding="utf-8")
     config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
     config["dataset"] = str(undecodable)
     path = tmp_path / "c.yaml"
@@ -762,11 +777,19 @@ def test_undecodable_input_file_exits_one(corpus, tmp_path, capsys, bad):
     argv = {"dataset": ["evaluate", "--mode", "ser2rep", "--config", str(path)],
             "config": ["evaluate", "--mode", "ser2rep",
                        "--config", str(undecodable)],
-            "graphs": ["serialize", str(undecodable)]}[
-                bad.removesuffix("_nul")]
+            "graphs": ["serialize", str(undecodable)],
+            "prompt": ["prompt", "--shots", "0", "--dataset",
+                       str(undecodable), "--eval-serialization", "x"]}[
+                bad.removesuffix("_nul").removesuffix("_deep")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {undecodable}")
+    if bad.endswith("_deep"):
+        line = "line 1: " if bad in ("dataset_deep", "prompt_deep") else ""
+        kind = "YAML" if bad == "config_deep" else "JSON"
+        assert err == (f"error: {undecodable}: {line}{kind} nested too "
+                       f"deeply\n")
+    else:
+        assert err.startswith(f"error: cannot read {undecodable}")
     assert err.count("\n") == 1
 
 
@@ -854,6 +877,17 @@ def _bad_style_eval_argv(tmp_path, bad):
     if bad == "out_nul":
         return ["style-eval", "assemble", "--human", str(hp), "--generated",
                 str(gp), "--sets", "2", "--out", str(tmp_path / "a\0b")]
+    if bad == "sets_huge":
+        return ["style-eval", "assemble", "--human", str(hp), "--generated",
+                str(gp), "--sets", str(10 ** 18), "--out", str(out)]
+    if bad in ("human_deep", "sets_deep"):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP, encoding="utf-8")
+        if bad == "human_deep":
+            return ["style-eval", "assemble", "--human", str(deep),
+                    "--generated", str(gp), "--sets", "2", "--out", str(out)]
+        return ["style-eval", "score", "--sets", str(deep),
+                "--answers", str(hp)]
     if bad in ("human_string", "generated_ints"):
         path = hp if bad == "human_string" else gp
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -895,6 +929,11 @@ STYLE_EVAL_ERRORS = {
     "human_string": "human file: radiologist r0: expected an array",
     "generated_ints": "generated file: radiologist r0: expected an array",
     "out_nul": "embedded null byte",
+    "sets_huge": ("radiologist r0: 500000000000000000 sets need "
+                  "1500000000000000000 human and 500000000000000000 "
+                  "generated reports, have 6 and 2"),
+    "human_deep": "deep.json: JSON nested too deeply",
+    "sets_deep": "deep.json: JSON nested too deeply",
 }
 
 

@@ -73,6 +73,12 @@ def test_load_dataset_happy_path(tmp_path):
     assert records[1].pathology_vector == (0,) * 14
 
 
+def test_load_dataset_null_split_reads_as_absent(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"study_id": "a", "report": "x", "split": None}])
+    assert load_dataset(path)[0].split == "train"
+
+
 def test_load_dataset_skips_blank_lines(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps(GOOD_ROWS[0]) + "\n\n  \n"

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radstyle.errors import InputError, ShapeError
-from radstyle.model_math import (LayerNormParams, attention_pool,
-                                 cross_entropy, fuse, grad_check,
-                                 max_pool_features, project_image_feature,
-                                 softmax)
+from radstyle.errors import InputError
+
+from model_math import (LayerNormParams, ShapeError, attention_pool,
+                        cross_entropy, fuse, grad_check, softmax)
 
 
 def test_softmax_rows_sum_to_one():
@@ -121,18 +120,6 @@ def test_fuse_shape_errors():
     with pytest.raises(ShapeError, match="beta"):
         fuse(np.ones((2, 3)), np.ones((2, 3)),
              LayerNormParams(beta=np.ones(2)))
-
-
-def test_max_pool():
-    single = np.array([1.0, 2.0])
-    assert np.array_equal(max_pool_features([single]), single)
-    pooled = max_pool_features([np.array([1.0, 5.0]), np.array([3.0, 2.0])])
-    assert np.array_equal(pooled, np.array([3.0, 5.0]))
-    again = max_pool_features([np.array([1.0, 5.0]), np.array([3.0, 2.0]),
-                               pooled])
-    assert np.array_equal(again, pooled)
-    with pytest.raises(InputError):
-        max_pool_features([])
 
 
 def one_hot(rows, cols, targets):
@@ -249,18 +236,6 @@ def test_grad_check_detects_wrong_gradient():
 def test_grad_check_shape_mismatch():
     with pytest.raises(ShapeError):
         grad_check(lambda x: 0.0, np.ones(3), np.ones(4))
-
-
-def test_project_image_feature():
-    d = np.array([1.0, 2.0])
-    projections = np.array([[[1.0, 0.0], [0.0, 1.0]],
-                            [[2.0, 0.0], [0.0, 0.0]]])
-    out = project_image_feature(d, projections)
-    assert np.array_equal(out, np.array([[1.0, 2.0], [2.0, 0.0]]))
-    with pytest.raises(ShapeError):
-        project_image_feature(np.ones((2, 2)), projections)
-    with pytest.raises(ShapeError):
-        project_image_feature(np.ones(3), projections)
 
 
 @given(st.integers(min_value=1, max_value=6),
