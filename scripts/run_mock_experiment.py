@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from radstyle.config import load_config
-from radstyle.harness import evaluate, render_table, write_outputs
+from radstyle.harness import SOURCES, evaluate, render_table, write_outputs
 from radstyle.synthetic import make_synthetic_corpus
 
 
@@ -26,8 +26,7 @@ def main(argv=None) -> int:
     parser.add_argument("--train", type=int, default=20,
                         help="records reserved as the example pool")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mode", choices=("ser2rep", "end2end"),
-                        default="ser2rep")
+    parser.add_argument("--mode", choices=SOURCES, default="ser2rep")
     args = parser.parse_args(argv)
 
     paths = make_synthetic_corpus(Path(args.out), n_records=args.records,

@@ -16,7 +16,7 @@ from .config import load_config
 from .errors import (ClientError, InputError, IoError, RadstyleError,
                      SchemaError)
 from .graph import radgraph_from_document
-from .harness import (StyleEvalSet, assemble_style_eval_sets,
+from .harness import (SOURCES, StyleEvalSet, assemble_style_eval_sets,
                       check_disjoint, evaluate, example_pool, load_dataset,
                       render_style_eval_set, render_table,
                       require_serializations, score_style_eval,
@@ -25,14 +25,11 @@ from .jsonfiles import read_json, study_map
 from .metrics import z_test_proportion
 from .prompting import (build_prompt, derive_selection_seed,
                         select_examples, wire_messages)
-from .serialize import SerializerConfig, serialize
+from .serialize import serialize
 
 def _cmd_serialize(args: argparse.Namespace) -> int:
-    cfg = SerializerConfig(delimiter=args.delimiter,
-                           include_headers=not args.no_headers)
-
     def render(doc) -> str:
-        return serialize(radgraph_from_document(doc), cfg).rendered
+        return serialize(radgraph_from_document(doc)).rendered
 
     doc = read_json(args.graphs)
     if _is_graph_document(doc):
@@ -160,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serialize",
                        help="render graph JSON as serialized key words")
     p.add_argument("graphs", help="graph document or study-keyed sidecar")
-    p.add_argument("--delimiter", default=". ")
-    p.add_argument("--no-headers", action="store_true")
     p.set_defaults(func=_cmd_serialize)
 
     p = sub.add_parser("prompt", help="print the k-shot dialogue as JSON")
@@ -174,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prompt)
 
     p = sub.add_parser("evaluate", help="run a scored generation experiment")
-    p.add_argument("--mode", choices=("ser2rep", "end2end"), required=True)
+    p.add_argument("--mode", choices=SOURCES, required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_evaluate)
 

@@ -20,7 +20,6 @@ import yaml
 from .client import ClientConfig
 from .errors import ConfigError
 from .jsonfiles import read_text
-from .serialize import SerializerConfig
 
 # Table column order: composite first, then clinical, then text overlap.
 DEFAULT_METRICS = ("radcliq", "radgraph_f1", "chexbert", "bleu2", "bert_score")
@@ -97,6 +96,11 @@ class ExperimentConfig:
             raise ConfigError("pool and eval splits must differ")
 
 
+# output file kind -> its ASCII name after the prefix; OutputConfig checks
+# that the longest fits the file system
+OUTPUT_SUFFIXES = {"table_txt": "_table.txt", "table_csv": "_table.csv",
+                   "scores": "_scores.jsonl"}
+
 # blank, . or .., or holding a path separator, NUL or lone surrogate
 _NOT_A_FILE_NAME = re.compile(r"\A(\s*|\.\.?)\Z|[/\\\x00\ud800-\udfff]")
 
@@ -117,7 +121,7 @@ class OutputConfig:
         if _NOT_A_FILE_NAME.search(self.prefix):
             raise ConfigError(f"output prefix must be a plain file name, "
                               f"got {self.prefix!r}")
-        name = f"{self.prefix}_scores.jsonl"   # the longest name written
+        name = self.prefix + max(OUTPUT_SUFFIXES.values(), key=len)
         size = len(os.fsencode(name))
         where, name_max = _name_max(self.directory)
         if name_max is not None and size > name_max:
@@ -146,7 +150,6 @@ class HarnessConfig:
     vectors: str | None = None
     embeddings: str | None = None
     baseline: str | None = None
-    serializer: SerializerConfig = field(default_factory=SerializerConfig)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     client: ClientConfig = field(default_factory=ClientConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
@@ -155,7 +158,7 @@ class HarnessConfig:
 
 # each leaf type -> what an error says a value must be
 _EXPECTED = {str: "a string", str | None: "a string or null",
-             int: "an integer", float: "a number", bool: "true or false",
+             int: "an integer", float: "a number",
              tuple[int, ...]: "a list of integers",
              tuple[str, ...]: "a list of strings",
              dict[str, float]: "a mapping of strings to numbers"}
@@ -205,8 +208,9 @@ def load_config(path: str | Path) -> HarnessConfig:
     """Read a harness configuration from a YAML (or JSON) file."""
     try:
         doc = yaml.safe_load(read_text(path))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
+    except yaml.YAMLError as exc:   # its text spans lines; ours takes one
+        raise ConfigError(f"{path}: malformed YAML: "
+                          f"{' '.join(str(exc).split())}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: YAML nested too deeply") from exc
     if doc is None:

@@ -15,7 +15,7 @@ import gc
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter, eq, is_
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -24,8 +24,8 @@ import numpy as np
 
 from .client import (ClientConfig, EchoReportTransport, FixedReplyTransport,
                      HttpTransport, Transport, complete_batch)
-from .config import BASE_METRICS, HarnessConfig, MetricsConfig
-from .errors import InputError, IoError, SchemaError
+from .config import BASE_METRICS, OUTPUT_SUFFIXES, HarnessConfig, MetricsConfig
+from .errors import InputError, IoError, RadstyleError, SchemaError
 from .graph import RadGraph, radgraph_from_document
 from .jsonfiles import read_jsonl, read_study_map
 from .metrics import (MetricReport, PathologyVector, ZTestResult,
@@ -51,52 +51,54 @@ class StudyRecord:
     pathology_vector: PathologyVector | None = None
 
 
-_RECORD_KEYS = {"study_id", "report", "split", "serialization",
-                "radiologist_id", "pathology_vector"}
+_RECORD_KEYS = frozenset(f.name for f in fields(StudyRecord))
 
 
 def load_dataset(path) -> list[StudyRecord]:
     """Read study records from JSONL; blank lines are ignored.
 
-    Errors carry 1-based line numbers. Study ids must be unique.
+    Errors name the file and the 1-based line. Study ids must be unique.
     """
     records: list[StudyRecord] = []
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = {}   # study id -> its line
     for lineno, doc in read_jsonl(path):
-        if not isinstance(doc, dict):
-            raise SchemaError(f"line {lineno}: expected an object")
-        unknown = sorted(set(doc) - _RECORD_KEYS)
-        if unknown:
-            raise SchemaError(f"line {lineno}: unknown keys {unknown}")
-        for key in ("study_id", "report"):
-            if not isinstance(doc.get(key), str) or not doc[key].strip():
-                raise SchemaError(
-                    f"line {lineno}: {key} must be a non-empty string")
-        sid = doc["study_id"]
-        if sid in seen:
-            raise SchemaError(
-                f"line {lineno}: duplicate study id {sid!r} "
-                f"(first seen on line {seen[sid]})")
-        seen[sid] = lineno
-        vector = None
-        if doc.get("pathology_vector") is not None:
-            try:
-                vector = as_pathology_vector(doc["pathology_vector"])
-            except InputError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from exc
-        for key in ("split", "serialization", "radiologist_id"):
-            value = doc.get(key)
-            if value is not None and not isinstance(value, str):
-                raise SchemaError(f"line {lineno}: {key} must be a string")
-        records.append(StudyRecord(
-            study_id=sid,
-            report=doc["report"],
-            split="train" if doc.get("split") is None else doc["split"],
-            serialization=doc.get("serialization"),
-            radiologist_id=doc.get("radiologist_id"),
-            pathology_vector=vector,
-        ))
+        try:
+            records.append(_study_record(doc, seen))
+        except RadstyleError as exc:
+            raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+        seen[doc["study_id"]] = lineno
     return records
+
+
+def _study_record(doc, seen: Mapping[str, int]) -> StudyRecord:
+    """The record of one dataset line, unless its study id is in ``seen``."""
+    if not isinstance(doc, dict):
+        raise SchemaError("expected an object")
+    unknown = sorted(set(doc) - _RECORD_KEYS)
+    if unknown:
+        raise SchemaError(f"unknown keys {unknown}")
+    for key in ("study_id", "report"):
+        if not isinstance(doc.get(key), str) or not doc[key].strip():
+            raise SchemaError(f"{key} must be a non-empty string")
+    sid = doc["study_id"]
+    if sid in seen:
+        raise SchemaError(f"duplicate study id {sid!r} "
+                          f"(first seen on line {seen[sid]})")
+    vector = None
+    if doc.get("pathology_vector") is not None:
+        vector = as_pathology_vector(doc["pathology_vector"])
+    for key in ("split", "serialization", "radiologist_id"):
+        value = doc.get(key)
+        if value is not None and not isinstance(value, str):
+            raise SchemaError(f"{key} must be a string")
+    return StudyRecord(
+        study_id=sid,
+        report=doc["report"],
+        split="train" if doc.get("split") is None else doc["split"],
+        serialization=doc.get("serialization"),
+        radiologist_id=doc.get("radiologist_id"),
+        pathology_vector=vector,
+    )
 
 
 def split_records(records: Sequence[StudyRecord],
@@ -421,7 +423,7 @@ def example_pool(pool_records: Sequence[StudyRecord]) -> list[StylePair]:
 
 # evaluation mode -> RunItem.source: where the prompted serialization
 # comes from
-_SOURCES = {"ser2rep": "ground_truth", "end2end": "predicted"}
+SOURCES = {"ser2rep": "ground_truth", "end2end": "predicted"}
 
 
 def run_generation(mode: str, eval_records: Sequence[StudyRecord],
@@ -440,7 +442,7 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     pool, as ``evaluate`` checks.
     """
     check_disjoint(eval_records, pool_records)
-    source = _SOURCES[mode]
+    source = SOURCES[mode]
     pool_pairs = example_pool(pool_records)
     if mode == "ser2rep":
         require_serializations(eval_records, "eval")
@@ -450,8 +452,7 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
         if mode == "ser2rep":
             pairs.append((record, record.serialization))
         elif record.study_id in graphs:
-            pairs.append((record, serialize(graphs[record.study_id],
-                                            cfg.serializer).rendered))
+            pairs.append((record, serialize(graphs[record.study_id]).rendered))
         else:
             absent.append(record)
     if cfg.experiment.shots and not any(text.strip() for _, text in pairs):
@@ -541,7 +542,7 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
     again), and the loaded inputs are then frozen out of its collections,
     unless something was frozen before. The collector leaves as it came.
     """
-    if mode not in _SOURCES:
+    if mode not in SOURCES:
         raise InputError(f"unknown evaluation mode {mode!r}")
     enabled = gc.isenabled()
     freeze = gc.get_freeze_count() == 0
@@ -616,11 +617,8 @@ def write_outputs(outcome: RunOutcome, cfg: HarnessConfig) -> dict[str, Path]:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {outdir}: {exc}") from exc
-    paths = {
-        "table_txt": outdir / f"{cfg.output.prefix}_table.txt",
-        "table_csv": outdir / f"{cfg.output.prefix}_table.csv",
-        "scores": outdir / f"{cfg.output.prefix}_scores.jsonl",
-    }
+    paths = {kind: outdir / (cfg.output.prefix + suffix)
+             for kind, suffix in OUTPUT_SUFFIXES.items()}
     try:
         paths["table_txt"].write_text(render_table(outcome.table),
                                       encoding="utf-8")

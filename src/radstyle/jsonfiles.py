@@ -26,14 +26,19 @@ def read_text(path) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
+def _decode(text: str, where) -> Any:
+    """The JSON document ``text``; an error names ``where`` first."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{where}: JSON nested too deeply") from exc
+
+
 def read_json(path) -> Any:
     """The JSON document in ``path``."""
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"{path}: JSON nested too deeply") from exc
+    return _decode(read_text(path), path)
 
 
 def read_study_map(path, convert: Callable[[Any], Any]) -> dict[str, Any]:
@@ -69,11 +74,4 @@ def read_jsonl(path) -> Iterator[tuple[int, Any]]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {lineno}: malformed JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise SchemaError(
-                f"{path}: line {lineno}: JSON nested too deeply") from exc
-        yield lineno, doc
+        yield lineno, _decode(line, f"{path}: line {lineno}")

@@ -4,7 +4,7 @@ Each weakly connected component becomes one text span: entities in report
 order, with "no" prepended to definitely-absent observations and "maybe"
 to uncertain ones. Spans are stratified into findings/impression by where
 their entities sit in the source report, or unified when the report has no
-recognizable sections, then joined with a configurable delimiter.
+recognizable sections, then joined with ``DELIMITER`` under their headers.
 """
 
 from __future__ import annotations
@@ -20,12 +20,6 @@ class Section(Enum):
     FINDINGS = "findings"
     IMPRESSION = "impression"
     UNIFIED = "unified"
-
-
-@dataclass(frozen=True)
-class SerializerConfig:
-    delimiter: str = ". "
-    include_headers: bool = True
 
 
 @dataclass(frozen=True)
@@ -49,6 +43,7 @@ class Serialization:
 _KEYWORD = {EntityLabel.OBS_DA: "no", EntityLabel.OBS_U: "maybe"}
 FINDINGS_HEADER = "findings:"
 IMPRESSION_HEADER = "impression:"
+DELIMITER = ". "   # between spans and between sections
 
 
 def section_of_component(ids: set[str], g: RadGraph) -> Section:
@@ -94,8 +89,8 @@ def serialize_component(ids: set[str], g: RadGraph) -> ComponentSpan:
     return ComponentSpan(" ".join(parts), section, entities[0].start_ix)
 
 
-def serialize(g: RadGraph, cfg: SerializerConfig = SerializerConfig()) -> Serialization:
-    """Serialize a whole graph; deterministic for equal graph and config.
+def serialize(g: RadGraph) -> Serialization:
+    """Serialize a whole graph; deterministic for equal graphs.
     The graph is taken as ``radgraph_from_document`` checked it."""
     spans = [serialize_component(component, g)
              for component in weakly_connected_components(g)]
@@ -104,15 +99,15 @@ def serialize(g: RadGraph, cfg: SerializerConfig = SerializerConfig()) -> Serial
     unified = tuple(s for s in spans if s.section is Section.UNIFIED)
 
     if unified:
-        rendered = cfg.delimiter.join(s.text for s in unified)
+        rendered = DELIMITER.join(s.text for s in unified)
     else:
         parts = []
         for header, section_spans in ((FINDINGS_HEADER, findings),
                                       (IMPRESSION_HEADER, impression)):
             if not section_spans:
                 continue
-            body = cfg.delimiter.join(s.text for s in section_spans)
-            parts.append(f"{header} {body}" if cfg.include_headers else body)
-        rendered = cfg.delimiter.join(parts)
+            body = DELIMITER.join(s.text for s in section_spans)
+            parts.append(f"{header} {body}")
+        rendered = DELIMITER.join(parts)
 
     return Serialization(findings, impression, unified, rendered)

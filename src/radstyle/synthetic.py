@@ -18,7 +18,8 @@ import yaml
 
 from .errors import InputError
 from .graph import radgraph_from_document
-from .serialize import SerializerConfig, serialize
+from .metrics import PATHOLOGY_DIM
+from .serialize import serialize
 
 # (anatomy phrase, observation phrase, observation label, relation kind)
 _BANK = (
@@ -102,7 +103,6 @@ def make_synthetic_corpus(out_dir, n_records: int = 50, n_train: int = 20,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
-    serializer_cfg = SerializerConfig()
 
     seen_combos: set[frozenset[int]] = set()
     records = []
@@ -118,7 +118,7 @@ def make_synthetic_corpus(out_dir, n_records: int = 50, n_train: int = 20,
         study_id = f"s{i:04d}"
         doc = make_study_document(combo)
         graph = radgraph_from_document(doc)
-        rendered = serialize(graph, serializer_cfg).rendered
+        rendered = serialize(graph).rendered
         n_tokens = min(len(doc["text"].split()), 12)
         records.append({
             "study_id": study_id,
@@ -126,7 +126,7 @@ def make_synthetic_corpus(out_dir, n_records: int = 50, n_train: int = 20,
             "split": "train" if i < n_train else "test",
             "serialization": rendered,
             "radiologist_id": f"r{i % N_RADIOLOGISTS}",
-            "pathology_vector": [rng.randint(0, 1) for _ in range(14)],
+            "pathology_vector": [rng.randint(0, 1) for _ in range(PATHOLOGY_DIM)],
         })
         graphs[study_id] = doc
         embeddings[study_id] = [

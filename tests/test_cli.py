@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -45,14 +47,6 @@ def test_serialize_single_graph(tmp_path, capsys):
     assert cli.main(["serialize", str(path)]) == 0
     out = capsys.readouterr().out
     assert out == "findings: lungs clear. impression: no edema\n"
-
-
-def test_serialize_flags(tmp_path, capsys):
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(SINGLE_GRAPH), encoding="utf-8")
-    assert cli.main(["serialize", str(path), "--delimiter", " | ",
-                     "--no-headers"]) == 0
-    assert capsys.readouterr().out == "lungs clear | no edema\n"
 
 
 def test_serialize_sidecar_prints_study_per_line(tmp_path, capsys):
@@ -589,8 +583,7 @@ def test_evaluate_exits_cleanly_on_any_metrics_and_prefix(corpus, weights,
     ("ser2rep", "metrics", "radcliq_bias", "x",
      "metrics radcliq_bias must be a number, got 'x'"),
     ("ser2rep", None, "dataset", 5, "dataset must be a string, got 5"),
-    ("end2end", "serializer", "delimiter", 3,
-     "serializer delimiter must be a string, got 3"),
+    ("end2end", None, "graphs", 3, "graphs must be a string or null, got 3"),
     ("ser2rep", "experiment", "shots", 3,
      "experiment shots must be a list of integers, got 3"),
     ("ser2rep", "metrics", "names", "bleu2",
@@ -699,6 +692,12 @@ def _break_evaluate_input(config, tmp_path, bad):
         return (f"{path}: embedding widths differ: study {first} has 4, "
                 f"study {second} has {width}")
     lines = Path(config["dataset"]).read_text("utf-8").splitlines()
+    if bad == "dataset_truncated":
+        path = tmp_path / "dataset.jsonl"
+        path.write_text("\n".join(lines[:2] + [lines[2][:-1]]) + "\n",
+                        encoding="utf-8")
+        config["dataset"] = str(path)
+        return f"{path}: line 3: malformed JSON: "
     if bad in ("blank_eval_serializations", "blank_pool_reports"):
         docs = [json.loads(line) for line in lines]
         for doc in docs:
@@ -711,7 +710,7 @@ def _break_evaluate_input(config, tmp_path, bad):
                         encoding="utf-8")
         config["dataset"] = str(path)
         if bad == "blank_pool_reports":
-            return "line 1: report must be a non-empty string"
+            return f"{path}: line 1: report must be a non-empty string"
         tests = sorted(d["study_id"] for d in docs if d["split"] == "test")
         return f"eval records missing serializations: {tests}"
     doc = json.loads(lines[2])
@@ -722,8 +721,8 @@ def _break_evaluate_input(config, tmp_path, bad):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     config["dataset"] = str(path)
     if bad == "vector_not_array":
-        return "line 3: pathology_vector must be an array"
-    return "line 3: pathology indicator must be 0 or 1, got True"
+        return f"{path}: line 3: pathology_vector must be an array"
+    return f"{path}: line 3: pathology indicator must be 0 or 1, got True"
 
 
 @pytest.mark.parametrize("bad", ["baseline_missing", "baseline_not_string",
@@ -735,7 +734,7 @@ def _break_evaluate_input(config, tmp_path, bad):
                                  "baseline_covers_no_eval_study",
                                  "dataset_nul", "graphs_nul", "baseline_nul",
                                  "dataset_deep", "graphs_deep",
-                                 "baseline_deep"])
+                                 "baseline_deep", "dataset_truncated"])
 def test_evaluate_bad_input_exits_one_before_any_request(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []
@@ -968,3 +967,18 @@ def test_parser_rejects_unknown_mode():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["evaluate", "--mode", "nope",
                                        "--config", "c"])
+
+
+def test_readme_cli_block_parses():
+    readme = Path(__file__).parent.parent / "README.md"
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```",
+                      readme.read_text(encoding="utf-8"), re.S).group(1)
+    commands = re.findall(r"^radstyle (?:.*\\\n)*.*$", block, re.M)
+    assert commands
+    parser = cli.build_parser()
+    for command in commands:
+        argv = shlex.split(command.replace("\\\n", " "))[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

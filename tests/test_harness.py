@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import threading
@@ -19,7 +20,7 @@ from radstyle.client import (ClientConfig, EchoReportTransport, HttpTransport,
                              TransportResponse)
 from radstyle.config import (ExperimentConfig, HarnessConfig, MetricsConfig,
                              OutputConfig, load_config)
-from radstyle.errors import InputError, IoError, SchemaError
+from radstyle.errors import ConfigError, InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
 from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
                               Scorer, StudyRecord, StyleEvalSet,
@@ -605,7 +606,7 @@ def test_synthetic_corpus_serializations_match_graphs(corpus):
     graphs = load_graph_documents(cfg.graphs)
     assert len(records) == 16
     for record in records:
-        rendered = serialize(graphs[record.study_id], cfg.serializer).rendered
+        rendered = serialize(graphs[record.study_id]).rendered
         assert rendered == record.serialization
 
 
@@ -1073,6 +1074,22 @@ def test_write_outputs_creates_all_files(tmp_path, corpus):
     parsed = parse_table_csv(
         written["table_csv"].read_text(encoding="utf-8"))
     assert parsed == outcome.table
+
+
+def test_every_file_written_has_a_name_the_prefix_check_measures(
+        tmp_path, corpus):
+    """A prefix that puts the name of any file ``write_outputs`` writes a
+    byte over the file system's limit is refused at config load."""
+    paths, cfg = corpus
+    outdir = tmp_path / "out"
+    write_outputs(evaluate(cfg, "ser2rep"), HarnessConfig(
+        output=OutputConfig(directory=str(outdir), prefix="p")))
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    for path in outdir.iterdir():
+        suffix = path.name.removeprefix("p")
+        prefix = "p" * (name_max + 1 - len(suffix))
+        with pytest.raises(ConfigError, match="output prefix too long"):
+            OutputConfig(directory=str(outdir), prefix=prefix)
 
 
 def test_csv_cells_recompute_from_scores(tmp_path, corpus):

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from radstyle.errors import InputError
 from radstyle.graph import (radgraph_from_document,
                             weakly_connected_components)
-from radstyle.serialize import (Section, SerializerConfig,
-                                section_of_component, serialize,
+from radstyle.serialize import (Section, section_of_component, serialize,
                                 serialize_component)
 
 from graphgen import random_document
@@ -30,7 +29,7 @@ SECTIONED_DOC = {
 
 def test_sectioned_rendering():
     g = radgraph_from_document(SECTIONED_DOC)
-    s = serialize(g, SerializerConfig())
+    s = serialize(g)
     assert s.rendered == ("findings: lungs clear. no edema. "
                           "impression: no acute disease")
 
@@ -41,7 +40,7 @@ def test_absent_gets_no_and_uncertain_gets_maybe():
         "2": entity_doc("2", "nodule", "OBS-U", 3),
     }
     g = radgraph_from_document(doc)
-    s = serialize(g, SerializerConfig())
+    s = serialize(g)
     assert s.rendered == "no effusion. maybe nodule"
     assert all(span.section is Section.UNIFIED for span in s.spans())
 
@@ -116,20 +115,13 @@ def test_unsectioned_graph_renders_unified():
                         relations=[("located_at", "1")]),
         "3": entity_doc("3", "edema", "OBS-DA", 5),
     }
-    s = serialize(radgraph_from_document(doc), SerializerConfig())
+    s = serialize(radgraph_from_document(doc))
     assert s.rendered == "lungs clear. no edema"
     assert "findings:" not in s.rendered
 
 
-def test_custom_delimiter_and_no_headers():
-    g = radgraph_from_document(SECTIONED_DOC)
-    cfg = SerializerConfig(delimiter=" | ", include_headers=False)
-    s = serialize(g, cfg)
-    assert s.rendered == "lungs clear | no edema | no acute disease"
-
-
 def test_empty_graph_renders_empty():
-    s = serialize(radgraph_from_document({}), SerializerConfig())
+    s = serialize(radgraph_from_document({}))
     assert s.rendered == ""
     assert s.spans() == ()
 
@@ -156,7 +148,7 @@ def expected_component_text(doc, ids):
 def check_serialization_properties(doc):
     g = radgraph_from_document(doc)
     comps = weakly_connected_components(g)
-    s = serialize(g, SerializerConfig())
+    s = serialize(g)
     spans = s.spans()
     assert len(spans) == len(comps)
     # Each span is exactly the position-sorted, keyword-prefixed rendering
@@ -166,7 +158,7 @@ def check_serialization_properties(doc):
     for section_spans in (s.findings, s.impression, s.unified):
         starts = [span.min_start_ix for span in section_spans]
         assert starts == sorted(starts)
-    assert serialize(g, SerializerConfig()).rendered == s.rendered
+    assert serialize(g).rendered == s.rendered
 
 
 def test_serialization_properties_random():
@@ -184,8 +176,8 @@ def test_serialization_key_order_independence():
         shuffled = {k: doc[k] for k in keys}
         if "text" in doc:
             shuffled["text"] = doc["text"]
-        a = serialize(radgraph_from_document(doc), SerializerConfig())
-        b = serialize(radgraph_from_document(shuffled), SerializerConfig())
+        a = serialize(radgraph_from_document(doc))
+        b = serialize(radgraph_from_document(shuffled))
         assert a.rendered == b.rendered
 
 
