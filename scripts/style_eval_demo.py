@@ -5,16 +5,17 @@ Builds per-radiologist pools of human-written and style-mimicking
 reports, assembles shuffled 3+1 evaluation sets, simulates evaluators
 whose accuracy you control, and scores them with the one-sided
 proportion z-test against the 25% chance rate. An evaluator accuracy
-near 0.25 should yield large p-values (generated reports styled well
-enough to hide); accuracies well above chance go significant.
+near 0.25 should yield large p-values: the evaluators did not beat
+chance, which at this sample size does not show that the styles cannot
+be told apart. Accuracies well above chance go significant.
 """
 
 import argparse
 import random
 import sys
 
-from radstyle.harness import (assemble_style_eval_sets,
-                              render_style_eval_set, score_style_eval)
+from radstyle.style_study import (assemble_style_eval_sets,
+                                  render_style_eval_set, score_style_eval)
 
 _STYLES = {
     "r0": "The {} is unremarkable. No {} identified on report {}.",
@@ -82,8 +83,9 @@ def main(argv=None) -> int:
           f"z={pooled.z:+.3f}, p={pooled.p_value:.3f}")
     alpha = 0.05
     if pooled.p_value >= alpha:
-        print(f"p >= {alpha}: evaluators did not beat the 25% chance rate;"
-              " generated style is indistinguishable here")
+        print(f"p >= {alpha}: evaluators did not beat the 25% chance rate"
+              " at this sample size, which does not show that the styles"
+              " are indistinguishable")
     else:
         print(f"p < {alpha}: evaluators discriminate generated reports")
     return 0

@@ -10,22 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .config import load_config
-from .errors import (ClientError, InputError, IoError, RadstyleError,
-                     SchemaError)
+from .errors import ClientError, InputError, RadstyleError
 from .graph import radgraph_from_document
-from .harness import (SOURCES, StyleEvalSet, assemble_style_eval_sets,
-                      check_disjoint, evaluate, example_pool, load_dataset,
-                      render_style_eval_set, render_table,
-                      require_serializations, score_style_eval,
+from .harness import (SOURCES, check_disjoint, evaluate, example_pool,
+                      load_dataset, render_table, require_serializations,
                       split_records, write_outputs)
-from .jsonfiles import read_json, study_map
-from .metrics import z_test_proportion
+from .jsonfiles import read_json, require_utf8, study_map
 from .prompting import (build_prompt, derive_selection_seed,
                         select_examples, wire_messages)
 from .serialize import serialize
+from .style_study import assemble_files, render_style_eval_set, score_files
+
 
 def _cmd_serialize(args: argparse.Namespace) -> int:
     def render(doc) -> str:
@@ -33,10 +30,13 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
 
     doc = read_json(args.graphs)
     if _is_graph_document(doc):
-        print(render(doc))
+        lines = [render(doc)]
     else:   # a sidecar: every study is rendered before any is printed
-        for study_id, text in study_map(args.graphs, doc, render).items():
-            print(f"{study_id}\t{text}")
+        lines = [f"{study_id}\t{text}" for study_id, text
+                 in study_map(args.graphs, doc, render).items()]
+    require_utf8(args.graphs, lines)
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -91,24 +91,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_style_assemble(args: argparse.Namespace) -> int:
-    human = read_json(args.human)
-    generated = read_json(args.generated)
-    for name, doc in (("human", human), ("generated", generated)):
-        if not isinstance(doc, dict):
-            raise SchemaError(
-                f"{name} file must map radiologist id to a report array")
-        for rid, reports in doc.items():
-            if (not isinstance(reports, list)
-                    or not all(isinstance(r, str) for r in reports)):
-                raise SchemaError(f"{name} file: radiologist {rid}: "
-                                  f"expected an array of report strings")
-    sets = assemble_style_eval_sets(human, generated, args.sets, args.seed)
-    out = {"sets": [s.to_dict() for s in sets]}
-    try:
-        Path(args.out).write_text(json.dumps(out, indent=2),
-                                  encoding="utf-8")
-    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
-        raise IoError(f"cannot write {args.out}: {exc}") from exc
+    sets = assemble_files(args.human, args.generated, args.sets, args.seed,
+                          args.out)
     if args.render:
         for i, s in enumerate(sets):
             print(f"=== Set {i + 1} ===")
@@ -119,32 +103,10 @@ def _cmd_style_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_style_score(args: argparse.Namespace) -> int:
-    doc = read_json(args.sets)
-    if not isinstance(doc, dict) or not isinstance(doc.get("sets"), list):
-        raise SchemaError(f"{args.sets}: expected an object with a "
-                          f"'sets' array")
-    sets = [StyleEvalSet.from_dict(d) for d in doc["sets"]]
-    answers = read_json(args.answers)
-    if not isinstance(answers, dict):
-        raise SchemaError(f"{args.answers}: expected an object mapping "
-                          f"evaluator to answer array")
-    score = score_style_eval(answers, sets)
-    for evaluator, result in score.per_evaluator.items():
-        print(f"{evaluator}: {result.successes}/{result.trials} correct, "
-              f"phat={result.phat:.4f}, z={result.z:.4f}, "
-              f"p={result.p_value:.4f}")
-    pooled = score.pooled
-    print(f"pooled: {pooled.successes}/{pooled.trials} correct, "
-          f"phat={pooled.phat:.4f}, z={pooled.z:.4f}, "
-          f"p={pooled.p_value:.4f}")
-    return 0
-
-
-def _cmd_ztest(args: argparse.Namespace) -> int:
-    result = z_test_proportion(args.x, args.n, args.p0)
-    print(f"x={result.successes} n={result.trials} p0={result.p0} "
-          f"phat={result.phat:.6f} z={result.z:.6f} "
-          f"p={result.p_value:.6f}")
+    score = score_files(args.sets, args.answers)
+    for name, r in [*score.per_evaluator.items(), ("pooled", score.pooled)]:
+        print(f"{name}: {r.successes}/{r.trials} correct, phat={r.phat:.4f}, "
+              f"z={r.z:.4f}, p={r.p_value:.4f}")
     return 0
 
 
@@ -189,12 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--sets", required=True)
     q.add_argument("--answers", required=True)
     q.set_defaults(func=_cmd_style_score)
-
-    p = sub.add_parser("ztest", help="one-sided proportion z-test")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p0", type=float, default=0.25)
-    p.set_defaults(func=_cmd_ztest)
 
     return parser
 

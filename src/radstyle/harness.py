@@ -1,4 +1,4 @@
-"""Experiment harness: datasets, scoring runs, result tables, style sets.
+"""Experiment harness: datasets, scoring runs and result tables.
 
 A dataset is a JSONL file of study records. Sidecar JSON files carry the
 per-study resources that normally come from frozen models: report graphs,
@@ -14,7 +14,6 @@ import csv
 import gc
 import io
 import json
-import random
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, eq, is_
 from pathlib import Path
@@ -28,12 +27,11 @@ from .config import BASE_METRICS, OUTPUT_SUFFIXES, HarnessConfig, MetricsConfig
 from .errors import InputError, IoError, RadstyleError, SchemaError
 from .graph import RadGraph, radgraph_from_document
 from .jsonfiles import read_jsonl, read_study_map
-from .metrics import (MetricReport, PathologyVector, ZTestResult,
-                      as_pathology_vector, bert_score, bleu2,
-                      chexbert_similarity, graph_keys, load_embeddings,
-                      load_pathology_vectors, mean_ci, ngram_counts,
-                      normed_vector, radcliq, radgraph_f1, tokenize,
-                      unit_rows, z_test_proportion)
+from .metrics import (MetricReport, PathologyVector, as_pathology_vector,
+                      bert_score, bleu2, chexbert_similarity, graph_keys,
+                      load_embeddings, load_pathology_vectors, mean_ci,
+                      ngram_counts, normed_vector, radcliq, radgraph_f1,
+                      tokenize, unit_rows)
 from .prompting import (PromptChain, StylePair, build_prompt,
                         derive_selection_seed, select_examples)
 from .serialize import serialize
@@ -628,135 +626,3 @@ def write_outputs(outcome: RunOutcome, cfg: HarnessConfig) -> dict[str, Path]:
         raise IoError(f"cannot write results: {exc}") from exc
     write_scores_jsonl(paths["scores"], outcome.items)
     return paths
-
-
-@dataclass(frozen=True)
-class StyleEvalSet:
-    """Four reports shown to an evaluator: three written by one
-    radiologist and one generated in their style, in shuffled order."""
-
-    radiologist_id: str
-    reports: tuple[str, str, str, str]
-    generated_index: int
-    order_seed: int
-
-    def to_dict(self) -> dict:
-        return {"radiologist_id": self.radiologist_id,
-                "reports": list(self.reports),
-                "generated_index": self.generated_index,
-                "order_seed": self.order_seed}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "StyleEvalSet":
-        if not isinstance(doc, dict):
-            raise SchemaError("style set must be an object")
-        reports = doc.get("reports")
-        if (not isinstance(reports, list) or len(reports) != 4
-                or not all(isinstance(r, str) for r in reports)):
-            raise SchemaError("style set needs exactly four report strings")
-        idx = doc.get("generated_index")
-        if type(idx) is not int or not 0 <= idx <= 3:
-            raise SchemaError("generated_index must be an int in [0, 3]")
-        if type(doc.get("order_seed")) is not int:
-            raise SchemaError("order_seed must be an int")
-        rid = doc.get("radiologist_id")
-        if not isinstance(rid, str):
-            raise SchemaError(f"radiologist_id must be a string, got {rid!r}")
-        if len(set(reports)) != 4:
-            raise SchemaError(
-                f"radiologist {rid}: duplicate report text in one set")
-        return StyleEvalSet(rid, tuple(reports), idx, doc["order_seed"])
-
-
-def assemble_style_eval_sets(human: Mapping[str, Sequence[str]],
-                             generated: Mapping[str, Sequence[str]],
-                             n_sets: int, seed: int) -> list[StyleEvalSet]:
-    """Build evaluation sets round-robin over radiologists.
-
-    Each set takes three human reports and one generated report from the
-    same radiologist; no report is reused across sets. Shortfalls raise
-    with the radiologist named.
-    """
-    if n_sets < 1:
-        raise InputError("n_sets must be at least 1")
-    rad_ids = sorted(human)
-    if not rad_ids:
-        raise InputError("no radiologists in the human report pool")
-    # set i goes to rad_ids[i % len(rad_ids)]; count without listing them
-    quotient, remainder = divmod(n_sets, len(rad_ids))
-    for j, rid in enumerate(rad_ids):
-        n = quotient + (j < remainder)
-        have_h = len(human.get(rid, ()))
-        have_g = len(generated.get(rid, ()))
-        if have_h < 3 * n or have_g < n:
-            raise InputError(
-                f"radiologist {rid}: {n} sets need {3 * n} human and {n} "
-                f"generated reports, have {have_h} and {have_g}")
-    rng = random.Random(seed)
-    human_pool = {rid: rng.sample(list(human[rid]), len(human[rid]))
-                  for rid in rad_ids}
-    gen_pool = {rid: rng.sample(list(generated[rid]), len(generated[rid]))
-                for rid in rad_ids if rid in generated}
-    sets: list[StyleEvalSet] = []
-    for i in range(n_sets):
-        rid = rad_ids[i % len(rad_ids)]
-        chosen_h = [human_pool[rid].pop() for _ in range(3)]
-        chosen_g = gen_pool[rid].pop()
-        texts = chosen_h + [chosen_g]
-        if len(set(texts)) != 4:
-            raise InputError(
-                f"radiologist {rid}: duplicate report text in one set")
-        order_seed = rng.randrange(2 ** 32)
-        perm = random.Random(order_seed).sample(range(4), 4)
-        reports = tuple(texts[i] for i in perm)
-        sets.append(StyleEvalSet(rid, reports, perm.index(3), order_seed))
-    return sets
-
-
-def render_style_eval_set(style_set: StyleEvalSet) -> str:
-    """Display text for one set. Deliberately omits which report is
-    generated; that lives only in the set's metadata."""
-    blocks = [f"Report {i + 1}:\n{text}"
-              for i, text in enumerate(style_set.reports)]
-    return "\n\n".join(blocks)
-
-
-@dataclass(frozen=True)
-class StyleEvalScore:
-    per_evaluator: dict[str, ZTestResult]
-    pooled: ZTestResult
-
-
-STYLE_CHANCE = 0.25   # one report of a set's four is generated
-
-
-def score_style_eval(answers: Mapping[str, Sequence[int]],
-                     sets: Sequence[StyleEvalSet]) -> StyleEvalScore:
-    """Test whether evaluators identify the generated report above the
-    chance rate STYLE_CHANCE. Answers are 0-based indices, one per set."""
-    if not answers:
-        raise InputError("no evaluator answers given")
-    if not sets:
-        raise InputError("no style sets given")
-    per: dict[str, ZTestResult] = {}
-    total_x = 0
-    for evaluator in sorted(answers):
-        choices = answers[evaluator]
-        if not isinstance(choices, (list, tuple)):
-            raise InputError(
-                f"evaluator {evaluator}: answers must be an array of indices")
-        if len(choices) != len(sets):
-            raise InputError(
-                f"evaluator {evaluator}: expected {len(sets)} answers, "
-                f"got {len(choices)}")
-        x = 0
-        for i, choice in enumerate(choices):
-            if type(choice) is not int or not 0 <= choice <= 3:
-                raise InputError(
-                    f"evaluator {evaluator}, set {i}: answer must be an "
-                    f"index in [0, 3], got {choice!r}")
-            x += int(choice == sets[i].generated_index)
-        per[evaluator] = z_test_proportion(x, len(sets), STYLE_CHANCE)
-        total_x += x
-    pooled = z_test_proportion(total_x, len(sets) * len(per), STYLE_CHANCE)
-    return StyleEvalScore(per, pooled)

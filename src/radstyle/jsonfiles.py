@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import IoError, RadstyleError, SchemaError
 
@@ -24,6 +24,18 @@ def read_text(path) -> str:
     # character the file system cannot encode
     except (OSError, ValueError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def require_utf8(path, texts: Iterable[str]) -> None:
+    """Refuse ``texts``, read from ``path``, if one holds a lone surrogate
+    (a JSON escape such as ``\\ud800`` gives one): UTF-8 cannot encode
+    it, so it cannot be printed."""
+    for text in texts:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{path}: holds a lone surrogate, which UTF-8 "
+                              f"cannot encode") from None
 
 
 def _decode(text: str, where) -> Any:

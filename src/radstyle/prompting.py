@@ -129,8 +129,10 @@ def select_examples(pool: Sequence[StylePair], k: int,
 
 def derive_selection_seed(seed: int, k: int, study_id: str) -> int:
     """Stable per-study seed so example draws do not depend on iteration
-    order or on runs for other studies."""
-    digest = hashlib.sha256(f"{seed}:{k}:{study_id}".encode()).digest()
+    order or on runs for other studies. Any id hashes, one holding a lone
+    surrogate too; no UTF-8 text encodes as a surrogate does."""
+    key = f"{seed}:{k}:{study_id}".encode("utf-8", "surrogatepass")
+    digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -112,6 +112,24 @@ def test_serialize_reads_a_sidecar_once(tmp_path, capsys, monkeypatch):
     assert len(reads) == 1
 
 
+@pytest.mark.parametrize("where", ["token", "study_id"])
+def test_serialize_refuses_text_it_cannot_print(tmp_path, capsys, where):
+    # "\\ud800" in JSON decodes to a lone surrogate, which UTF-8 cannot
+    # encode; printing it raised UnicodeEncodeError
+    if where == "token":
+        doc = dict(SINGLE_GRAPH, **{"3": entity_doc("3", "\ud800", "OBS-DA",
+                                                    7)})
+    else:
+        doc = {"s1": SINGLE_GRAPH, "s\ud800": SINGLE_GRAPH}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["serialize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: holds a lone surrogate, which "
+                            f"UTF-8 cannot encode\n")
+
+
 def test_serialize_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope", encoding="utf-8")
@@ -894,6 +912,12 @@ def _bad_style_eval_argv(tmp_path, bad):
         path.write_text(json.dumps(doc), encoding="utf-8")
         return ["style-eval", "assemble", "--human", str(hp), "--generated",
                 str(gp), "--sets", "2", "--out", str(out)]
+    if bad == "report_surrogate":   # printed by --render
+        doc = json.loads(hp.read_text(encoding="utf-8"))
+        doc["r0"][0] = "a \ud800"
+        hp.write_text(json.dumps(doc), encoding="utf-8")
+        return ["style-eval", "assemble", "--human", str(hp), "--generated",
+                str(gp), "--sets", "2", "--out", str(out), "--render"]
     assert cli.main(["style-eval", "assemble", "--human", str(hp),
                      "--generated", str(gp), "--sets", "2",
                      "--out", str(out)]) == 0
@@ -909,6 +933,8 @@ def _bad_style_eval_argv(tmp_path, bad):
         sets["sets"][0]["radiologist_id"] = None
     elif bad == "answers_not_array":
         answers["e1"] = 5
+    elif bad == "evaluator_surrogate":
+        answers["e\ud800"] = answers.pop("e1")
     else:   # answer_bool
         answers["e1"][0] = True
     out.write_text(json.dumps(sets), encoding="utf-8")
@@ -933,6 +959,10 @@ STYLE_EVAL_ERRORS = {
                   "generated reports, have 6 and 2"),
     "human_deep": "deep.json: JSON nested too deeply",
     "sets_deep": "deep.json: JSON nested too deeply",
+    "report_surrogate": ("human.json: holds a lone surrogate, which UTF-8 "
+                         "cannot encode"),
+    "evaluator_surrogate": ("answers.json: holds a lone surrogate, which "
+                            "UTF-8 cannot encode"),
 }
 
 
@@ -947,20 +977,6 @@ def test_style_eval_bad_input_exits_one(tmp_path, capsys, bad):
     assert captured.out == ""
     if argv[1] == "assemble":
         assert not (tmp_path / "sets.json").exists()
-
-
-def test_ztest_output(capsys):
-    assert cli.main(["ztest", "--x", "5", "--n", "23",
-                     "--p0", "0.25"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("x=5 n=23 p0=0.25 ")
-    assert "z=-0.379144" in out
-    assert "p=0.647709" in out
-
-
-def test_ztest_default_chance_rate(capsys):
-    assert cli.main(["ztest", "--x", "10", "--n", "40"]) == 0
-    assert "p0=0.25" in capsys.readouterr().out
 
 
 def test_parser_rejects_unknown_mode():

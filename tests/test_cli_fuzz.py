@@ -22,10 +22,11 @@ import radstyle.cli as cli
 from radstyle.harness import SOURCES
 from radstyle.synthetic import make_synthetic_corpus
 
-# the files a command reads; "sets" and "answers" are style-eval's
+# the files a command reads; the last four are style-eval's
 KINDS = ("dataset", "graphs", "vectors", "embeddings", "baseline", "config",
-         "sets", "answers")
-MUTATIONS = ("truncate", "retype", "drop_key", "nul", "bad_utf8")
+         "human", "generated", "sets", "answers")
+MUTATIONS = ("truncate", "retype", "drop_key", "nul", "bad_utf8",
+             "surrogate")
 # what "retype" puts in place of a value: one of each JSON type, and
 # extremes that a check may miss
 VALUES = (None, True, False, 0, -1, 10**30, 1.5, float("nan"), float("inf"),
@@ -48,13 +49,14 @@ def run_files(tmp_path_factory):
              for i in range(2)}
     generated = {f"r{i}": [f"rad {i} generated report {j}" for j in range(2)]
                  for i in range(2)}
-    (out / "human.json").write_text(json.dumps(human))
-    (out / "generated.json").write_text(json.dumps(generated))
+    for kind, doc in (("human", human), ("generated", generated)):
+        files[kind] = out / f"{kind}.json"
+        files[kind].write_text(json.dumps(doc))
     files["sets"] = out / "sets.json"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["style-eval", "assemble", "--human",
-                         str(out / "human.json"), "--generated",
-                         str(out / "generated.json"), "--sets", "4",
+                         str(files["human"]), "--generated",
+                         str(files["generated"]), "--sets", "4",
                          "--out", str(files["sets"])]) == 0
     files["answers"] = out / "answers.json"
     files["answers"].write_text(json.dumps({"e1": [0, 1, 2, 3],
@@ -98,11 +100,22 @@ def mutate(data: bytes, kind: str, mutation: str, where: int, value) -> bytes:
     else:
         doc = json.loads(text)
     slots = _slots(doc, dicts_only=mutation == "drop_key")
+    if mutation == "surrogate":   # a string value or an object's key
+        slots = [(node, key) for node, key in slots
+                 if isinstance(node, dict) or isinstance(node[key], str)]
     if slots:
         node, key = slots[where % len(slots)]
         old = node[key]
         if mutation == "drop_key":
             del node[key]
+        elif mutation == "surrogate":
+            # "\ud800" decodes to a lone surrogate, which UTF-8 cannot
+            # encode; json.dumps and yaml.safe_dump write it escaped
+            if isinstance(node, dict) and (not isinstance(old, str)
+                                           or where // len(slots) % 2):
+                node[key + "\ud800"] = node.pop(key)
+            else:
+                node[key] = old + "\ud800"
         elif type(value) is not type(old):
             node[key] = value
         else:
@@ -136,7 +149,13 @@ def _run(files, config, eval_study, kind, mutation, where, value, mode,
                                    encoding="utf-8")
         evaluate = ["evaluate", "--mode", mode, "--config",
                     str(path if kind == "config" else config_path)]
-        if kind in ("sets", "answers"):
+        if kind in ("human", "generated"):
+            other = {"human": files["human"],
+                     "generated": files["generated"], kind: path}
+            argv = ["style-eval", "assemble", "--human", str(other["human"]),
+                    "--generated", str(other["generated"]), "--sets", "4",
+                    "--out", str(tmp / "sets.json"), "--render"]
+        elif kind in ("sets", "answers"):
             other = {"sets": files["sets"], "answers": files["answers"],
                      kind: path}
             argv = ["style-eval", "score", "--sets", str(other["sets"]),
@@ -148,11 +167,14 @@ def _run(files, config, eval_study, kind, mutation, where, value, mode,
             argv = ["serialize", str(path)]
         else:
             argv = evaluate
+        # Like a terminal's, this stdout refuses text that UTF-8 cannot
+        # encode; a terminal's stderr escapes it, as a StringIO keeps it.
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         err = io.StringIO()
         cwd = os.getcwd()
         os.chdir(tmp)   # a config without output.directory writes here
         try:
-            with (contextlib.redirect_stdout(io.StringIO()),
+            with (contextlib.redirect_stdout(out),
                   contextlib.redirect_stderr(err)):
                 code = cli.main(argv)
         finally:
@@ -164,6 +186,10 @@ def _run(files, config, eval_study, kind, mutation, where, value, mode,
 # a YAML error's text spans lines: this one printed two
 @example(kind="config", mutation="nul", where=0, value=None, mode="ser2rep",
          other_command=False)
+# a study id holding a lone surrogate: hashing it for the example draw
+# raised UnicodeEncodeError
+@example(kind="dataset", mutation="surrogate", where=0, value=None,
+         mode="ser2rep", other_command=False)
 @given(kind=st.sampled_from(KINDS), mutation=st.sampled_from(MUTATIONS),
        where=st.integers(min_value=0, max_value=2**32),
        value=st.sampled_from(VALUES), mode=st.sampled_from(sorted(SOURCES)),

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import sys
 from importlib.metadata import packages_distributions
@@ -85,3 +86,31 @@ def test_every_module_is_imported_and_every_named_module_exists():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     named = set(re.findall(r"\bradstyle\.(\w+)", readme))
     assert sorted(named - modules) == [], "named in README, not in src"
+
+
+def _importable(module, name):
+    """Whether ``from <module> import <name>`` finds ``name``: an
+    attribute of the module, or else a submodule."""
+    try:
+        if hasattr(importlib.import_module(module), name):
+            return True
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_name_imported_from_the_package_exists():
+    """Each name that ``scripts/`` or ``perfbench/`` imports from a
+    package module exists there, so moving a name out of its module fails
+    here, not only when the script or the benchmark runs."""
+    missing = []
+    for path in [*(ROOT / "scripts").rglob("*.py"),
+                 *(ROOT / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "radstyle"):
+                missing += [f"{path.relative_to(ROOT)}: {node.module}."
+                            f"{alias.name}" for alias in node.names
+                            if not _importable(node.module, alias.name)]
+    assert missing == []

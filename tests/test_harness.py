@@ -23,15 +23,13 @@ from radstyle.config import (ExperimentConfig, HarnessConfig, MetricsConfig,
 from radstyle.errors import ConfigError, InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
 from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
-                              Scorer, StudyRecord, StyleEvalSet,
-                              aggregate_row, assemble_style_eval_sets,
+                              Scorer, StudyRecord, aggregate_row,
                               build_resources, evaluate, item_to_dict,
                               load_baseline, load_dataset,
                               load_graph_documents,
                               load_scores_jsonl, make_transport,
-                              parse_table_csv, render_style_eval_set,
-                              render_table, render_table_csv, run_generation,
-                              score_fixed_outputs, score_style_eval,
+                              parse_table_csv, render_table, render_table_csv,
+                              run_generation, score_fixed_outputs,
                               split_records, write_outputs,
                               write_scores_jsonl)
 from radstyle.metrics import (MetricReport, bert_score, bleu2,
@@ -40,6 +38,8 @@ from radstyle.metrics import (MetricReport, bert_score, bleu2,
                               radgraph_f1, tokenize)
 from radstyle.prompting import INSTRUCTION
 from radstyle.serialize import serialize
+from radstyle.style_study import (StyleEvalSet, assemble_style_eval_sets,
+                                  render_style_eval_set, score_style_eval)
 from radstyle.synthetic import make_synthetic_corpus
 
 from graphgen import random_document
