@@ -111,8 +111,8 @@ class OutputConfig:
     prefix: str = "run"   # names files in ``directory``, never a subdirectory
 
     def __post_init__(self) -> None:
-        try:
-            nameable = b"\0" not in os.fsencode(self.directory)
+        try:   # printed once written, so UTF-8 must encode it too
+            nameable = b"\0" not in self.directory.encode("utf-8")
         except UnicodeEncodeError:   # a lone surrogate
             nameable = False
         if not nameable:

@@ -500,7 +500,7 @@ def test_evaluate_bad_output_prefix_exits_one(corpus, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("bad", ["directory_nul", "directory_surrogate",
-                                 "prefix_too_long"])
+                                 "directory_escaped_byte", "prefix_too_long"])
 def test_evaluate_output_the_file_system_cannot_name_exits_one(
         corpus, tmp_path, capsys, monkeypatch, bad):
     sent = []
@@ -516,7 +516,11 @@ def test_evaluate_output_the_file_system_cannot_name_exits_one(
                    f"bytes, over the {name_max} that file names in "
                    f"{tmp_path} may have")
     else:
-        directory += "/a\0b" if bad == "directory_nul" else "/\ud800"
+        # "\\udcff" names the byte 0xff to the file system, but printing
+        # the path to a UTF-8 terminal fails
+        directory += {"directory_nul": "/a\0b",
+                      "directory_surrogate": "/\ud800",
+                      "directory_escaped_byte": "/\udcff"}[bad]
         message = (f"output directory must be a path the file system can "
                    f"name, got {directory!r}")
     config["output"] = {"directory": directory, "prefix": prefix}
