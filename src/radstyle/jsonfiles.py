@@ -27,9 +27,9 @@ def read_text(path) -> str:
 
 
 def require_utf8(path, texts: Iterable[str]) -> None:
-    """Refuse ``texts``, read from ``path``, if one holds a lone surrogate
-    (a JSON escape such as ``\\ud800`` gives one): UTF-8 cannot encode
-    it, so it cannot be printed."""
+    """Refuse ``texts``, which come from ``path``, if one holds a lone
+    surrogate, as a JSON escape such as ``\\ud800`` or an undecodable byte
+    in a path gives: UTF-8 cannot encode it, so it cannot be printed."""
     for text in texts:
         try:
             text.encode("utf-8")

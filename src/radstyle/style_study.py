@@ -152,6 +152,7 @@ def assemble_files(human_path, generated_path, n_sets: int, seed: int,
                    out) -> list[StyleEvalSet]:
     """Assemble sets from two files that map radiologist id to an array
     of report strings, and write them to ``out`` as ``{"sets": [...]}``."""
+    require_utf8(f"--out {out!r}", [str(out)])   # printed once written
     paths = {"human": human_path, "generated": generated_path}
     pools = {name: read_json(path) for name, path in paths.items()}
     for name, doc in pools.items():

@@ -898,6 +898,10 @@ def _bad_style_eval_argv(tmp_path, bad):
     if bad == "out_nul":
         return ["style-eval", "assemble", "--human", str(hp), "--generated",
                 str(gp), "--sets", "2", "--out", str(tmp_path / "a\0b")]
+    if bad == "out_surrogate":   # printed once written
+        return ["style-eval", "assemble", "--human", str(hp), "--generated",
+                str(gp), "--sets", "2", "--out",
+                str(tmp_path / "\udcff.json")]
     if bad == "sets_huge":
         return ["style-eval", "assemble", "--human", str(hp), "--generated",
                 str(gp), "--sets", str(10 ** 18), "--out", str(out)]
@@ -958,6 +962,8 @@ STYLE_EVAL_ERRORS = {
     "human_string": "human file: radiologist r0: expected an array",
     "generated_ints": "generated file: radiologist r0: expected an array",
     "out_nul": "embedded null byte",
+    "out_surrogate": ("\\udcff.json': holds a lone surrogate, which UTF-8 "
+                      "cannot encode"),
     "sets_huge": ("radiologist r0: 500000000000000000 sets need "
                   "1500000000000000000 human and 500000000000000000 "
                   "generated reports, have 6 and 2"),
