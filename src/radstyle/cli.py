@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 bad input (parse/schema/config/validation), 2
-upstream client failure, including an ``evaluate`` run in which every
+Exit codes: 0 success, 1 bad input (usage/parse/schema/config/validation),
+2 upstream client failure, including an ``evaluate`` run in which every
 request of some shot row failed (its outputs are still written).
 """
 
@@ -110,8 +110,15 @@ def _cmd_style_score(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: one ``error:`` line and exit 1."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radstyle",
         description="Serialization-based report generation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -156,9 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ClientError as exc:
         print(f"client error: {exc}", file=sys.stderr)

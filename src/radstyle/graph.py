@@ -12,48 +12,30 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
+from typing import NamedTuple
 
 from .errors import SchemaError
 
 log = logging.getLogger(__name__)
 
-
-class EntityLabel(Enum):
-    """Closed set of entity labels; anything else is a schema error."""
-
-    ANAT_DP = "ANAT-DP"
-    OBS_DP = "OBS-DP"
-    OBS_DA = "OBS-DA"
-    OBS_U = "OBS-U"
+# the closed vocabularies, spelled as in the document; all else is refused
+LABELS = frozenset({"ANAT-DP", "OBS-DP", "OBS-DA", "OBS-U"})
+KINDS = frozenset({"modify", "located_at", "suggestive_of"})
 
 
-class RelationKind(Enum):
-    MODIFY = "modify"
-    LOCATED_AT = "located_at"
-    SUGGESTIVE_OF = "suggestive_of"
-
-
-# document string -> member; a dict lookup skips Enum.__call__
-_LABELS = {label.value: label for label in EntityLabel}
-_KINDS = {kind.value: kind for kind in RelationKind}
-
-
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     """A labelled text span; start_ix/end_ix are token indices in the report."""
 
     tokens: str
-    label: EntityLabel
+    label: str
     start_ix: int
     end_ix: int
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     source: str
     target: str
-    kind: RelationKind
+    kind: str
 
 
 @dataclass(frozen=True)
@@ -85,10 +67,11 @@ def _derive_sections(text: str | None) -> SectionMap:
     them into token ranges. Missing headers leave the range unset."""
     if not text:
         return SectionMap()
-    tokens = text.split()
+    # casefold adds or drops no whitespace and makes no ":": once is exact
+    tokens = text.casefold().split()
     positions: dict[str, int] = {}
     for ix, token in enumerate(tokens):
-        name = token.rstrip(":").casefold()
+        name = token.rstrip(":")
         if name in ("findings", "impression") and name not in positions:
             positions[name] = ix
     if not positions:
@@ -136,7 +119,7 @@ def radgraph_from_document(doc: dict) -> RadGraph:
         label = value.get("label")
         if not isinstance(label, str):
             raise SchemaError(f"entity {eid}: missing label")
-        if label not in _LABELS:
+        if label not in LABELS:
             raise SchemaError(f"unknown entity label {label!r}")
         start_ix = value.get("start_ix")
         end_ix = value.get("end_ix")
@@ -149,7 +132,7 @@ def radgraph_from_document(doc: dict) -> RadGraph:
         if start_ix > end_ix:
             raise SchemaError(
                 f"entity {eid}: start_ix {start_ix} > end_ix {end_ix}")
-        entities[eid] = Entity(tokens.strip(), _LABELS[label], start_ix, end_ix)
+        entities[eid] = Entity(tokens.strip(), label, start_ix, end_ix)
 
         rels = value.get("relations", [])
         if not isinstance(rels, list):
@@ -163,10 +146,9 @@ def radgraph_from_document(doc: dict) -> RadGraph:
     relations: list[Relation] = []
     seen: set[tuple[str, str, str]] = set()
     for triple in raw_relations:
-        source, target, kind_raw = triple
-        kind = _KINDS.get(kind_raw)
-        if kind is None:
-            raise SchemaError(f"unknown relation kind {kind_raw!r}")
+        source, target, kind = triple
+        if kind not in KINDS:
+            raise SchemaError(f"unknown relation kind {kind!r}")
         if target not in entities:
             raise SchemaError(f"dangling relation target {target}")
         if source == target:
@@ -174,7 +156,7 @@ def radgraph_from_document(doc: dict) -> RadGraph:
         if triple in seen:
             # Noisy extraction output repeats edges; keep one copy.
             log.warning("duplicate relation (%s, %s, %s) collapsed",
-                        source, target, kind_raw)
+                        source, target, kind)
             continue
         seen.add(triple)
         relations.append(Relation(source, target, kind))

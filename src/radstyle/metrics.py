@@ -135,14 +135,11 @@ def graph_keys(graph: RadGraph | GraphKeys) -> GraphKeys:
     unchanged."""
     if isinstance(graph, GraphKeys):
         return graph
-    # Keys hold the enums' string values: Python caches a string's hash,
-    # while hashing an enum member runs Python code on every lookup. The
-    # values are read from ``_value_``, which ``value`` wraps in a property.
-    keys = {eid: (entity.tokens.casefold(), entity.label._value_)
+    keys = {eid: (entity.tokens.casefold(), entity.label)
             for eid, entity in graph.entities.items()}
     return GraphKeys(
         Counter(keys.values()), len(keys),
-        Counter((keys[r.source], keys[r.target], r.kind._value_)
+        Counter((keys[r.source], keys[r.target], r.kind)
                 for r in graph.relations), len(graph.relations))
 
 

@@ -10,16 +10,11 @@ recognizable sections, then joined with ``DELIMITER`` under their headers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from typing import Literal
 
-from .errors import InputError
-from .graph import EntityLabel, RadGraph, SectionMap, weakly_connected_components
+from .graph import RadGraph, SectionMap, weakly_connected_components
 
-
-class Section(Enum):
-    FINDINGS = "findings"
-    IMPRESSION = "impression"
-    UNIFIED = "unified"
+Section = Literal["findings", "impression", "unified"]
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ class Serialization:
         return self.findings + self.impression + self.unified
 
 
-_KEYWORD = {EntityLabel.OBS_DA: "no", EntityLabel.OBS_U: "maybe"}
+_KEYWORD = {"OBS-DA": "no", "OBS-U": "maybe"}
 FINDINGS_HEADER = "findings:"
 IMPRESSION_HEADER = "impression:"
 DELIMITER = ". "   # between spans and between sections
@@ -51,9 +46,8 @@ def section_of_component(ids: set[str], g: RadGraph) -> Section:
 
     Entities outside both ranges count toward findings, and findings wins
     ties, so impression requires a strict majority inside its range.
+    The caller renders a graph without section ranges as unified.
     """
-    if not g.sections.defines_any():
-        raise InputError("graph defines no section ranges")
     votes_impression = 0
     votes_findings = 0
     for eid in ids:
@@ -63,29 +57,23 @@ def section_of_component(ids: set[str], g: RadGraph) -> Section:
         else:
             votes_findings += 1
     if votes_impression > votes_findings:
-        return Section.IMPRESSION
-    return Section.FINDINGS
+        return "impression"
+    return "findings"
 
 
 def serialize_component(ids: set[str], g: RadGraph) -> ComponentSpan:
-    """Render one component: entities sorted by report position, joined by
-    single spaces, absence/uncertainty keywords prepended."""
-    unknown = set(ids) - g.entities.keys()
-    if unknown:
-        raise InputError(f"ids not in graph: {sorted(unknown)}")
-    if not ids:
-        raise InputError("empty component")
+    """Render one of ``weakly_connected_components(g)``: entities sorted by
+    report position, joined by single spaces, keywords prepended."""
     # label breaks (start, end, tokens) ties so order never depends on
     # set iteration; full-key ties render identically either way
     entities = sorted((g.entities[i] for i in ids),
-                      key=lambda e: (e.start_ix, e.end_ix, e.tokens,
-                                     e.label.value))
+                      key=lambda e: (e.start_ix, e.end_ix, e.tokens, e.label))
     parts = []
     for entity in entities:
         keyword = _KEYWORD.get(entity.label)
         parts.append(f"{keyword} {entity.tokens}" if keyword else entity.tokens)
     section = (section_of_component(ids, g) if g.sections.defines_any()
-               else Section.UNIFIED)
+               else "unified")
     return ComponentSpan(" ".join(parts), section, entities[0].start_ix)
 
 
@@ -94,9 +82,9 @@ def serialize(g: RadGraph) -> Serialization:
     The graph is taken as ``radgraph_from_document`` checked it."""
     spans = [serialize_component(component, g)
              for component in weakly_connected_components(g)]
-    findings = tuple(s for s in spans if s.section is Section.FINDINGS)
-    impression = tuple(s for s in spans if s.section is Section.IMPRESSION)
-    unified = tuple(s for s in spans if s.section is Section.UNIFIED)
+    findings = tuple(s for s in spans if s.section == "findings")
+    impression = tuple(s for s in spans if s.section == "impression")
+    unified = tuple(s for s in spans if s.section == "unified")
 
     if unified:
         rendered = DELIMITER.join(s.text for s in unified)

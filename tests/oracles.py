@@ -14,8 +14,7 @@ import logging
 import math
 
 from radstyle.errors import SchemaError
-from radstyle.graph import (Entity, EntityLabel, RadGraph, Relation,
-                            RelationKind, _derive_sections)
+from radstyle.graph import Entity, RadGraph, Relation, SectionMap
 
 graph_log = logging.getLogger("oracles.graph")
 
@@ -186,25 +185,53 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _label_oracle(value: str) -> EntityLabel:
-    try:
-        return EntityLabel(value)
-    except ValueError:
-        raise SchemaError(f"unknown entity label {value!r}") from None
+# The document's vocabulary, written out here rather than read from
+# ``radstyle.graph`` so that a change to the library's sets shows up.
+_ORACLE_LABELS = ("ANAT-DP", "OBS-DP", "OBS-DA", "OBS-U")
+_ORACLE_KINDS = ("modify", "located_at", "suggestive_of")
 
 
-def _kind_oracle(value: str) -> RelationKind:
-    try:
-        return RelationKind(value)
-    except ValueError:
-        raise SchemaError(f"unknown relation kind {value!r}") from None
+def _label_oracle(value: str) -> str:
+    _require(value in _ORACLE_LABELS, f"unknown entity label {value!r}")
+    return value
+
+
+def _kind_oracle(value: str) -> str:
+    _require(value in _ORACLE_KINDS, f"unknown relation kind {value!r}")
+    return value
+
+
+def derive_sections_oracle(text: str | None) -> SectionMap:
+    """Section ranges as first written: each token stripped of trailing
+    colons and casefolded on its own."""
+    if not text:
+        return SectionMap()
+    tokens = text.split()
+    positions: dict[str, int] = {}
+    for ix, token in enumerate(tokens):
+        name = token.rstrip(":").casefold()
+        if name in ("findings", "impression") and name not in positions:
+            positions[name] = ix
+    if not positions:
+        return SectionMap()
+    last = len(tokens) - 1
+    f_ix = positions.get("findings")
+    i_ix = positions.get("impression")
+    if f_ix is not None and i_ix is not None:
+        if f_ix < i_ix:
+            return SectionMap((f_ix, i_ix - 1), (i_ix, last))
+        return SectionMap((f_ix, last), (i_ix, f_ix - 1))
+    if f_ix is not None:
+        return SectionMap(findings_range=(f_ix, last))
+    return SectionMap(impression_range=(i_ix, last))
 
 
 def radgraph_from_document_oracle(doc: dict) -> RadGraph:
     """The graph ingestion as first written: every check through
-    ``_require`` with its message formatted up front, and labels and
-    kinds looked up through the enums' constructors. Duplicate relations
-    are logged to ``graph_log``."""
+    ``_require`` with its message formatted up front, labels and kinds
+    checked against the oracle's own vocabulary, and sections found by
+    ``derive_sections_oracle``. Duplicate relations are logged to
+    ``graph_log``."""
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")
 
@@ -242,7 +269,7 @@ def radgraph_from_document_oracle(doc: dict) -> RadGraph:
             raw_relations.append((eid, str(pair[1]), str(pair[0])))
 
     relations: list[Relation] = []
-    seen: set[tuple[str, str, RelationKind]] = set()
+    seen: set[tuple[str, str, str]] = set()
     for source, target, kind_raw in raw_relations:
         kind = _kind_oracle(kind_raw)
         if target not in entities:
@@ -252,9 +279,10 @@ def radgraph_from_document_oracle(doc: dict) -> RadGraph:
         triple = (source, target, kind)
         if triple in seen:
             graph_log.warning("duplicate relation (%s, %s, %s) collapsed",
-                              source, target, kind.value)
+                              source, target, kind)
             continue
         seen.add(triple)
         relations.append(Relation(source, target, kind))
 
-    return RadGraph(entities, tuple(relations), _derive_sections(report_text))
+    return RadGraph(entities, tuple(relations),
+                    derive_sections_oracle(report_text))

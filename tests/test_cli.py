@@ -15,7 +15,7 @@ import radstyle.cli as cli
 import radstyle.harness as harness
 from radstyle.client import EchoReportTransport
 from radstyle.config import BASE_METRICS, load_config
-from radstyle.errors import RequestError
+from radstyle.errors import InputError, RequestError
 from radstyle.harness import load_dataset, parse_table_csv
 from radstyle.prompting import INSTRUCTION, SYSTEM_PROMPT
 from radstyle.synthetic import make_synthetic_corpus
@@ -990,9 +990,32 @@ def test_style_eval_bad_input_exits_one(tmp_path, capsys, bad):
 
 
 def test_parser_rejects_unknown_mode():
-    with pytest.raises(SystemExit):
+    with pytest.raises(InputError, match="invalid choice: 'nope'"):
         cli.build_parser().parse_args(["evaluate", "--mode", "nope",
                                        "--config", "c"])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["evaluate", "--mode", "ser2rep"],
+     "the following arguments are required: --config"),
+    (["prompt", "--shots", "x", "--dataset", "d"],
+     "argument --shots: invalid int value: 'x'"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_error_exits_one_with_one_error_line(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_readme_cli_block_parses():
@@ -1006,5 +1029,5 @@ def test_readme_cli_block_parses():
         argv = shlex.split(command.replace("\\\n", " "))[1:]
         try:
             parser.parse_args(argv)
-        except SystemExit:
+        except InputError:
             pytest.fail(f"README command does not parse: {command}")

@@ -1,9 +1,10 @@
-"""Fuzz ``cli.main`` over mutated input files.
+"""Fuzz ``cli.main`` over mutated input files and argument vectors.
 
-Each example takes one file of a small valid run, applies one mutation to
-it and runs a command that reads the file. Whatever the bytes, the
-command returns 0, 1 or 2 and raises nothing, and on exit 1 it prints one
-``error:`` line.
+Each file example takes one file of a small valid run, applies one
+mutation to it and runs a command that reads the file. Whatever the
+bytes, the command returns 0, 1 or 2 and raises nothing, and on exit 1 it
+prints one ``error:`` line. Each argument-vector example makes one edit
+to a command's valid arguments; the command returns 0 or 1, the same way.
 """
 
 import contextlib
@@ -127,6 +128,21 @@ def mutate(data: bytes, kind: str, mutation: str, where: int, value) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
+def _main(argv, tmp):
+    """``cli.main(argv)`` run in ``tmp``; returns the exit code and stderr."""
+    # Like a terminal's, this stdout refuses text that UTF-8 cannot
+    # encode; a terminal's stderr escapes it, as a StringIO keeps it.
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp)   # a config without output.directory writes here
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return cli.main(argv), err.getvalue()
+    finally:
+        os.chdir(cwd)
+
+
 def _run(files, config, eval_study, kind, mutation, where, value, mode,
          other_command):
     """Mutate the ``kind`` file in a scratch directory and run a command
@@ -167,19 +183,7 @@ def _run(files, config, eval_study, kind, mutation, where, value, mode,
             argv = ["serialize", str(path)]
         else:
             argv = evaluate
-        # Like a terminal's, this stdout refuses text that UTF-8 cannot
-        # encode; a terminal's stderr escapes it, as a StringIO keeps it.
-        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        err = io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(tmp)   # a config without output.directory writes here
-        try:
-            with (contextlib.redirect_stdout(out),
-                  contextlib.redirect_stderr(err)):
-                code = cli.main(argv)
-        finally:
-            os.chdir(cwd)
-        return code, err.getvalue()
+        return _main(argv, tmp)
 
 
 @settings(max_examples=300, deadline=None)
@@ -202,3 +206,80 @@ def test_cli_survives_a_mutated_input_file(run_files, kind, mutation, where,
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+# what a fuzzed argument vector puts in place of one of its tokens
+JUNK = ("-1", "x", "", "--nope")
+
+
+def _valid_argvs(run_files, tmp):
+    """One valid argument vector per command, reading copies of the run's
+    files in ``tmp``, so that no vector writes over a fixture file."""
+    files, config, eval_study = run_files
+    copy = {}
+    for kind in ("dataset", "graphs", "human", "generated", "sets",
+                 "answers"):
+        copy[kind] = str(tmp / files[kind].name)
+        Path(copy[kind]).write_bytes(files[kind].read_bytes())
+    config_path = tmp / "config.yaml"
+    config_path.write_text(yaml.safe_dump(
+        {**config, "dataset": copy["dataset"], "graphs": copy["graphs"],
+         "output": {"directory": str(tmp / "results"), "prefix": "run"}}),
+        encoding="utf-8")
+    return {
+        "serialize": ["serialize", copy["graphs"]],
+        "prompt": ["prompt", "--shots", "1", "--seed", "3", "--dataset",
+                   copy["dataset"], "--eval-study", eval_study],
+        "evaluate": ["evaluate", "--mode", "ser2rep", "--config",
+                     str(config_path)],
+        "assemble": ["style-eval", "assemble", "--human", copy["human"],
+                     "--generated", copy["generated"], "--sets", "4",
+                     "--seed", "1", "--out", str(tmp / "out.json"),
+                     "--render"],
+        "score": ["style-eval", "score", "--sets", copy["sets"],
+                  "--answers", copy["answers"]],
+    }
+
+
+def test_each_valid_argument_vector_exits_zero(run_files, tmp_path):
+    for argv in _valid_argvs(run_files, tmp_path).values():
+        assert _main(argv, tmp_path) == (0, ""), argv
+
+
+def mutate_argv(argv: list[str], edit: str, at: int, other: int,
+                junk: str) -> list[str]:
+    """``argv`` with one token dropped, duplicated, swapped with another
+    or replaced by ``junk``."""
+    argv = list(argv)
+    i, j = at % len(argv), other % len(argv)
+    if edit == "drop":
+        del argv[i]
+    elif edit == "duplicate":
+        argv.insert(i, argv[i])
+    elif edit == "swap":
+        argv[i], argv[j] = argv[j], argv[i]
+    else:
+        argv[i] = junk
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+# a usage error exited 2 with argparse's two-line usage text
+@example(command="evaluate", edit="drop", at=4, other=0, junk="x")
+@given(command=st.sampled_from(("serialize", "prompt", "evaluate",
+                                "assemble", "score")),
+       edit=st.sampled_from(("drop", "duplicate", "swap", "junk")),
+       at=st.integers(min_value=0, max_value=64),
+       other=st.integers(min_value=0, max_value=64),
+       junk=st.sampled_from(JUNK))
+def test_cli_survives_a_mutated_argument_vector(run_files, command, edit, at,
+                                                other, junk):
+    """Whatever one edit does to a valid argument vector, the command
+    returns 0 or 1, and on 1 prints one ``error:`` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = mutate_argv(_valid_argvs(run_files, Path(tmp))[command], edit,
+                           at, other, junk)
+        code, err = _main(argv, tmp)
+    assert code in (0, 1), (argv, code, err)
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)

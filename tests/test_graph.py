@@ -1,17 +1,20 @@
 import json
 import logging
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radstyle.errors import SchemaError
-from radstyle.graph import (EntityLabel, RadGraph, Relation, RelationKind,
+from radstyle.graph import (KINDS, LABELS, RadGraph, Relation,
                             radgraph_from_document, weakly_connected_components)
 
 from graphgen import edges_of, random_document
-from oracles import graph_log, radgraph_from_document_oracle, wcc_oracle
+from oracles import (derive_sections_oracle, graph_log,
+                     radgraph_from_document_oracle, wcc_oracle)
 
 
 def entity_doc(eid, tokens, label, start, end=None, relations=()):
@@ -32,10 +35,9 @@ def test_parse_two_entity_fixture():
     assert len(g.entities) == 2
     assert len(g.relations) == 1
     rel = g.relations[0]
-    assert (rel.source, rel.target, rel.kind) == ("2", "1",
-                                                  RelationKind.LOCATED_AT)
+    assert (rel.source, rel.target, rel.kind) == ("2", "1", "located_at")
     assert g.entities["1"].tokens == "lungs"
-    assert g.entities["1"].label is EntityLabel.ANAT_DP
+    assert g.entities["1"].label == "ANAT-DP"
 
 
 def test_parse_empty_entity_map():
@@ -145,6 +147,62 @@ def test_no_headers_leaves_sections_unset():
     assert not g.sections.defines_any()
 
 
+def test_readme_vocabulary_is_the_library_vocabulary():
+    """The labels of the README's "Graph document" paragraph and the
+    relation kinds of its "Report graphs" bullet are those ingestion
+    accepts."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    labels = re.search(r"\*\*Graph document\*\*.*?\nLabels: (.*?)\.\n",
+                       readme, re.S).group(1)
+    kinds = re.search(r"- \*\*Report graphs\*\*(.*?)\n- ", readme,
+                      re.S).group(1)
+    assert set(re.findall(r"`([A-Z]+-[A-Z]+)`", labels)) == LABELS
+    assert set(re.findall(r"`([a-z_]+)`", kinds)) == KINDS
+
+
+# header words with their case, trailing colons and casefolding
+# characters varied: "ﬁ" folds to "fi", "ſ" to "s", "ß" to "ss", and "İ"
+# to "i" plus a combining dot, so it never makes a header
+_FOLDS = {"fi": ("fi", "FI", "fI", "ﬁ"), "s": ("s", "S", "ſ"),
+          "i": ("i", "I", "i", "I", "İ")}
+
+
+@st.composite
+def _section_token(draw):
+    word = draw(st.sampled_from(("findings", "impression") * 3
+                                + ("finding", "impressions", "fiss")))
+    out, ix = [], 0
+    while ix < len(word):
+        for part in ("fi", "s", "i"):
+            if word.startswith(part, ix):
+                out.append(draw(st.sampled_from(_FOLDS[part])))
+                ix += len(part)
+                break
+        else:
+            out.append(draw(st.sampled_from((word[ix], word[ix].upper()))))
+            ix += 1
+    if draw(st.integers(0, 3)) == 0:
+        out.append("ß")
+    return "".join(out) + ":" * draw(st.integers(0, 3))
+
+
+_SECTION_TEXT = st.lists(
+    st.tuples(st.one_of(_section_token(),
+                        st.text(alphabet="aFß:İﬁſ.", min_size=1, max_size=4)),
+              st.sampled_from((" ", "  ", "\t", "\n", "\xa0", "\u2003"))),
+    max_size=12).map(lambda parts: "".join(t + sep for t, sep in parts))
+
+
+@given(_SECTION_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_section_derivation_matches_the_per_token_reference(text):
+    """One casefold of the whole text finds the headers that casefolding
+    each colon-stripped token finds."""
+    got = radgraph_from_document({"text": text}).sections
+    assert got == derive_sections_oracle(text)
+
+
 def test_wcc_single_entity():
     doc = {"1": entity_doc("1", "lungs", "ANAT-DP", 0)}
     assert weakly_connected_components(radgraph_from_document(doc)) == [{"1"}]
@@ -168,8 +226,7 @@ def test_wcc_direction_and_kind_invariance():
         g = radgraph_from_document(doc)
         flipped = RadGraph(
             entities=g.entities,
-            relations=tuple(Relation(r.target, r.source,
-                                     RelationKind.MODIFY)
+            relations=tuple(Relation(r.target, r.source, "modify")
                             for r in g.relations),
             sections=g.sections)
         assert (weakly_connected_components(g)

@@ -1,13 +1,11 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radstyle.errors import InputError
 from radstyle.graph import (radgraph_from_document,
                             weakly_connected_components)
-from radstyle.serialize import (Section, section_of_component, serialize,
+from radstyle.serialize import (section_of_component, serialize,
                                 serialize_component)
 
 from graphgen import random_document
@@ -42,7 +40,7 @@ def test_absent_gets_no_and_uncertain_gets_maybe():
     g = radgraph_from_document(doc)
     s = serialize(g)
     assert s.rendered == "no effusion. maybe nodule"
-    assert all(span.section is Section.UNIFIED for span in s.spans())
+    assert all(span.section == "unified" for span in s.spans())
 
 
 def test_entities_ordered_by_position_then_tokens():
@@ -79,7 +77,7 @@ def test_majority_vote_sends_component_to_impression():
         "3": entity_doc("3", "three", "OBS-DP", 7),
     }
     g = radgraph_from_document(doc)
-    assert section_of_component({"1", "2", "3"}, g) is Section.IMPRESSION
+    assert section_of_component({"1", "2", "3"}, g) == "impression"
 
 
 def test_tie_goes_to_findings():
@@ -90,7 +88,7 @@ def test_tie_goes_to_findings():
         "2": entity_doc("2", "two", "OBS-DP", 6),
     }
     g = radgraph_from_document(doc)
-    assert section_of_component({"1", "2"}, g) is Section.FINDINGS
+    assert section_of_component({"1", "2"}, g) == "findings"
 
 
 def test_out_of_range_counts_as_findings():
@@ -99,13 +97,7 @@ def test_out_of_range_counts_as_findings():
         "1": entity_doc("1", "stray", "OBS-DP", 40),
     }
     g = radgraph_from_document(doc)
-    assert section_of_component({"1"}, g) is Section.FINDINGS
-
-
-def test_section_vote_requires_ranges():
-    g = radgraph_from_document({"1": entity_doc("1", "a", "OBS-DP", 0)})
-    with pytest.raises(InputError):
-        section_of_component({"1"}, g)
+    assert section_of_component({"1"}, g) == "findings"
 
 
 def test_unsectioned_graph_renders_unified():
@@ -124,14 +116,6 @@ def test_empty_graph_renders_empty():
     s = serialize(radgraph_from_document({}))
     assert s.rendered == ""
     assert s.spans() == ()
-
-
-def test_unknown_component_ids():
-    g = radgraph_from_document({"1": entity_doc("1", "a", "OBS-DP", 0)})
-    with pytest.raises(InputError, match="ids not in graph"):
-        serialize_component({"1", "9"}, g)
-    with pytest.raises(InputError):
-        serialize_component(set(), g)
 
 
 def expected_component_text(doc, ids):
