@@ -16,10 +16,9 @@ from .errors import ClientError, InputError, RadstyleError
 from .graph import radgraph_from_document
 from .harness import (SOURCES, check_disjoint, evaluate, example_pool,
                       load_dataset, render_table, require_serializations,
-                      split_records, write_outputs)
+                      split_records, study_prompt, write_outputs)
 from .jsonfiles import read_json, require_utf8, study_map
-from .prompting import (build_prompt, derive_selection_seed,
-                        select_examples, wire_messages)
+from .prompting import wire_messages
 from .serialize import serialize
 from .style_study import assemble_files, render_style_eval_set, score_files
 
@@ -53,25 +52,27 @@ def _is_graph_document(doc) -> bool:
 def _cmd_prompt(args: argparse.Namespace) -> int:
     records = load_dataset(args.dataset)
     pool_records = split_records(records, args.pool_split)
-    if args.eval_study:
-        matches = [r for r in records if r.study_id == args.eval_study]
-        if not matches:
-            raise InputError(f"no study {args.eval_study!r} in dataset")
-        check_disjoint(matches, pool_records)
-        require_serializations(matches, "eval")
-        eval_serialization = matches[0].serialization
-        seed = derive_selection_seed(args.seed, args.shots, args.eval_study)
-    elif args.eval_serialization is not None:
-        eval_serialization = args.eval_serialization
-        seed = args.seed
-    else:
-        raise InputError(
-            "one of --eval-study or --eval-serialization is required")
-    examples = select_examples(example_pool(pool_records), args.shots, seed)
-    chain = build_prompt(examples, eval_serialization)
+    matches = [r for r in records if r.study_id == args.eval_study]
+    if not matches:
+        raise InputError(f"no study {args.eval_study!r} in dataset")
+    check_disjoint(matches, pool_records)
+    require_serializations(matches, "eval")
+    chain = study_prompt(example_pool(pool_records), args.seed, args.shots,
+                         args.eval_study, matches[0].serialization)
     print(json.dumps({"k": chain.k, "messages": wire_messages(chain)},
                      indent=2))
     return 0
+
+
+# each character str.splitlines breaks at, and the escape written for it
+_LINE_BREAKS = str.maketrans({
+    c: repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _report(message: str) -> None:
+    """Print ``message`` to stderr as one line, whatever path or argument
+    it quotes."""
+    print(message.translate(_LINE_BREAKS), file=sys.stderr)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -84,8 +85,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if failed:
         shots = ", ".join(str(k) for k in failed)
         rows = "rows" if len(failed) > 1 else "row"
-        print(f"client error: every request of shot {rows} {shots} failed; "
-              f"each error is in {paths['scores']}", file=sys.stderr)
+        _report(f"client error: every request of shot {rows} {shots} "
+                f"failed; each error is in {paths['scores']}")
         return 2
     return 0
 
@@ -133,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dataset", required=True)
     p.add_argument("--pool-split", default="train")
-    p.add_argument("--eval-study")
-    p.add_argument("--eval-serialization")
+    p.add_argument("--eval-study", required=True)
     p.set_defaults(func=_cmd_prompt)
 
     p = sub.add_parser("evaluate", help="run a scored generation experiment")
@@ -167,10 +167,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ClientError as exc:
-        print(f"client error: {exc}", file=sys.stderr)
+        _report(f"client error: {exc}")
         return 2
     except RadstyleError as exc:   # any other fault is in the input
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 1
 
 

@@ -83,8 +83,10 @@ class ClientConfig:
         if self.max_tokens < 1:
             raise ConfigError(f"client max_tokens must be an integer >= 1, "
                               f"got {self.max_tokens!r}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ConfigError(f"client timeout must be a finite number > 0, "
+        # a socket refuses a timeout above TIMEOUT_MAX; nan fails both
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"client timeout must be a number > 0 and at "
+                              f"most {threading.TIMEOUT_MAX:.0f} seconds, "
                               f"got {self.timeout!r}")
         if self.max_retries < 0:
             raise ConfigError(f"client max_retries must be an integer >= 0, "

@@ -213,6 +213,8 @@ def load_config(path: str | Path) -> HarnessConfig:
                           f"{' '.join(str(exc).split())}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: YAML nested too deeply") from exc
+    except ValueError as exc:   # a too-long integer, or a date past its range
+        raise ConfigError(f"{path}: value out of range: {exc}") from exc
     if doc is None:
         doc = {}
     return _build(HarnessConfig, doc, path, "")

@@ -21,6 +21,10 @@ log = logging.getLogger(__name__)
 # the closed vocabularies, spelled as in the document; all else is refused
 LABELS = frozenset({"ANAT-DP", "OBS-DP", "OBS-DA", "OBS-U"})
 KINDS = frozenset({"modify", "located_at", "suggestive_of"})
+# each word keyed to itself: a graph keeps these strings, one per word,
+# and not the decoded document's copy of each
+_LABEL = {word: word for word in LABELS}
+_KIND = {word: word for word in KINDS}
 
 
 class Entity(NamedTuple):
@@ -116,11 +120,12 @@ def radgraph_from_document(doc: dict) -> RadGraph:
         tokens = value.get("tokens")
         if not isinstance(tokens, str) or not tokens.strip():
             raise SchemaError(f"entity {eid}: missing or empty tokens")
-        label = value.get("label")
-        if not isinstance(label, str):
+        raw_label = value.get("label")
+        if not isinstance(raw_label, str):
             raise SchemaError(f"entity {eid}: missing label")
-        if label not in LABELS:
-            raise SchemaError(f"unknown entity label {label!r}")
+        label = _LABEL.get(raw_label)
+        if label is None:
+            raise SchemaError(f"unknown entity label {raw_label!r}")
         start_ix = value.get("start_ix")
         end_ix = value.get("end_ix")
         if type(start_ix) is not int:
@@ -146,9 +151,10 @@ def radgraph_from_document(doc: dict) -> RadGraph:
     relations: list[Relation] = []
     seen: set[tuple[str, str, str]] = set()
     for triple in raw_relations:
-        source, target, kind = triple
-        if kind not in KINDS:
-            raise SchemaError(f"unknown relation kind {kind!r}")
+        source, target, raw_kind = triple
+        kind = _KIND.get(raw_kind)
+        if kind is None:
+            raise SchemaError(f"unknown relation kind {raw_kind!r}")
         if target not in entities:
             raise SchemaError(f"dangling relation target {target}")
         if source == target:

@@ -419,6 +419,14 @@ def example_pool(pool_records: Sequence[StudyRecord]) -> list[StylePair]:
     return [StylePair(r.serialization, r.report) for r in pool_records]
 
 
+def study_prompt(pool: Sequence[StylePair], seed: int, k: int,
+                 study_id: str, text: str) -> PromptChain:
+    """The chain sent for ``study_id`` at ``k`` shots: examples drawn from
+    ``pool`` by a seed derived from (seed, k, study_id), then ``text``."""
+    draw_seed = derive_selection_seed(seed, k, study_id)
+    return build_prompt(select_examples(pool, k, draw_seed), text)
+
+
 # evaluation mode -> RunItem.source: where the prompted serialization
 # comes from
 SOURCES = {"ser2rep": "ground_truth", "end2end": "predicted"}
@@ -468,10 +476,8 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
         chains: list[PromptChain] = []
         for record, text in pairs:
             if text.strip():
-                seed = derive_selection_seed(cfg.experiment.seed, k,
-                                             record.study_id)
-                examples = select_examples(pool_pairs, k, seed)
-                chains.append(build_prompt(examples, text))
+                chains.append(study_prompt(pool_pairs, cfg.experiment.seed,
+                                           k, record.study_id, text))
         # The batch's results live only as long as this loop.
         results = iter(complete_batch(
             chains, cfg.client, parallelism=workers, transport=transport))

@@ -2,9 +2,9 @@
 
 Every input file is read here, the YAML run config too: a file that
 cannot be read or decoded raises ``IoError``, and text that is not JSON,
-or is nested too deeply to decode, raises ``SchemaError``. A sidecar, a
-JSON object keyed by study id, is checked entry by entry in
-``study_map``.
+is nested too deeply to decode or holds an integer too long to convert
+raises ``SchemaError``. A sidecar, a JSON object keyed by study id, is
+checked entry by entry in ``study_map``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ def _decode(text: str, where) -> Any:
         raise SchemaError(f"{where}: malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{where}: JSON nested too deeply") from exc
+    except ValueError as exc:   # an integer longer than int() converts
+        raise SchemaError(f"{where}: value out of range: {exc}") from exc
 
 
 def read_json(path) -> Any:

@@ -12,10 +12,8 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from enum import Enum
-from functools import cache, cached_property
-from operator import attrgetter
-from typing import Sequence
+from functools import cached_property
+from typing import Literal, Sequence
 
 from .errors import InputError
 
@@ -24,10 +22,8 @@ SYSTEM_PROMPT = ("You are a helpful assistant that generates chest x-ray "
 INSTRUCTION = "Generate a chest x-ray report from the following key words:"
 
 
-class Role(Enum):
-    SYSTEM = "system"
-    USER = "user"
-    ASSISTANT = "assistant"
+# a message's role, spelled as on the wire
+Role = Literal["system", "user", "assistant"]
 
 
 @dataclass(frozen=True)
@@ -40,18 +36,10 @@ class PromptMessage:
         """The message's wire object as JSON text, exactly as
         ``json.dumps`` writes ``{"role": ..., "content": ...}``; built on
         first use."""
-        return json.dumps({"role": self.role.value, "content": self.content})
+        return json.dumps({"role": self.role, "content": self.content})
 
 
-SYSTEM_MESSAGE = PromptMessage(Role.SYSTEM, SYSTEM_PROMPT)
-_ROLE = attrgetter("role")
-
-
-@cache
-def _chain_roles(n: int) -> tuple[Role, ...]:
-    """The roles of a valid chain of ``n`` = 2 + 2k messages, in order."""
-    return (Role.SYSTEM, *(Role.USER, Role.ASSISTANT) * (n // 2 - 1),
-            Role.USER)
+SYSTEM_MESSAGE = PromptMessage("system", SYSTEM_PROMPT)
 
 
 @dataclass(frozen=True)
@@ -66,33 +54,17 @@ class StylePair:
     def messages(self) -> tuple[PromptMessage, PromptMessage]:
         """The user and assistant messages this example adds to a chain,
         built on first use and shared by every chain that draws it."""
-        return (PromptMessage(Role.USER, _user_content(self.serialization)),
-                PromptMessage(Role.ASSISTANT, self.report))
+        return (PromptMessage("user", _user_content(self.serialization)),
+                PromptMessage("assistant", self.report))
 
 
 @dataclass(frozen=True)
 class PromptChain:
-    """Validated message list. ``k`` is the number of example pairs."""
+    """One request's messages, as ``build_prompt``, their only builder,
+    lays them out. ``k`` is the number of example pairs."""
 
     messages: tuple[PromptMessage, ...]
     k: int
-
-    def __post_init__(self) -> None:
-        expected = 2 + 2 * self.k
-        if len(self.messages) != expected:
-            raise InputError(
-                f"chain with k={self.k} needs {expected} messages, "
-                f"got {len(self.messages)}")
-        roles = tuple(map(_ROLE, self.messages))
-        want = _chain_roles(len(roles))
-        if roles == want:
-            return
-        i = next((i for i, (r, w) in enumerate(zip(roles, want))
-                  if r is not w), 0)
-        if i == 0:
-            raise InputError("first message must be the system message")
-        raise InputError(f"message {i} must have role {want[i].value}, "
-                         f"got {roles[i].value}")
 
 
 def _user_content(serialization: str) -> str:
@@ -111,7 +83,7 @@ def build_prompt(examples: Sequence[StylePair],
         if not pair.report.strip():
             raise InputError(f"example {i}: report is empty")
         messages += pair.messages
-    messages.append(PromptMessage(Role.USER, _user_content(eval_serialization)))
+    messages.append(PromptMessage("user", _user_content(eval_serialization)))
     return PromptChain(tuple(messages), k=len(examples))
 
 
@@ -138,5 +110,5 @@ def derive_selection_seed(seed: int, k: int, study_id: str) -> int:
 
 def wire_messages(chain: PromptChain) -> list[dict[str, str]]:
     """Chat-API message payload: [{"role": ..., "content": ...}, ...]."""
-    return [{"role": m.role.value, "content": m.content}
+    return [{"role": m.role, "content": m.content}
             for m in chain.messages]

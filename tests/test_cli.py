@@ -24,6 +24,7 @@ from test_graph import entity_doc
 
 # nested past the JSON and YAML decoders' recursion limits
 DEEP = "[" * 100_000 + "]" * 100_000
+LONG_INT = "9" * 5_000   # more digits than int() converts to or from text
 
 
 @pytest.fixture(scope="module")
@@ -206,19 +207,11 @@ def test_prompt_prints_the_messages_evaluate_sends(tmp_path, capsys,
                 study_id, k)
 
 
-def test_prompt_for_raw_serialization(corpus, capsys):
-    assert cli.main(["prompt", "--shots", "0", "--dataset",
-                     str(corpus["dataset"]), "--eval-serialization",
-                     "findings: cardiomegaly"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["k"] == 0
-    assert doc["messages"][1]["content"].endswith("findings: cardiomegaly")
-
-
 def test_prompt_requires_an_eval_target(corpus, capsys):
     assert cli.main(["prompt", "--shots", "0", "--dataset",
                      str(corpus["dataset"])]) == 1
-    assert "--eval-study or --eval-serialization" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: --eval-study\n")
 
 
 def test_prompt_unknown_study_exits_one(corpus, capsys):
@@ -351,6 +344,39 @@ def test_evaluate_exits_two_when_a_shot_row_scored_nothing(
         assert all(row.excluded < row.n_items for row in table.rows)
 
 
+@pytest.mark.parametrize("argv, start", [
+    (["serialize", "a", "b\nc"], "error: unrecognized arguments: b\\nc"),
+    (["serialize", "a\nb"], "error: cannot read a\\nb: "),
+    (["serialize", "a\u2028b"], "error: cannot read a\\u2028b: "),
+    (["serialize", "a\r\x0b\x85b"], "error: cannot read a\\r\\x0b\\x85b: ")])
+def test_an_error_escapes_each_line_break(tmp_path, monkeypatch, capsys,
+                                          argv, start):
+    """An error quoting a path or argument stays one line: each character
+    ``str.splitlines`` breaks at is written as its escape."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(start) and len(err.splitlines()) == 1, err
+
+
+def test_the_exit_two_line_escapes_a_line_break(corpus, tmp_path, capsys,
+                                                monkeypatch, chat_server):
+    monkeypatch.setenv("RADSTYLE_TEST_KEY", "sk-test")
+    n_eval = sum(1 for r in load_dataset(corpus["dataset"])
+                 if r.split == "test")
+    chat_server.replies.extend([(400, '{"error": "bad request"}', {})]
+                               * n_eval)
+    path = _http_config(corpus, tmp_path, chat_server.url, [0])
+    config = yaml.safe_load(path.read_text(encoding="utf-8"))
+    config["output"]["directory"] = str(tmp_path / "re\nsults")
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"client error: every request of shot row 0 failed; each error is "
+        f"in {tmp_path}/re\\nsults/mock_scores.jsonl\n")
+
+
 def test_credential_reaches_no_artifact(corpus, tmp_path, capsys,
                                        monkeypatch, chat_server):
     # The one 400 reply echoes the Authorization header it received.
@@ -417,6 +443,7 @@ def test_evaluate_credential_no_header_can_carry_exits_one(
     ("endpoint", "file:///etc/hosts"), ("endpoint", "http:///v1"),
     ("endpoint", "http://127.0.0.1:port/v1"), ("timeout", -1),
     ("timeout", 0), ("timeout", float("inf")), ("timeout", float("nan")),
+    ("timeout", 1e10),
     ("temperature", float("nan")), ("temperature", float("inf")),
     ("temperature", float("-inf")), ("max_tokens", 0), ("max_tokens", -5)])
 def test_evaluate_bad_client_value_exits_one(corpus, tmp_path, capsys,
@@ -779,18 +806,41 @@ def test_evaluate_bad_input_exits_one_before_any_request(
     assert not (tmp_path / "results").exists()
 
 
+def long_int_text(corpus, kind: str) -> str:
+    """A file of ``kind`` holding ``LONG_INT``, written as raw text, since
+    ``json.dumps`` cannot write it either: a graph's ``start_ix``, the
+    config's ``seed`` or a pathology indicator on the dataset's line 2."""
+    if kind == "graphs":
+        return ('{"e1": {"tokens": "x", "label": "OBS-DP", "start_ix": '
+                f'{LONG_INT}, "end_ix": 0}}}}')
+    if kind == "config":
+        return corpus["config"].read_text(encoding="utf-8").replace(
+            "seed: 0\n", f"seed: {LONG_INT}\n")
+    lines = corpus["dataset"].read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace('"pathology_vector": [',
+                                f'"pathology_vector": [{LONG_INT}, ')
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("bad", ["dataset", "config", "graphs",
                                  "config_nul", "graphs_nul", "dataset_deep",
-                                 "config_deep", "graphs_deep", "prompt_deep"])
+                                 "config_deep", "graphs_deep", "prompt_deep",
+                                 "dataset_long_int", "config_long_int",
+                                 "graphs_long_int"])
 def test_undecodable_input_file_exits_one(corpus, tmp_path, capsys, bad):
-    """A file that is not UTF-8, (``_nul``) a path holding a NUL, or
-    (``_deep``) a file nested too deeply to decode."""
+    """A file that is not UTF-8, (``_nul``) a path holding a NUL,
+    (``_deep``) a file nested too deeply to decode, or (``_long_int``) one
+    holding an integer longer than ``int()`` converts."""
     undecodable = tmp_path / "undecodable"
     undecodable.write_bytes(b"\xff\xfe{")
     if bad.endswith("_nul"):
         undecodable = tmp_path / "a\0b"
     if bad.endswith("_deep"):
         undecodable.write_text(DEEP, encoding="utf-8")
+    if bad.endswith("_long_int"):
+        undecodable.write_text(
+            long_int_text(corpus, bad.removesuffix("_long_int")),
+            encoding="utf-8")
     config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
     config["dataset"] = str(undecodable)
     path = tmp_path / "c.yaml"
@@ -800,11 +850,16 @@ def test_undecodable_input_file_exits_one(corpus, tmp_path, capsys, bad):
                        "--config", str(undecodable)],
             "graphs": ["serialize", str(undecodable)],
             "prompt": ["prompt", "--shots", "0", "--dataset",
-                       str(undecodable), "--eval-serialization", "x"]}[
-                bad.removesuffix("_nul").removesuffix("_deep")]
+                       str(undecodable), "--eval-study", "x"]}[
+                bad.removesuffix("_nul").removesuffix("_deep")
+                .removesuffix("_long_int")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    if bad.endswith("_deep"):
+    if bad.endswith("_long_int"):
+        line = "line 2: " if bad == "dataset_long_int" else ""
+        assert err.startswith(f"error: {undecodable}: {line}value out of "
+                              f"range: Exceeds the limit")
+    elif bad.endswith("_deep"):
         line = "line 1: " if bad in ("dataset_deep", "prompt_deep") else ""
         kind = "YAML" if bad == "config_deep" else "JSON"
         assert err == (f"error: {undecodable}: {line}{kind} nested too "

@@ -143,6 +143,13 @@ def _main(argv, tmp):
         os.chdir(cwd)
 
 
+def one_error_line(err: str) -> bool:
+    """Whether ``err`` is one ``error:`` line, by every line break
+    ``str.splitlines`` knows (``\u2028`` too), not just ``\n``."""
+    return (err.startswith("error:") and err.endswith("\n")
+            and len(err.splitlines()) == 1)
+
+
 def _run(files, config, eval_study, kind, mutation, where, value, mode,
          other_command):
     """Mutate the ``kind`` file in a scratch directory and run a command
@@ -205,11 +212,12 @@ def test_cli_survives_a_mutated_input_file(run_files, kind, mutation, where,
                      mode, other_command)
     assert code in (0, 1, 2)
     if code == 1:
-        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert one_error_line(err), err
 
 
-# what a fuzzed argument vector puts in place of one of its tokens
-JUNK = ("-1", "x", "", "--nope")
+# what a fuzzed argument vector puts in place of one of its tokens; the
+# last two hold a line break, which an error quoting them must escape
+JUNK = ("-1", "x", "", "--nope", "a\nb", "a\u2028b")
 
 
 def _valid_argvs(run_files, tmp):
@@ -266,6 +274,12 @@ def mutate_argv(argv: list[str], edit: str, at: int, other: int,
 @settings(max_examples=200, deadline=None)
 # a usage error exited 2 with argparse's two-line usage text
 @example(command="evaluate", edit="drop", at=4, other=0, junk="x")
+# an error quoting a token that holds a line break printed two lines:
+# "cannot read a" then "b: [Errno 2] ...", and "unrecognized arguments: a"
+# then "b 3"
+@example(command="serialize", edit="junk", at=1, other=0, junk="a\nb")
+@example(command="prompt", edit="junk", at=3, other=0, junk="a\nb")
+@example(command="serialize", edit="junk", at=1, other=0, junk="a\u2028b")
 @given(command=st.sampled_from(("serialize", "prompt", "evaluate",
                                 "assemble", "score")),
        edit=st.sampled_from(("drop", "duplicate", "swap", "junk")),
@@ -282,4 +296,4 @@ def test_cli_survives_a_mutated_argument_vector(run_files, command, edit, at,
         code, err = _main(argv, tmp)
     assert code in (0, 1), (argv, code, err)
     if code == 1:
-        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert one_error_line(err), (argv, err)

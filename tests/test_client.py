@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import random
 import socket
@@ -19,11 +20,10 @@ from radstyle.client import (ClientConfig, EchoReportTransport,
                              FixedReplyTransport, HttpTransport,
                              PayloadEncoder, TransportResponse, _backoff,
                              complete_batch)
-from radstyle.errors import (InputError, ProtocolError, RequestError,
-                             TransportError)
+from radstyle.errors import (ConfigError, InputError, ProtocolError,
+                             RequestError, TransportError)
 from radstyle.prompting import (INSTRUCTION, PromptChain, PromptMessage,
-                                Role, StylePair, build_prompt,
-                                wire_messages)
+                                StylePair, build_prompt, wire_messages)
 
 from conftest import completion_body, running_chat_server
 from oracles import retry_oracle
@@ -214,6 +214,21 @@ def test_http_transport_wraps_connection_refused(no_proxy_env,
     assert "refused" in str(error)
 
 
+def test_the_largest_timeout_taken_is_one_a_socket_takes():
+    """A config takes a timeout up to ``threading.TIMEOUT_MAX``, and a
+    socket on this platform takes that timeout; 1e10 s, which a socket
+    refused with ``OverflowError``, is refused at config load."""
+    with socket.socket() as sock:
+        sock.settimeout(threading.TIMEOUT_MAX)
+    assert ClientConfig(timeout=threading.TIMEOUT_MAX).timeout == (
+        threading.TIMEOUT_MAX)
+    for too_long in (math.nextafter(threading.TIMEOUT_MAX, math.inf), 1e10):
+        with pytest.raises(ConfigError, match=(
+                r"^client timeout must be a number > 0 and at most \d+ "
+                r"seconds, got ")):
+            ClientConfig(timeout=too_long)
+
+
 def test_http_transport_wraps_read_timeout(chat_server, monkeypatch):
     chat_server.stalled = True
     monkeypatch.setenv("DEMO_KEY_ENV", "k")
@@ -301,11 +316,11 @@ def chains_sharing_messages(draw):
     chains = []
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(0, 3))
-        messages = [PromptMessage(Role.SYSTEM, draw(text))]
+        messages = [PromptMessage("system", draw(text))]
         for _ in range(k):
-            messages.append(PromptMessage(Role.USER, draw(text)))
-            messages.append(PromptMessage(Role.ASSISTANT, draw(text)))
-        messages.append(PromptMessage(Role.USER, draw(text)))
+            messages.append(PromptMessage("user", draw(text)))
+            messages.append(PromptMessage("assistant", draw(text)))
+        messages.append(PromptMessage("user", draw(text)))
         chains.append(PromptChain(tuple(messages), k=k))
     return chains
 
@@ -350,8 +365,9 @@ _ECHO_TEXT = st.lists(st.one_of(_JSON_TEXT, st.sampled_from(_TRAPS)),
 
 @settings(max_examples=150, deadline=None)
 @given(messages=st.lists(
-           st.tuples(st.sampled_from(list(Role)), _ECHO_TEXT), max_size=6),
-       last=st.none() | st.tuples(st.just(Role.USER), _ECHO_TEXT),
+           st.tuples(st.sampled_from(["system", "user", "assistant"]),
+                     _ECHO_TEXT), max_size=6),
+       last=st.none() | st.tuples(st.just("user"), _ECHO_TEXT),
        model=_ECHO_TEXT, mapped=st.sets(st.integers(0, 6)))
 def test_echo_transport_reads_the_body_like_a_full_parse(
         messages, last, model, mapped):

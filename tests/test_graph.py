@@ -40,6 +40,16 @@ def test_parse_two_entity_fixture():
     assert g.entities["1"].label == "ANAT-DP"
 
 
+def test_graphs_share_one_string_per_label_and_kind():
+    """Each label and kind a graph keeps is one string per vocabulary word,
+    not the decoded document's own copy, which it would keep alive."""
+    graphs = [radgraph_from_document(json.loads(json.dumps(TWO_ENTITY_DOC)))
+              for _ in range(2)]
+    for a, b in zip(graphs[0].entities.values(), graphs[1].entities.values()):
+        assert a.label is b.label
+    assert graphs[0].relations[0].kind is graphs[1].relations[0].kind
+
+
 def test_parse_empty_entity_map():
     g = radgraph_from_document(json.loads("{}"))
     assert g.entities == {}

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radstyle.errors import InputError
-from radstyle.prompting import (INSTRUCTION, SYSTEM_PROMPT, PromptChain,
-                                PromptMessage, Role, StylePair, build_prompt,
+from radstyle.prompting import (INSTRUCTION, SYSTEM_PROMPT, PromptMessage,
+                                StylePair, build_prompt,
                                 derive_selection_seed, select_examples,
                                 wire_messages)
 
@@ -40,9 +40,9 @@ def test_chain_shape(k):
     chain = build_prompt(make_pairs(k), "eval text")
     assert chain.k == k
     assert len(chain.messages) == 2 + 2 * k
-    assert chain.messages[0] == PromptMessage(Role.SYSTEM, SYSTEM_PROMPT)
+    assert chain.messages[0] == PromptMessage("system", SYSTEM_PROMPT)
     for i, msg in enumerate(chain.messages[1:], start=1):
-        assert msg.role is (Role.USER if i % 2 == 1 else Role.ASSISTANT)
+        assert msg.role == ("user" if i % 2 == 1 else "assistant")
     assert chain.messages[-1].content == f"{INSTRUCTION}\neval text"
 
 
@@ -63,47 +63,6 @@ def test_empty_fields_rejected():
         build_prompt([StylePair("ok", "ok"), StylePair("  ", "r")], "eval")
     with pytest.raises(InputError, match="example 0"):
         build_prompt([StylePair("s", "")], "eval")
-
-
-def test_chain_validation():
-    system = PromptMessage(Role.SYSTEM, SYSTEM_PROMPT)
-    user = PromptMessage(Role.USER, "u")
-    assistant = PromptMessage(Role.ASSISTANT, "a")
-    with pytest.raises(InputError, match="needs 4 messages"):
-        PromptChain((system, user), k=1)
-    with pytest.raises(InputError, match="system"):
-        PromptChain((user, user), k=0)
-    with pytest.raises(InputError, match="role user"):
-        PromptChain((system, assistant, user, user), k=1)
-
-    for k in (0, 1, 3):
-        messages = build_prompt(make_pairs(k), "eval").messages
-        # a wrong role at each position: the message names it
-        for i, msg in enumerate(messages):
-            for wrong in set(Role) - {msg.role}:
-                bad = list(messages)
-                bad[i] = PromptMessage(wrong, msg.content)
-                with pytest.raises(InputError) as info:
-                    PromptChain(tuple(bad), k=k)
-                assert str(info.value) == (
-                    "first message must be the system message" if i == 0
-                    else f"message {i} must have role {msg.role.value}, "
-                         f"got {wrong.value}")
-        # well-formed roles, but not as many as k asks for
-        for claimed in (k - 1, k + 1):
-            with pytest.raises(InputError) as info:
-                PromptChain(messages, k=claimed)
-            assert str(info.value) == (
-                f"chain with k={claimed} needs {2 + 2 * claimed} messages, "
-                f"got {len(messages)}")
-    # two wrong roles: the first is named
-    with pytest.raises(InputError) as info:
-        PromptChain((system, assistant, user, user), k=1)
-    assert str(info.value) == "message 1 must have role user, got assistant"
-    # a negative k asks for no messages; an empty chain has no system one
-    with pytest.raises(InputError) as info:
-        PromptChain((), k=-1)
-    assert str(info.value) == "first message must be the system message"
 
 
 def test_select_examples_reproducible():
@@ -182,10 +141,9 @@ def test_golden_k2_prompt_bytes():
 def test_chain_shape_property(k, seed):
     pool = make_pairs(10)
     chain = build_prompt(select_examples(pool, k, seed), "eval")
-    assert len(chain.messages) == 2 + 2 * k
-    roles = [m.role for m in chain.messages]
-    assert roles[0] is Role.SYSTEM
-    assert roles[-1] is Role.USER
+    assert chain.k == k
+    assert [m.role for m in chain.messages] == (
+        ["system"] + ["user", "assistant"] * k + ["user"])
 
 
 # Non-blank text: quotes, backslashes, newlines and non-ASCII included.
