@@ -36,9 +36,9 @@ def main(argv=None) -> int:
     outcome = evaluate(cfg, args.mode)
     written = write_outputs(outcome, cfg)
     sys.stdout.write(render_table(outcome.table))
-    errors = [i for i in outcome.items if i.error]
+    errors = sum(row.excluded for row in outcome.table.rows)
     if errors:
-        print(f"{len(errors)} items failed; see {written['scores']}")
+        print(f"{errors} items failed; see {written['scores']}")
     print(f"results: {written['table_csv']}")
     return 0
 

@@ -237,7 +237,8 @@ class CompletionResult:
 _HEADER_TEXT = re.compile("[\t\x20-\x7e\x80-\xff]*")
 
 
-def _headers(cfg: ClientConfig, transport: Transport) -> dict[str, str]:
+def request_headers(cfg: ClientConfig,
+                    transport: Transport) -> dict[str, str]:
     """Request headers; only the HTTP transport carries the credential,
     and an unset credential or one no header can carry raises
     ``InputError``."""
@@ -361,7 +362,7 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
     """
     if parallelism < 1:
         raise InputError(f"parallelism must be positive, got {parallelism}")
-    headers = _headers(cfg, transport)
+    headers = request_headers(cfg, transport)
     encode = PayloadEncoder(cfg)
     results: list = [None] * len(chains)   # a result or error per chain
     fresh = iter(range(len(chains)))

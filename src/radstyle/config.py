@@ -97,9 +97,11 @@ class ExperimentConfig:
 
 
 # output file kind -> its ASCII name after the prefix; OutputConfig checks
-# that the longest fits the file system
+# that the longest fits the file system. A run appends its items to the
+# spool, which ``write_outputs`` renames to the scores file.
 OUTPUT_SUFFIXES = {"table_txt": "_table.txt", "table_csv": "_table.csv",
-                   "scores": "_scores.jsonl"}
+                   "scores": "_scores.jsonl",
+                   "spool": "_scores.jsonl.partial"}
 
 # blank, . or .., or holding a path separator, NUL or lone surrogate
 _NOT_A_FILE_NAME = re.compile(r"\A(\s*|\.\.?)\Z|[/\\\x00\ud800-\udfff]")
@@ -128,6 +130,11 @@ class OutputConfig:
             raise ConfigError(
                 f"output prefix too long: {name!r} has {size} bytes, over "
                 f"the {name_max} that file names in {where} may have")
+
+    def path(self, kind: str) -> Path:
+        """Where the output file of ``kind`` (a key of ``OUTPUT_SUFFIXES``)
+        goes."""
+        return Path(self.directory) / (self.prefix + OUTPUT_SUFFIXES[kind])
 
 
 def _name_max(directory) -> tuple[str, int | None]:

@@ -161,7 +161,7 @@ def radgraph_from_document(doc: dict) -> RadGraph:
             raise SchemaError(f"self-relation on entity {source}")
         if triple in seen:
             # Noisy extraction output repeats edges; keep one copy.
-            log.warning("duplicate relation (%s, %s, %s) collapsed",
+            log.warning("duplicate relation (%r, %r, %r) collapsed",
                         source, target, kind)
             continue
         seen.add(triple)

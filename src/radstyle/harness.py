@@ -22,8 +22,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .client import (ClientConfig, EchoReportTransport, FixedReplyTransport,
-                     HttpTransport, Transport, complete_batch)
-from .config import BASE_METRICS, OUTPUT_SUFFIXES, HarnessConfig, MetricsConfig
+                     HttpTransport, Transport, complete_batch,
+                     request_headers)
+from .config import BASE_METRICS, HarnessConfig, MetricsConfig
 from .errors import InputError, IoError, RadstyleError, SchemaError
 from .graph import RadGraph, radgraph_from_document
 from .jsonfiles import read_jsonl, read_study_map
@@ -277,11 +278,13 @@ class ResultTable:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """A run's table and items. ``failed_shots`` holds the shot count of
-    each row that sent requests and got no completion back."""
+    """A run's table, and the spool that holds its items, one JSON line
+    each, written row by row in table order; the next run with the same
+    output settings overwrites it. ``failed_shots`` holds the shot count
+    of each row that sent requests and got no completion back."""
 
     table: ResultTable
-    items: list[RunItem]
+    spool: Path
     failed_shots: tuple[int, ...] = ()
 
 
@@ -435,9 +438,15 @@ SOURCES = {"ser2rep": "ground_truth", "end2end": "predicted"}
 def run_generation(mode: str, eval_records: Sequence[StudyRecord],
                    pool_records: Sequence[StudyRecord], cfg: HarnessConfig,
                    scorer: Scorer, transport: Transport,
-                   graphs: Mapping[str, RadGraph]) -> RunOutcome:
+                   graphs: Mapping[str, RadGraph], spool: Path) -> RunOutcome:
     """Generate and score a report for each eval study, one table row
     (and one client batch) per shot count.
+
+    Each row's items are appended to ``spool`` once the row is scored,
+    and released before the next row's prompts are built. The spool,
+    and its directory, are created after every input check and before
+    the first request, so that an input error writes nothing and an
+    output directory that cannot be created costs no request.
 
     "ser2rep" prompts with each study's own serialization. "end2end"
     serializes the study's graph from ``graphs``; a study without one
@@ -465,12 +474,15 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
         where = f"in {cfg.graphs}" if cfg.graphs else "(no graphs file set)"
         blank = " that serializes to any text" if pairs else ""
         raise InputError(f"no eval study has a graph{blank} {where}")
+    if cfg.experiment.shots:   # refuse a bad credential before writing
+        request_headers(cfg.client, transport)
+    _make_directory(spool.parent)
+    write_scores_jsonl(spool, ())
     # Only a transport that waits on the network gains from more workers;
     # the mocks answer at once, so they run on this thread.
     workers = (cfg.client.parallelism
                if isinstance(transport, HttpTransport) else 1)
     rows: list[ResultRow] = []
-    items: list[RunItem] = []
     failed_shots: list[int] = []
     for k in cfg.experiment.shots:
         chains: list[PromptChain] = []
@@ -478,7 +490,6 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
             if text.strip():
                 chains.append(study_prompt(pool_pairs, cfg.experiment.seed,
                                            k, record.study_id, text))
-        # The batch's results live only as long as this loop.
         results = iter(complete_batch(
             chains, cfg.client, parallelism=workers, transport=transport))
         row: list[RunItem] = []
@@ -502,9 +513,10 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
         if chains and failures == len(chains):
             failed_shots.append(k)
         rows.append(aggregate_row(mode, k, row, cfg.metrics.names))
-        items.extend(row)
+        write_scores_jsonl(spool, row, "a")
+        del chains, results, row   # before the next row's prompts exist
     return RunOutcome(ResultTable(tuple(cfg.metrics.names), tuple(rows)),
-                      items, tuple(failed_shots))
+                      spool, tuple(failed_shots))
 
 
 def score_fixed_outputs(records: Sequence[StudyRecord],
@@ -539,7 +551,9 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
     """Load everything named by the config and execute a full run.
 
     Every input, the baseline included, is read and checked before the
-    first request is sent.
+    first request is sent. The items go to the spool that
+    ``cfg.output.path("spool")`` names, as ``run_generation`` describes,
+    and the baseline row's items after them.
 
     The cyclic garbage collector is paused while the inputs load (decoded
     JSON holds no reference cycles, so a collection would only walk it
@@ -576,14 +590,16 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
         if enabled:
             gc.enable()
         outcome = run_generation(mode, eval_records, pool_records, cfg,
-                                 scorer, transport, resources.graphs)
+                                 scorer, transport, resources.graphs,
+                                 cfg.output.path("spool"))
         if outputs is not None:
             row, baseline_items = score_fixed_outputs(
                 eval_records, outputs, scorer, cfg.metrics.names)
+            write_scores_jsonl(outcome.spool, baseline_items, "a")
             outcome = RunOutcome(
                 ResultTable(outcome.table.metric_names,
                             outcome.table.rows + (row,)),
-                outcome.items + baseline_items, outcome.failed_shots)
+                outcome.spool, outcome.failed_shots)
         return outcome
     finally:
         if freeze:
@@ -599,10 +615,12 @@ def item_to_dict(item: RunItem) -> dict:
             "error": item.error}
 
 
-def write_scores_jsonl(path, items: Sequence[RunItem]) -> None:
-    """Persist per-item scores so every table cell can be audited."""
+def write_scores_jsonl(path, items: Sequence[RunItem],
+                       mode: str = "w") -> None:
+    """Persist per-item scores so every table cell can be audited; with
+    ``mode`` "a", append them."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             for item in items:
                 fh.write(json.dumps(item_to_dict(item)) + "\n")
     except OSError as exc:
@@ -613,22 +631,25 @@ def load_scores_jsonl(path) -> list[dict]:
     return [doc for _, doc in read_jsonl(path)]
 
 
-def write_outputs(outcome: RunOutcome, cfg: HarnessConfig) -> dict[str, Path]:
-    """Write the text table, CSV table, and per-item scores; returns the
-    paths keyed by kind."""
-    outdir = Path(cfg.output.directory)
+def _make_directory(path: Path) -> None:
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoError(f"cannot create {outdir}: {exc}") from exc
-    paths = {kind: outdir / (cfg.output.prefix + suffix)
-             for kind, suffix in OUTPUT_SUFFIXES.items()}
+        raise IoError(f"cannot create {path}: {exc}") from exc
+
+
+def write_outputs(outcome: RunOutcome, cfg: HarnessConfig) -> dict[str, Path]:
+    """Write the text and CSV tables, and rename the run's spool to the
+    per-item scores file; returns the paths keyed by kind."""
+    _make_directory(Path(cfg.output.directory))
+    paths = {kind: cfg.output.path(kind)
+             for kind in ("table_txt", "table_csv", "scores")}
     try:
         paths["table_txt"].write_text(render_table(outcome.table),
                                       encoding="utf-8")
         paths["table_csv"].write_text(render_table_csv(outcome.table),
                                       encoding="utf-8")
+        outcome.spool.replace(paths["scores"])
     except OSError as exc:
         raise IoError(f"cannot write results: {exc}") from exc
-    write_scores_jsonl(paths["scores"], outcome.items)
     return paths

@@ -278,7 +278,7 @@ def radgraph_from_document_oracle(doc: dict) -> RadGraph:
             raise SchemaError(f"self-relation on entity {source}")
         triple = (source, target, kind)
         if triple in seen:
-            graph_log.warning("duplicate relation (%s, %s, %s) collapsed",
+            graph_log.warning("duplicate relation (%r, %r, %r) collapsed",
                               source, target, kind)
             continue
         seen.add(triple)

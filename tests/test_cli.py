@@ -537,8 +537,8 @@ def test_evaluate_output_the_file_system_cannot_name_exits_one(
     directory, prefix = str(tmp_path / "results"), "mock"
     if bad == "prefix_too_long":   # one byte over the limit
         name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
-        prefix = "p" * (name_max - len("_scores.jsonl") + 1)
-        name = f"{prefix}_scores.jsonl"
+        prefix = "p" * (name_max - len("_scores.jsonl.partial") + 1)
+        name = f"{prefix}_scores.jsonl.partial"
         message = (f"output prefix too long: {name!r} has {len(name)} "
                    f"bytes, over the {name_max} that file names in "
                    f"{tmp_path} may have")
@@ -566,7 +566,7 @@ def test_evaluate_takes_the_longest_prefix_the_file_system_allows(
         corpus, tmp_path):
     config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
     prefix = "p" * (os.pathconf(tmp_path, "PC_NAME_MAX")
-                     - len("_scores.jsonl"))
+                     - len("_scores.jsonl.partial"))
     config["output"] = {"directory": str(tmp_path / "results"),
                         "prefix": prefix}
     path = tmp_path / "c.json"
@@ -574,6 +574,69 @@ def test_evaluate_takes_the_longest_prefix_the_file_system_allows(
     assert cli.main(["evaluate", "--mode", "ser2rep",
                      "--config", str(path)]) == 0
     assert (tmp_path / "results" / f"{prefix}_scores.jsonl").exists()
+
+
+def _evaluate_into(corpus, tmp_path, directory):
+    """``radstyle evaluate --mode ser2rep`` on the corpus, writing into
+    ``directory``; returns the exit code."""
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["output"] = {"directory": str(directory), "prefix": "mock"}
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    return cli.main(["evaluate", "--mode", "ser2rep", "--config", str(path)])
+
+
+def _scripted_echo(monkeypatch, stop_at=None):
+    """Install an identity mock that records each request and raises
+    ``KeyboardInterrupt`` in place of request number ``stop_at``
+    (0-based); returns the list of requests it sent."""
+    sent = []
+
+    class Scripted(EchoReportTransport):
+        def post(self, *args):
+            if len(sent) == stop_at:
+                raise KeyboardInterrupt
+            sent.append(args)
+            return super().post(*args)
+    monkeypatch.setattr(harness, "EchoReportTransport", Scripted)
+    return sent
+
+
+def test_an_interrupted_run_keeps_the_rows_it_paid_for(corpus, tmp_path,
+                                                       monkeypatch):
+    # Ctrl-C on the first request of the third shot row: the spool holds
+    # rows 0 and 1, byte for byte as a whole run writes them, and no
+    # table is written.
+    n_eval = sum(1 for r in load_dataset(corpus["dataset"])
+                 if r.split == "test")
+    sent = _scripted_echo(monkeypatch)
+    assert _evaluate_into(corpus, tmp_path, tmp_path / "whole") == 0
+    assert len(sent) == 4 * n_eval
+    whole = (tmp_path / "whole" / "mock_scores.jsonl").read_bytes()
+    sent = _scripted_echo(monkeypatch, stop_at=2 * n_eval)
+    with pytest.raises(KeyboardInterrupt):
+        _evaluate_into(corpus, tmp_path, tmp_path / "cut")
+    assert len(sent) == 2 * n_eval
+    assert [p.name for p in (tmp_path / "cut").iterdir()] == [
+        "mock_scores.jsonl.partial"]
+    kept = (tmp_path / "cut" / "mock_scores.jsonl.partial").read_bytes()
+    assert kept == b"".join(whole.splitlines(keepends=True)[:2 * n_eval])
+    assert [json.loads(line)["shots"] for line in kept.splitlines()] == (
+        [0] * n_eval + [1] * n_eval)
+
+
+def test_an_output_directory_it_cannot_create_costs_no_request(
+        corpus, tmp_path, capsys, monkeypatch):
+    # A regular file sits where the output directory's parent belongs.
+    (tmp_path / "file").write_text("x", encoding="utf-8")
+    sent = _scripted_echo(monkeypatch)
+    outdir = tmp_path / "file" / "results"
+    assert _evaluate_into(corpus, tmp_path, outdir) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot create {outdir}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert sent == []
 
 
 def _reject_constant(name):

@@ -129,7 +129,8 @@ def mutate(data: bytes, kind: str, mutation: str, where: int, value) -> bytes:
 
 
 def _main(argv, tmp):
-    """``cli.main(argv)`` run in ``tmp``; returns the exit code and stderr."""
+    """``cli.main(argv)`` run in ``tmp``; returns the exit code and stderr.
+    A run that exits 0 has renamed its spool into place."""
     # Like a terminal's, this stdout refuses text that UTF-8 cannot
     # encode; a terminal's stderr escapes it, as a StringIO keeps it.
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
@@ -138,9 +139,12 @@ def _main(argv, tmp):
     os.chdir(tmp)   # a config without output.directory writes here
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return cli.main(argv), err.getvalue()
+            code = cli.main(argv)
     finally:
         os.chdir(cwd)
+    if code == 0:
+        assert not list(Path(tmp).rglob("*.partial")), argv
+    return code, err.getvalue()
 
 
 def one_error_line(err: str) -> bool:

@@ -132,6 +132,21 @@ def test_duplicate_relations_collapse_with_warning(caplog):
     assert "duplicate relation" in caplog.text
 
 
+def test_duplicate_relation_warning_is_one_line(caplog):
+    # An entity id holding a line break is logged escaped, so the warning
+    # stays on one line of stderr.
+    doc = {
+        "a\nb": entity_doc("a\nb", "clear", "OBS-DP", 1,
+                            relations=[("modify", "c"), ("modify", "c")]),
+        "c": entity_doc("c", "lungs", "ANAT-DP", 0),
+    }
+    with caplog.at_level(logging.WARNING, logger="radstyle.graph"):
+        radgraph_from_document(doc)
+    assert caplog.text.count("duplicate relation") == 1
+    assert len(caplog.text.splitlines()) == 1
+    assert "('a\\nb', 'c', 'modify')" in caplog.text
+
+
 def test_text_field_must_be_string():
     with pytest.raises(SchemaError, match="text"):
         radgraph_from_document({"text": 42})

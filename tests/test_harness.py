@@ -24,7 +24,7 @@ from radstyle.errors import ConfigError, InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
 from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
                               Scorer, StudyRecord, aggregate_row,
-                              build_resources, evaluate, item_to_dict,
+                              build_resources, evaluate,
                               load_baseline, load_dataset,
                               load_graph_documents,
                               load_scores_jsonl, make_transport,
@@ -645,7 +645,7 @@ def test_evaluate_scores_chexbert_against_the_sidecar_vector(tmp_path,
         assert row.metrics["chexbert"].mean == pytest.approx(1.0)
 
 
-def test_shot_count_beyond_pool_fails_before_any_request(corpus,
+def test_shot_count_beyond_pool_fails_before_any_request(tmp_path, corpus,
                                                          monkeypatch):
     paths, cfg = corpus
     sent = []
@@ -656,7 +656,8 @@ def test_shot_count_beyond_pool_fails_before_any_request(corpus,
         return real_post(self, *args)
     monkeypatch.setattr(EchoReportTransport, "post", post)
     whole_pool = HarnessConfig(dataset=cfg.dataset, graphs=cfg.graphs,
-                               experiment=ExperimentConfig(shots=(12,)))
+                               experiment=ExperimentConfig(shots=(12,)),
+                               output=OutputConfig(directory=str(tmp_path)))
     [row] = evaluate(whole_pool, "ser2rep").table.rows
     assert row.excluded == 0 and len(sent) == row.n_items == 4
     sent.clear()
@@ -672,13 +673,12 @@ def test_evaluate_end_to_end_matches_ser2rep_here(corpus):
     # synthetic serializations come from the same graphs, so both modes
     # feed identical prompts to the identity mock
     paths, cfg = corpus
-    a = evaluate(cfg, "ser2rep")
-    b = evaluate(cfg, "end2end")
-    key_a = [(i.study_id, i.shots, i.generated) for i in a.items
-             if i.method == "ser2rep"]
-    key_b = [(i.study_id, i.shots, i.generated) for i in b.items
-             if i.method == "end2end"]
-    assert key_a == key_b
+
+    def generated(mode):   # read before the next run overwrites the spool
+        return [(d["study_id"], d["shots"], d["generated"])
+                for d in load_scores_jsonl(evaluate(cfg, mode).spool)
+                if d["method"] == mode]
+    assert generated("ser2rep") == generated("end2end")
 
 
 def test_evaluate_rejects_unknown_mode(corpus):
@@ -738,7 +738,7 @@ def test_evaluate_leaves_the_collector_as_it_found_it(tmp_path, corpus,
             with pytest.raises(SchemaError, match="OBS-XX"):
                 evaluate(cfg, "ser2rep")
         else:
-            assert evaluate(cfg, "ser2rep").items
+            assert load_scores_jsonl(evaluate(cfg, "ser2rep").spool)
         assert (gc.isenabled(), gc.get_freeze_count()) == before
     finally:
         if was_enabled:
@@ -748,16 +748,18 @@ def test_evaluate_leaves_the_collector_as_it_found_it(tmp_path, corpus,
     assert during == ([] if case == "bad_graph" else [(before[0], True)])
 
 
-def test_run_rejects_overlapping_splits(corpus):
+def test_run_rejects_overlapping_splits(tmp_path, corpus):
     # evaluate() cannot produce overlap (each record has one split), but
     # the run drivers accept arbitrary lists and must defend themselves
     paths, cfg = corpus
     records = load_dataset(cfg.dataset)[:3]
     transport = make_transport(ClientConfig(mode="identity-mock"), records)
     scorer = Scorer(cfg.metrics, Resources())
+    spool = tmp_path / "run_scores.jsonl.partial"
     with pytest.raises(InputError, match="both pool and eval"):
         run_generation("ser2rep", records, records, cfg, scorer, transport,
-                       {})
+                       {}, spool)
+    assert not spool.exists()
 
 
 def test_ser2rep_requires_serializations(tmp_path):
@@ -785,9 +787,9 @@ def test_end_to_end_missing_graph_becomes_error_item(tmp_path, corpus):
         experiment=ExperimentConfig(shots=(0,)),
         output=OutputConfig(directory=str(tmp_path / "out")))
     outcome = evaluate(cfg2, "end2end")
-    errors = [i for i in outcome.items if i.error]
-    assert [i.study_id for i in errors] == [test_ids[0]]
-    assert "no graph" in errors[0].error
+    errors = [d for d in load_scores_jsonl(outcome.spool) if d["error"]]
+    assert [d["study_id"] for d in errors] == [test_ids[0]]
+    assert "no graph" in errors[0]["error"]
     assert outcome.table.rows[0].excluded == 1
     assert outcome.table.rows[0].n_items == len(test_ids)
 
@@ -807,7 +809,7 @@ class RejectingEchoTransport(EchoReportTransport):
 
 
 @pytest.mark.parametrize("mode", ["ser2rep", "end2end"])
-def test_run_generation_keeps_item_order(corpus, mode):
+def test_run_generation_keeps_item_order(tmp_path, corpus, mode):
     # A prompt that cannot be built (an end2end graph with no entities)
     # and a rejected request fail in place; end2end studies without a
     # graph follow the row's generated items.
@@ -831,17 +833,19 @@ def test_run_generation_keeps_item_order(corpus, mode):
     two_rows = dataclasses.replace(cfg,
                                    experiment=ExperimentConfig(shots=(0, 1)))
     outcome = run_generation(mode, evals, pool, two_rows,
-                             Scorer(cfg.metrics, resources), transport, graphs)
-    assert [(i.study_id, i.shots) for i in outcome.items] == [
+                             Scorer(cfg.metrics, resources), transport, graphs,
+                             tmp_path / "run_scores.jsonl.partial")
+    items = load_scores_jsonl(outcome.spool)
+    assert [(d["study_id"], d["shots"]) for d in items] == [
         (sid, k) for k in (0, 1) for sid in order]
-    for item in outcome.items:
-        assert item.method == mode
-        if item.study_id in errors:
-            assert errors[item.study_id] in item.error
-            assert item.generated is None and item.scores == {}
+    for item in items:
+        assert item["method"] == mode
+        if item["study_id"] in errors:
+            assert errors[item["study_id"]] in item["error"]
+            assert item["generated"] is None and item["scores"] == {}
         else:
-            assert item.error is None
-            assert item.scores["radgraph_f1"] == 1.0
+            assert item["error"] is None
+            assert item["scores"]["radgraph_f1"] == 1.0
     assert [row.excluded for row in outcome.table.rows] == [len(errors)] * 2
     assert outcome.failed_shots == ()
 
@@ -858,7 +862,7 @@ class RejectExamplesTransport(EchoReportTransport):
 
 @pytest.mark.parametrize("mode", ["ser2rep", "end2end"])
 def test_run_generation_names_the_rows_whose_every_request_failed(
-        corpus, mode):
+        tmp_path, corpus, mode):
     # Items that fail before a request count neither way: the 1-shot row
     # sent requests and got nothing back, the 0-shot row scored some.
     paths, cfg = corpus
@@ -877,8 +881,9 @@ def test_run_generation_names_the_rows_whose_every_request_failed(
         {r.serialization: r.report for r in records})
     scorer = Scorer(cfg.metrics, resources)
     pool = split_records(records, "train")
+    spool = tmp_path / "run_scores.jsonl.partial"
     outcome = run_generation(mode, evals, pool, two_rows, scorer, transport,
-                             graphs)
+                             graphs, spool)
     assert [row.excluded for row in outcome.table.rows] == [early, 4]
     assert outcome.failed_shots == (1,)
     # A run in which no prompt could be built is bad input: it is refused
@@ -892,10 +897,11 @@ def test_run_generation_names_the_rows_whose_every_request_failed(
         message = "no eval study has a graph that serializes to any text"
     sent = []
     transport.post = lambda *args: sent.append(args)
+    spool.unlink()
     with pytest.raises(InputError, match=message):
         run_generation(mode, blank, pool, two_rows, scorer, transport,
-                       graphs)
-    assert sent == []
+                       graphs, spool)
+    assert sent == [] and not spool.exists()
 
 
 def test_end_to_end_without_a_graphs_file_fails_before_any_request(
@@ -1071,6 +1077,7 @@ def test_write_outputs_creates_all_files(tmp_path, corpus):
     written = write_outputs(outcome, cfg2)
     assert sorted(p.name for p in written.values()) == [
         "demo_scores.jsonl", "demo_table.csv", "demo_table.txt"]
+    assert not outcome.spool.exists()
     parsed = parse_table_csv(
         written["table_csv"].read_text(encoding="utf-8"))
     assert parsed == outcome.table
@@ -1078,15 +1085,17 @@ def test_write_outputs_creates_all_files(tmp_path, corpus):
 
 def test_every_file_written_has_a_name_the_prefix_check_measures(
         tmp_path, corpus):
-    """A prefix that puts the name of any file ``write_outputs`` writes a
-    byte over the file system's limit is refused at config load."""
+    """A prefix that puts the name of any file a run writes a byte over
+    the file system's limit is refused at config load: each file
+    ``write_outputs`` leaves, and the spool it renames away."""
     paths, cfg = corpus
     outdir = tmp_path / "out"
     write_outputs(evaluate(cfg, "ser2rep"), HarnessConfig(
         output=OutputConfig(directory=str(outdir), prefix="p")))
     name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
-    for path in outdir.iterdir():
-        suffix = path.name.removeprefix("p")
+    for name in [*(path.name for path in outdir.iterdir()),
+                 "p_scores.jsonl.partial"]:
+        suffix = name.removeprefix("p")
         prefix = "p" * (name_max + 1 - len(suffix))
         with pytest.raises(ConfigError, match="output prefix too long"):
             OutputConfig(directory=str(outdir), prefix=prefix)
@@ -1096,7 +1105,7 @@ def test_csv_cells_recompute_from_scores(tmp_path, corpus):
     # every table cell must be reconstructible from the per-item scores
     paths, cfg = corpus
     outcome = evaluate(cfg, "ser2rep")
-    docs = [json.loads(json.dumps(item_to_dict(i))) for i in outcome.items]
+    docs = load_scores_jsonl(outcome.spool)
     for row in outcome.table.rows:
         group = [d for d in docs if d["method"] == row.method
                  and d["shots"] == row.shots]
