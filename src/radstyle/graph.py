@@ -10,6 +10,7 @@ serializer builds on.
 from __future__ import annotations
 
 import logging
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -116,7 +117,9 @@ def radgraph_from_document(doc: dict) -> RadGraph:
     for key, value in doc.items():
         if key == "text" or not isinstance(value, dict):
             continue
-        eid = str(key)
+        # Ids and tokens repeat across the graphs of a sidecar, which is
+        # decoded one study at a time: interned, each is one string per run.
+        eid = sys.intern(str(key))
         tokens = value.get("tokens")
         if not isinstance(tokens, str) or not tokens.strip():
             raise SchemaError(f"entity {eid}: missing or empty tokens")
@@ -137,7 +140,8 @@ def radgraph_from_document(doc: dict) -> RadGraph:
         if start_ix > end_ix:
             raise SchemaError(
                 f"entity {eid}: start_ix {start_ix} > end_ix {end_ix}")
-        entities[eid] = Entity(tokens.strip(), label, start_ix, end_ix)
+        entities[eid] = Entity(sys.intern(tokens.strip()), label, start_ix,
+                               end_ix)
 
         rels = value.get("relations", [])
         if not isinstance(rels, list):
@@ -146,7 +150,8 @@ def radgraph_from_document(doc: dict) -> RadGraph:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise SchemaError(f"entity {eid}: relation entries must be "
                                   f"[kind, target] pairs")
-            raw_relations.append((eid, str(pair[1]), str(pair[0])))
+            raw_relations.append(
+                (eid, sys.intern(str(pair[1])), str(pair[0])))
 
     relations: list[Relation] = []
     seen: set[tuple[str, str, str]] = set()

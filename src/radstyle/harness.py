@@ -28,11 +28,12 @@ from .config import BASE_METRICS, HarnessConfig, MetricsConfig
 from .errors import InputError, IoError, RadstyleError, SchemaError
 from .graph import RadGraph, radgraph_from_document
 from .jsonfiles import read_jsonl, read_study_map
-from .metrics import (MetricReport, PathologyVector, as_pathology_vector,
-                      bert_score, bleu2, chexbert_similarity, graph_keys,
-                      load_embeddings, load_pathology_vectors, mean_ci,
-                      ngram_counts, normed_vector, radcliq, radgraph_f1,
-                      tokenize, unit_rows)
+from .metrics import (MetricReport, PathologyVector, UnitRows,
+                      as_pathology_vector, bert_score, bleu2,
+                      chexbert_similarity, graph_keys, load_embeddings,
+                      load_pathology_vectors, mean_ci, ngram_counts,
+                      normed_vector, radcliq, radgraph_f1, tokenize,
+                      unit_rows)
 from .prompting import (PromptChain, StylePair, build_prompt,
                         derive_selection_seed, select_examples)
 from .serialize import serialize
@@ -117,14 +118,20 @@ class Resources:
     The text-keyed maps resolve a generated report to the resources of
     the study whose reference text it reproduces verbatim; misses mean
     the affected metrics are unavailable for that item.
+
+    ``build_resources`` keeps each study's embedding matrix only as its
+    ``unit_rows``, which ``bert_score`` takes as it is; a raw matrix put
+    here is prepared when it is scored.
     """
 
     graphs: dict[str, RadGraph] = field(default_factory=dict)
     vectors: dict[str, PathologyVector] = field(default_factory=dict)
-    embeddings: dict[str, np.ndarray] = field(default_factory=dict)
+    embeddings: dict[str, UnitRows | np.ndarray] = field(
+        default_factory=dict)
     graph_by_text: dict[str, RadGraph] = field(default_factory=dict)
     vector_by_text: dict[str, PathologyVector] = field(default_factory=dict)
-    embedding_by_text: dict[str, np.ndarray] = field(default_factory=dict)
+    embedding_by_text: dict[str, UnitRows | np.ndarray] = field(
+        default_factory=dict)
 
 
 def build_resources(records: Sequence[StudyRecord],
@@ -136,6 +143,9 @@ def build_resources(records: Sequence[StudyRecord],
         res.vectors = load_pathology_vectors(cfg.vectors)
     if cfg.embeddings:
         res.embeddings = load_embeddings(cfg.embeddings)
+        # each raw matrix is dropped as soon as it is prepared
+        for sid, emb in res.embeddings.items():
+            res.embeddings[sid] = unit_rows(emb, "reference")
     for record in records:
         if record.pathology_vector is not None:
             res.vectors.setdefault(record.study_id, record.pathology_vector)
@@ -166,6 +176,13 @@ class Scorer:
     is prepared afresh and never kept. A study id must name one record
     throughout, as ``load_dataset`` guarantees.
 
+    References share what repeats among them: one dict, kept for the
+    life of the scorer, holds one object per distinct BLEU-2 token,
+    bigram, entity key and relation key, and every reference's counts
+    are keyed by those objects. Candidates are prepared without it, so
+    it keeps nothing of a generation. Unit embedding rows are the
+    resources' own (see ``Resources``), not a copy.
+
     A generation that reproduces its study's reference text verbatim has
     scores that depend on the study alone, and a K-shot table asks for
     them once per row. So they are computed on the first such call, kept
@@ -182,31 +199,33 @@ class Scorer:
         self._references: dict[str, dict] = {n: {} for n in BASE_METRICS}
         # study id -> the scores of its reference text as a generation
         self._reproduced: dict[str, dict[str, float | None]] = {}
+        # each key value the references' features hold -> its one object
+        self._shared: dict = {}
         res = resources
         # metric -> (reference of a record, candidate of a generated text,
         # whether a candidate is the reference's own, prepare, metric).
-        # ``prepare`` takes a resource and its side's error label. The
-        # lambdas name the functions of this module, so each call finds
-        # whatever those names are bound to then.
+        # ``prepare`` takes a resource, its side's error label and the
+        # shared dict, or None. The lambdas name the functions of this
+        # module, so each call finds whatever those names are bound to then.
         steps = {
             "bleu2": (
                 attrgetter("report"), lambda text: text, eq,
-                lambda text, _: ngram_counts(tokenize(text)),
+                lambda text, _, shared: ngram_counts(tokenize(text), shared),
                 lambda cand, ref: bleu2(cand, ref)),
             "bert_score": (
                 lambda record: res.embeddings.get(record.study_id),
                 res.embedding_by_text.get, is_,
-                lambda emb, label: unit_rows(emb, label),
+                lambda emb, label, _: unit_rows(emb, label),
                 lambda cand, ref: bert_score(cand, ref)),
             "chexbert": (
                 lambda record: res.vectors.get(record.study_id),
                 res.vector_by_text.get, is_,
-                lambda vector, _: normed_vector(vector),
+                lambda vector, _, __: normed_vector(vector),
                 lambda cand, ref: chexbert_similarity(cand, ref)),
             "radgraph_f1": (
                 lambda record: res.graphs.get(record.study_id),
                 res.graph_by_text.get, is_,
-                lambda graph, _: graph_keys(graph),
+                lambda graph, _, shared: graph_keys(graph, shared),
                 lambda cand, ref: radgraph_f1(cand, ref).combined),
         }
         self._steps = tuple((name, self._references[name], *steps[name])
@@ -228,11 +247,13 @@ class Scorer:
                 continue
             ref_features = memo.get(sid)
             if ref_features is None:
-                ref_features = memo[sid] = prepare(ref, "reference")
+                ref_features = memo[sid] = prepare(ref, "reference",
+                                                   self._shared)
             if same(cand, ref):
                 base[name] = metric(ref_features, ref_features)
             else:
-                base[name] = metric(prepare(cand, "candidate"), ref_features)
+                base[name] = metric(prepare(cand, "candidate", None),
+                                    ref_features)
         out: dict[str, float | None] = {}
         for name in self.cfg.names:
             if name != "radcliq":

@@ -4,12 +4,13 @@ Every input file is read here, the YAML run config too: a file that
 cannot be read or decoded raises ``IoError``, and text that is not JSON,
 is nested too deeply to decode or holds an integer too long to convert
 raises ``SchemaError``. A sidecar, a JSON object keyed by study id, is
-checked entry by entry in ``study_map``.
+decoded and checked entry by entry in ``read_study_map``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -57,26 +58,86 @@ def read_json(path) -> Any:
 
 def read_study_map(path, convert: Callable[[Any], Any]) -> dict[str, Any]:
     """The JSON object keyed by study id in ``path``, each entry passed
-    through ``convert``, as ``study_map`` does."""
-    return study_map(path, read_json(path), convert)
+    through ``convert``, as ``study_map`` does; a study id given twice
+    raises ``SchemaError("<path>: duplicate study id '<id>'")``.
+
+    The entries are decoded one at a time, and each decoded entry is
+    dropped once converted, so the whole decoded document is never held.
+    On the first problem of any kind the whole text is decoded as
+    ``read_json`` does, so that malformed JSON anywhere in the file is
+    reported as such, ahead of the problem itself.
+    """
+    text = read_text(path)
+    out: dict[str, Any] = {}
+    try:
+        for study_id, entry in _members(path, text):
+            if study_id in out:
+                raise SchemaError(f"{path}: duplicate study id {study_id!r}")
+            out[study_id] = _converted(path, study_id, entry, convert)
+    except RadstyleError:
+        _decode(text, path)
+        raise
+    return out
+
+
+# JSON whitespace, as ``json.loads`` skips it
+_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+
+
+def _members(path, text: str) -> Iterator[tuple[str, Any]]:
+    """``(key, decoded value)`` of each member of the JSON object
+    ``text``, each value decoded when it is reached. Text that is not one
+    JSON object raises ``SchemaError``."""
+    pos = _SPACE.match(text).end()
+    if not text.startswith("{", pos):
+        raise SchemaError(f"{path}: expected a JSON object keyed by study id")
+    try:
+        pos = _SPACE.match(text, pos + 1).end()
+        closed = text.startswith("}", pos)
+        while not closed:
+            if not text.startswith('"', pos):
+                raise ValueError(f"no member name at char {pos}")
+            key, pos = _DECODER.raw_decode(text, pos)
+            pos = _SPACE.match(text, pos).end()
+            if not text.startswith(":", pos):
+                raise ValueError(f"no ':' at char {pos}")
+            value, pos = _DECODER.raw_decode(
+                text, _SPACE.match(text, pos + 1).end())
+            yield key, value
+            pos = _SPACE.match(text, pos).end()
+            closed = text.startswith("}", pos)
+            if not closed:
+                if not text.startswith(",", pos):
+                    raise ValueError(f"no ',' at char {pos}")
+                pos = _SPACE.match(text, pos + 1).end()
+        if _SPACE.match(text, pos + 1).end() != len(text):
+            raise ValueError(f"extra data at char {pos + 1}")
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError too
+        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
 
 
 def study_map(path, doc, convert: Callable[[Any], Any]) -> dict[str, Any]:
     """``doc``, the JSON document read from ``path``, as an object keyed
-    by study id, each entry passed through ``convert``.
+    by study id, each entry passed through ``convert``; with a study id
+    given twice, the last entry is kept, as ``json.loads`` keeps it.
 
     An entry that ``convert`` rejects with any error of this package
     raises ``SchemaError("<path>: study <id>: <reason>")``.
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object keyed by study id")
-    out = {}
-    for study_id, entry in doc.items():
-        try:
-            out[study_id] = convert(entry)
-        except RadstyleError as exc:
-            raise SchemaError(f"{path}: study {study_id}: {exc}") from exc
-    return out
+    return {study_id: _converted(path, study_id, entry, convert)
+            for study_id, entry in doc.items()}
+
+
+def _converted(path, study_id: str, entry, convert: Callable[[Any], Any]):
+    """``convert(entry)``; an error of this package names ``path`` and
+    ``study_id``."""
+    try:
+        return convert(entry)
+    except RadstyleError as exc:
+        raise SchemaError(f"{path}: study {study_id}: {exc}") from exc
 
 
 def read_jsonl(path) -> Iterator[tuple[int, Any]]:

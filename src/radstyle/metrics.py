@@ -60,13 +60,18 @@ class NgramCounts:
     bigrams: Counter
 
 
-def ngram_counts(tokens: Sequence[str] | NgramCounts) -> NgramCounts:
+def ngram_counts(tokens: Sequence[str] | NgramCounts,
+                 shared: dict | None = None) -> NgramCounts:
     """Prepare a token sequence for ``bleu2``; prepared input passes
-    through unchanged."""
+    through unchanged. With ``shared``, each token and bigram is the
+    object ``shared`` holds for its value, put there if absent."""
     if isinstance(tokens, NgramCounts):
         return tokens
-    return NgramCounts(len(tokens), Counter(tokens),
-                       Counter(zip(tokens, tokens[1:])))
+    bigrams = zip(tokens, tokens[1:])
+    if shared is not None:
+        tokens = [shared.setdefault(t, t) for t in tokens]
+        bigrams = [shared.setdefault(b, b) for b in zip(tokens, tokens[1:])]
+    return NgramCounts(len(tokens), Counter(tokens), Counter(bigrams))
 
 
 def bleu2(candidate: Sequence[str] | NgramCounts,
@@ -130,17 +135,23 @@ class GraphKeys:
     n_relations: int
 
 
-def graph_keys(graph: RadGraph | GraphKeys) -> GraphKeys:
+def graph_keys(graph: RadGraph | GraphKeys,
+               shared: dict | None = None) -> GraphKeys:
     """Prepare a graph for ``radgraph_f1``; prepared input passes through
-    unchanged."""
+    unchanged. With ``shared``, each entity key and relation key is the
+    object ``shared`` holds for its value, put there if absent."""
     if isinstance(graph, GraphKeys):
         return graph
     keys = {eid: (entity.tokens.casefold(), entity.label)
             for eid, entity in graph.entities.items()}
-    return GraphKeys(
-        Counter(keys.values()), len(keys),
-        Counter((keys[r.source], keys[r.target], r.kind)
-                for r in graph.relations), len(graph.relations))
+    if shared is not None:
+        keys = {eid: shared.setdefault(key, key) for eid, key in keys.items()}
+    relations = [(keys[r.source], keys[r.target], r.kind)
+                 for r in graph.relations]
+    if shared is not None:
+        relations = [shared.setdefault(key, key) for key in relations]
+    return GraphKeys(Counter(keys.values()), len(keys),
+                     Counter(relations), len(relations))
 
 
 def radgraph_f1(pred: RadGraph | GraphKeys,

@@ -5,7 +5,9 @@ choices: union-find instead of BFS, list removal instead of Counter
 intersection, explicit loops instead of vectorized counting. The one
 exception is the graph ingestion reference, which must build the
 library's own ``RadGraph`` to be compared with it: it keeps the slower
-first form of the checks that the library has since made cheaper.
+first form of the checks that the library has since made cheaper. The
+sidecar reader's reference is the library's whole-document reader, as
+first written.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 
 from radstyle.errors import SchemaError
 from radstyle.graph import Entity, RadGraph, Relation, SectionMap
+from radstyle.jsonfiles import read_json, study_map
 
 graph_log = logging.getLogger("oracles.graph")
 
@@ -286,3 +289,10 @@ def radgraph_from_document_oracle(doc: dict) -> RadGraph:
 
     return RadGraph(entities, tuple(relations),
                     derive_sections_oracle(report_text))
+
+
+def read_study_map_oracle(path, convert):
+    """The sidecar reader as first written: the whole file decoded at once
+    by ``json.loads``, then each entry converted. A study id given twice
+    keeps its last entry, where ``read_study_map`` refuses it."""
+    return study_map(path, read_json(path), convert)

@@ -61,6 +61,18 @@ def test_serialize_sidecar_prints_study_per_line(tmp_path, capsys):
     assert lines[1].startswith("s2\t")
 
 
+def test_serialize_sidecar_keeps_the_last_entry_of_a_repeated_id(tmp_path,
+                                                                  capsys):
+    """``serialize`` reads its file as ``json.loads`` does, unlike
+    ``evaluate``, which refuses a repeated study id."""
+    edema_only = {"3": SINGLE_GRAPH["3"]}
+    path = tmp_path / "graphs.json"
+    path.write_text(f'{{"s1": {json.dumps(SINGLE_GRAPH)}, '
+                    f'"s1": {json.dumps(edema_only)}}}', encoding="utf-8")
+    assert cli.main(["serialize", str(path)]) == 0
+    assert capsys.readouterr().out == "s1\tno edema\n"
+
+
 def test_serialize_bad_label_exits_one(tmp_path, capsys):
     doc = {"1": entity_doc("1", "lungs", "OBS-XX", 0)}
     path = tmp_path / "bad.json"
@@ -865,6 +877,38 @@ def test_evaluate_bad_input_exits_one_before_any_request(
                      "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert sent == []
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("kind", ["graphs", "vectors", "embeddings",
+                                  "baseline"])
+def test_a_sidecar_naming_a_study_twice_exits_one(corpus, tmp_path, capsys,
+                                                  monkeypatch, kind):
+    """``json.loads`` would keep the last of the two entries; a sidecar is
+    refused, as the dataset refuses a repeated study id."""
+    sent = []
+    monkeypatch.setattr(EchoReportTransport, "post",
+                        lambda self, *args: sent.append(args))
+    config = yaml.safe_load(corpus["config"].read_text(encoding="utf-8"))
+    config["output"]["directory"] = str(tmp_path / "results")
+    if kind == "vectors":
+        docs = [json.loads(line) for line in
+                corpus["dataset"].read_text("utf-8").splitlines()]
+        entries = {d["study_id"]: d["pathology_vector"] for d in docs}
+    else:
+        entries = json.loads(corpus[kind].read_text("utf-8"))
+    study_id = list(entries)[1]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(f"{json.dumps(entries)[:-1]}, {json.dumps(study_id)}: "
+                    f"{json.dumps(entries[study_id])}}}", encoding="utf-8")
+    config[kind] = str(path)
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", "ser2rep",
+                     "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: duplicate study id {study_id!r}\n")
     assert sent == []
     assert not (tmp_path / "results").exists()
 

@@ -32,10 +32,10 @@ from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
                               run_generation, score_fixed_outputs,
                               split_records, write_outputs,
                               write_scores_jsonl)
-from radstyle.metrics import (MetricReport, bert_score, bleu2,
+from radstyle.metrics import (MetricReport, UnitRows, bert_score, bleu2,
                               chexbert_similarity, load_embeddings,
                               load_pathology_vectors, mean_ci, radcliq,
-                              radgraph_f1, tokenize)
+                              radgraph_f1, tokenize, unit_rows)
 from radstyle.prompting import INSTRUCTION
 from radstyle.serialize import serialize
 from radstyle.style_study import (StyleEvalSet, assemble_style_eval_sets,
@@ -422,6 +422,7 @@ def test_scorer_keeps_no_features_of_unknown_generations():
     for record in records:
         scorer.score(record.report, record)
     kept = {name: dict(memo) for name, memo in scorer._references.items()}
+    shared = dict(scorer._shared)
     for i in range(50):
         for record in records:
             scorer.score(f"unmatched generation {i}", record)
@@ -434,6 +435,59 @@ def test_scorer_keeps_no_features_of_unknown_generations():
     for name, memo in scorer._references.items():
         assert memo.keys() == kept[name].keys()
         assert all(memo[sid] is kept[name][sid] for sid in memo)
+    # the keys the references share did not grow either
+    assert scorer._shared == shared and all(
+        scorer._shared[key] is shared[key] for key in shared)
+
+
+def key_object(counter, value):
+    """The object ``counter`` holds as its key equal to ``value``."""
+    return next(key for key in counter if key == value)
+
+
+def test_scorer_references_share_one_object_per_key():
+    """Two references with equal tokens and equal entity keys hold the
+    very same key objects, so the scorer keeps each value once."""
+    text_a = "lungs are clear ."
+    text_b = "LUNGS are clear . no edema"
+    graphs = {sid: radgraph_from_document(json.loads(json.dumps(GRAPH_DOC)))
+              for sid in "ab"}
+    res = Resources(graphs=graphs, graph_by_text={text_a: graphs["a"],
+                                                  text_b: graphs["b"]})
+    scorer = Scorer(MetricsConfig(names=("bleu2", "radgraph_f1")), res)
+    for record in (StudyRecord("a", text_a), StudyRecord("b", text_b)):
+        scorer.score(record.report, record)
+    bleu = scorer._references["bleu2"]
+    for value in ("lungs", "clear", "."):
+        assert (key_object(bleu["a"].unigrams, value)
+                is key_object(bleu["b"].unigrams, value))
+    for value in (("lungs", "are"), ("clear", ".")):
+        assert (key_object(bleu["a"].bigrams, value)
+                is key_object(bleu["b"].bigrams, value))
+    keys = scorer._references["radgraph_f1"]
+    for key in keys["a"].entities:
+        assert key_object(keys["b"].entities, key) is key
+    for key in keys["a"].relations:
+        assert key_object(keys["b"].relations, key) is key
+        assert key_object(keys["b"].entities, key[0]) is key[0]
+
+
+def test_build_resources_keeps_only_prepared_embeddings(corpus):
+    _, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    raw = load_embeddings(cfg.embeddings)
+    res = build_resources(records, cfg)
+    assert res.embeddings.keys() == raw.keys()
+    for sid, emb in raw.items():
+        assert isinstance(res.embeddings[sid], UnitRows)
+        assert (res.embeddings[sid].rows.tobytes()
+                == unit_rows(emb).rows.tobytes())
+    # the scorer reads them as they are, and keeps no copy
+    scorer = Scorer(MetricsConfig(names=("bert_score",)), res)
+    for record in records:
+        scorer.score(record.report, record)
+    memo = scorer._references["bert_score"]
+    assert memo and all(memo[sid] is res.embeddings[sid] for sid in memo)
 
 
 _METRIC_NAMES = ("tokenize", "bleu2", "bert_score", "chexbert_similarity",

@@ -1,6 +1,7 @@
 """Each script in ``scripts/`` runs end to end on small arguments."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,18 @@ def test_run_mock_experiment(tmp_path, capsys, mode):
          "--mode", mode]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == f"results: {out / 'results' / 'mock_table.csv'}"
+
+
+def test_bench_scale(tmp_path, capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = tmp_path / "scale.json"
+    assert script_main("bench_scale")(
+        ["--side", f"a={src}", "--side", f"b={src}", "--eval", "12",
+         "--runs", "2", "--out", str(out)]) == 0
+    records = json.loads(out.read_text(encoding="utf-8"))
+    assert [(r["side"], r["n_eval"]) for r in records] == [("a", 12),
+                                                            ("b", 12)]
+    assert all(r["artifacts_identical"] and len(r["runs"]) == 2
+               and all(run["code"] == 0 for run in r["runs"])
+               for r in records)
+    assert len(capsys.readouterr().out.splitlines()) == 4
