@@ -9,11 +9,13 @@ Run from the repository root. For each eval-study count, one seeded
 report) is run in ``ser2rep`` mode on the identity mock, with shots
 0/1/5/10 and the baseline row. Each ``--side LABEL=SRC`` runs the
 ``radstyle`` package under SRC, the sides alternating which goes first,
-each run in a fresh process started through ``perfbench/spawn.py``,
-which reads the peak RSS (``ru_maxrss``) from ``wait4``. Every run's
-table, CSV and ``scores.jsonl`` are hashed; the script exits 1 when a
-run fails or two runs of one corpus wrote different bytes. The records
-for each (side, count) replace any earlier ones in ``--out``.
+each run in a fresh process started through perfbench's launcher
+(``perfbench/spawn.py``, which reads the peak RSS, ``ru_maxrss``, from
+``wait4``, and stops a run after ``bench.CHILD_TIMEOUT_S``). Every run's
+table, CSV and ``scores.jsonl`` are hashed. When a run fails or two runs
+of one corpus wrote different bytes, the script exits 1 and leaves
+``--out`` as it was; otherwise the records for each (side, count)
+replace any earlier ones in ``--out``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import hashlib
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
+from perfbench.bench import _run_child  # noqa: E402
 from perfbench.corpus import make_corpus  # noqa: E402
 from perfbench.workloads import Workload  # noqa: E402
 
@@ -48,7 +50,7 @@ def workload(n_eval: int) -> Workload:
                     baseline=True)
 
 
-def run_once(src: Path, corpus, work: Path, timeout: float) -> dict:
+def run_once(src: Path, corpus, work: Path) -> dict:
     """One ``evaluate`` run: exit code, wall time, peak RSS, artifacts."""
     out = work / "out"
     config = work / "config.json"   # JSON is valid YAML
@@ -59,16 +61,12 @@ def run_once(src: Path, corpus, work: Path, timeout: float) -> dict:
         "experiment": {"shots": list(SHOTS), "seed": 0},
         "output": {"directory": str(out), "prefix": "scale"}}),
         encoding="utf-8")
-    result = work / "result.json"
-    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "spawn.py"), str(result),
-         str(timeout), "--", sys.executable, "-m", "radstyle.cli",
-         "evaluate", "--mode", "ser2rep", "--config", str(config)],
-        env=env, check=True, stdout=subprocess.DEVNULL)
-    spawned = json.loads(result.read_text(encoding="utf-8"))
-    return {"code": spawned["code"], "wall_s": round(spawned["wall_s"], 3),
-            "peak_rss_mb": round(spawned["maxrss_kb"] / 1024.0, 2),
+    code, wall_s, rss_kb = _run_child(
+        [sys.executable, "-m", "radstyle.cli", "evaluate", "--mode",
+         "ser2rep", "--config", str(config)],
+        {**os.environ, "PYTHONPATH": str(src.resolve())}, work)
+    return {"code": code, "wall_s": round(wall_s, 3),
+            "peak_rss_mb": round(rss_kb / 1024.0, 2),
             "sha256": {name: hashlib.sha256((out / name).read_bytes())
                        .hexdigest() for name in ARTIFACTS
                        if (out / name).is_file()}}
@@ -81,7 +79,6 @@ def main(argv=None) -> int:
     parser.add_argument("--eval", type=int, nargs="+",
                         default=[1900, 5500, 12000])
     parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--timeout", type=float, default=600.0)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
     args = parser.parse_args(argv)
     sides = [tuple(side.split("=", 1)) for side in args.side]
@@ -100,7 +97,7 @@ def main(argv=None) -> int:
                 for label, src in order:
                     work = Path(tmp) / f"{label}-{n_eval}-{i}"
                     work.mkdir()
-                    run = run_once(Path(src), corpus, work, args.timeout)
+                    run = run_once(Path(src), corpus, work)
                     runs[label].append(run)
                     print(f"{label:8} {n_eval:6} eval studies: "
                           f"{run['peak_rss_mb']:8.2f} MB "
@@ -124,6 +121,10 @@ def main(argv=None) -> int:
                     "runs": [{key: r[key] for key in
                               ("code", "peak_rss_mb", "wall_s")}
                              for r in label_runs]})
+    if not ok:
+        print("error: a run failed, or runs of one corpus wrote different "
+              f"artifacts; {args.out} is left as it was", file=sys.stderr)
+        return 1
     done = {(r["side"], r["n_eval"]) for r in records}
     kept = []
     if args.out.is_file():
@@ -131,10 +132,7 @@ def main(argv=None) -> int:
                 if (r["side"], r["n_eval"]) not in done]
     args.out.write_text(json.dumps(kept + records, indent=1) + "\n",
                         encoding="utf-8")
-    if not ok:
-        print("error: a run failed, or runs of one corpus wrote different "
-              "artifacts", file=sys.stderr)
-    return 0 if ok else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -51,3 +51,16 @@ def test_bench_scale(tmp_path, capsys):
                and all(run["code"] == 0 for run in r["runs"])
                for r in records)
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_bench_scale_leaves_out_as_it_was_when_a_run_fails(tmp_path, capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    empty = tmp_path / "empty"      # no radstyle package: the run exits 1
+    empty.mkdir()
+    out = tmp_path / "scale.json"
+    out.write_text("[]\n", encoding="utf-8")
+    assert script_main("bench_scale")(
+        ["--side", f"a={src}", "--side", f"b={empty}", "--eval", "12",
+         "--runs", "1", "--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "[]\n"
+    assert "is left as it was" in capsys.readouterr().err
