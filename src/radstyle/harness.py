@@ -17,18 +17,16 @@ import json
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, eq, is_
 from pathlib import Path
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 from .client import (ClientConfig, EchoReportTransport, FixedReplyTransport,
                      HttpTransport, Transport, complete_batch,
                      request_headers)
-from .config import BASE_METRICS, HarnessConfig, MetricsConfig
+from .config import HarnessConfig, MetricsConfig
 from .errors import InputError, IoError, RadstyleError, SchemaError
 from .graph import RadGraph, radgraph_from_document
 from .jsonfiles import read_jsonl, read_study_map
-from .metrics import (MetricReport, PathologyVector, UnitRows,
+from .metrics import (GraphKeys, MetricReport, PathologyVector, UnitRows,
                       as_pathology_vector, bert_score, bleu2,
                       chexbert_similarity, graph_keys, load_embeddings,
                       load_pathology_vectors, mean_ci, ngram_counts,
@@ -106,9 +104,17 @@ def split_records(records: Sequence[StudyRecord],
     return [r for r in records if r.split == split]
 
 
-def load_graph_documents(path) -> dict[str, RadGraph]:
-    """Read a JSON sidecar mapping study id to a report-graph document."""
-    return read_study_map(path, radgraph_from_document)
+def load_graph_documents(
+        path, keep: Callable[[str, RadGraph], Any] = lambda _, graph: graph,
+        ) -> dict[str, Any]:
+    """Read a JSON sidecar mapping study id to a report-graph document.
+
+    Each study's graph is held only as ``keep(study_id, graph)``, made
+    as soon as the graph is read; by default, the graph itself.
+    """
+    return read_study_map(
+        path, lambda sid, doc: keep(sid, radgraph_from_document(doc)),
+        keyed=True)
 
 
 @dataclass
@@ -119,26 +125,36 @@ class Resources:
     the study whose reference text it reproduces verbatim; misses mean
     the affected metrics are unavailable for that item.
 
-    ``build_resources`` keeps each study's embedding matrix only as its
-    ``unit_rows``, which ``bert_score`` takes as it is; a raw matrix put
-    here is prepared when it is scored.
+    Each study's graph is held only as its ``graph_keys`` and each
+    embedding only as its ``unit_rows``, which ``radgraph_f1`` and
+    ``bert_score`` read as they are. ``shared`` holds one object per
+    distinct entity key and relation key of those graphs, and the
+    ``Scorer`` adds its references' tokens to it. ``serializations``
+    holds the serialization of each graph ``build_resources`` was asked
+    to serialize, since the graph itself is not kept.
     """
 
-    graphs: dict[str, RadGraph] = field(default_factory=dict)
+    graphs: dict[str, GraphKeys] = field(default_factory=dict)
     vectors: dict[str, PathologyVector] = field(default_factory=dict)
-    embeddings: dict[str, UnitRows | np.ndarray] = field(
-        default_factory=dict)
-    graph_by_text: dict[str, RadGraph] = field(default_factory=dict)
+    embeddings: dict[str, UnitRows] = field(default_factory=dict)
+    graph_by_text: dict[str, GraphKeys] = field(default_factory=dict)
     vector_by_text: dict[str, PathologyVector] = field(default_factory=dict)
-    embedding_by_text: dict[str, UnitRows | np.ndarray] = field(
-        default_factory=dict)
+    embedding_by_text: dict[str, UnitRows] = field(default_factory=dict)
+    serializations: dict[str, str] = field(default_factory=dict)
+    shared: dict = field(default_factory=dict)
 
 
-def build_resources(records: Sequence[StudyRecord],
-                    cfg: HarnessConfig) -> Resources:
+def build_resources(records: Sequence[StudyRecord], cfg: HarnessConfig,
+                    serialized: Collection[str] = ()) -> Resources:
+    """The resources of ``records`` and the sidecars ``cfg`` names; the
+    graph of each study named in ``serialized`` is also serialized."""
     res = Resources()
     if cfg.graphs:
-        res.graphs = load_graph_documents(cfg.graphs)
+        def keep(sid: str, graph: RadGraph) -> GraphKeys:
+            if sid in serialized:
+                res.serializations[sid] = serialize(graph).rendered
+            return graph_keys(graph, res.shared)
+        res.graphs = load_graph_documents(cfg.graphs, keep)
     if cfg.vectors:
         res.vectors = load_pathology_vectors(cfg.vectors)
     if cfg.embeddings:
@@ -167,21 +183,22 @@ class Scorer:
     A metric whose inputs are unavailable scores None and is excluded
     from that metric's aggregate, shrinking its effective n.
 
-    The features each metric reads of a report (n-gram counts, unit
-    embedding rows, vector norms, graph keys) are prepared once per
-    study: one memo per metric, keyed by study id, holds the reference's
-    features and nothing else, so it has at most one entry per study and
-    metric. A candidate whose resource is the reference's own (for
-    BLEU-2, equal text) gets the very same features; any other candidate
-    is prepared afresh and never kept. A study id must name one record
-    throughout, as ``load_dataset`` guarantees.
+    The graph keys and unit embedding rows that RadGraph-F1 and
+    BERTScore read are the resources' own (see ``Resources``). The
+    features the other metrics read of a report (BLEU-2 tokens, vector
+    norms) are prepared once per study: one memo per such metric, keyed
+    by study id, holds the reference's features and nothing else, so it
+    has at most one entry per study and metric. A candidate whose
+    resource is the reference's own (for BLEU-2, equal text) gets the
+    very same features, which each metric scores without counting them;
+    any other candidate is prepared afresh and never kept. A study id
+    must name one record throughout, as ``load_dataset`` guarantees.
 
-    References share what repeats among them: one dict, kept for the
-    life of the scorer, holds one object per distinct BLEU-2 token,
-    bigram, entity key and relation key, and every reference's counts
-    are keyed by those objects. Candidates are prepared without it, so
-    it keeps nothing of a generation. Unit embedding rows are the
-    resources' own (see ``Resources``), not a copy.
+    References share what repeats among them: the resources' ``shared``
+    dict, adopted here for the life of the scorer, gets one object per
+    distinct BLEU-2 token, and every reference's tokens are those
+    objects. Candidates are prepared without it, so it keeps nothing of
+    a generation.
 
     A generation that reproduces its study's reference text verbatim has
     scores that depend on the study alone, and a K-shot table asks for
@@ -195,40 +212,40 @@ class Scorer:
         needed = {n for n in cfg.names if n != "radcliq"}
         if "radcliq" in cfg.names:
             needed.update(cfg.radcliq_weights)
-        # metric name -> study id -> the reference's prepared features
-        self._references: dict[str, dict] = {n: {} for n in BASE_METRICS}
         # study id -> the scores of its reference text as a generation
         self._reproduced: dict[str, dict[str, float | None]] = {}
         # each key value the references' features hold -> its one object
-        self._shared: dict = {}
+        self._shared = resources.shared
         res = resources
         # metric -> (reference of a record, candidate of a generated text,
         # whether a candidate is the reference's own, prepare, metric).
-        # ``prepare`` takes a resource, its side's error label and the
-        # shared dict, or None. The lambdas name the functions of this
-        # module, so each call finds whatever those names are bound to then.
+        # ``prepare`` takes a resource and the shared dict, or None; it is
+        # None where the resource is already what the metric reads. The
+        # lambdas name the functions of this module, so each call finds
+        # whatever those names are bound to then.
         steps = {
             "bleu2": (
                 attrgetter("report"), lambda text: text, eq,
-                lambda text, _, shared: ngram_counts(tokenize(text), shared),
+                lambda text, shared: ngram_counts(tokenize(text), shared),
                 lambda cand, ref: bleu2(cand, ref)),
             "bert_score": (
                 lambda record: res.embeddings.get(record.study_id),
-                res.embedding_by_text.get, is_,
-                lambda emb, label, _: unit_rows(emb, label),
+                res.embedding_by_text.get, is_, None,
                 lambda cand, ref: bert_score(cand, ref)),
             "chexbert": (
                 lambda record: res.vectors.get(record.study_id),
                 res.vector_by_text.get, is_,
-                lambda vector, _, __: normed_vector(vector),
+                lambda vector, _: normed_vector(vector),
                 lambda cand, ref: chexbert_similarity(cand, ref)),
             "radgraph_f1": (
                 lambda record: res.graphs.get(record.study_id),
-                res.graph_by_text.get, is_,
-                lambda graph, _, shared: graph_keys(graph, shared),
+                res.graph_by_text.get, is_, None,
                 lambda cand, ref: radgraph_f1(cand, ref).combined),
         }
-        self._steps = tuple((name, self._references[name], *steps[name])
+        # metric name -> study id -> the reference's prepared features
+        self._references: dict[str, dict] = {
+            name: {} for name, step in steps.items() if step[3] is not None}
+        self._steps = tuple((name, self._references.get(name), *steps[name])
                             for name in sorted(needed))
 
     def score(self, generated: str,
@@ -245,15 +262,14 @@ class Scorer:
             if ref is None:
                 base[name] = None
                 continue
-            ref_features = memo.get(sid)
-            if ref_features is None:
-                ref_features = memo[sid] = prepare(ref, "reference",
-                                                   self._shared)
-            if same(cand, ref):
-                base[name] = metric(ref_features, ref_features)
-            else:
-                base[name] = metric(prepare(cand, "candidate", None),
-                                    ref_features)
+            if prepare is not None:
+                features = memo.get(sid)
+                if features is None:
+                    features = memo[sid] = prepare(ref, self._shared)
+                cand = (features if same(cand, ref)
+                        else prepare(cand, None))
+                ref = features
+            base[name] = metric(cand, ref)
         out: dict[str, float | None] = {}
         for name in self.cfg.names:
             if name != "radcliq":
@@ -459,7 +475,8 @@ SOURCES = {"ser2rep": "ground_truth", "end2end": "predicted"}
 def run_generation(mode: str, eval_records: Sequence[StudyRecord],
                    pool_records: Sequence[StudyRecord], cfg: HarnessConfig,
                    scorer: Scorer, transport: Transport,
-                   graphs: Mapping[str, RadGraph], spool: Path) -> RunOutcome:
+                   serializations: Mapping[str, str],
+                   spool: Path) -> RunOutcome:
     """Generate and score a report for each eval study, one table row
     (and one client batch) per shot count.
 
@@ -470,12 +487,13 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     output directory that cannot be created costs no request.
 
     "ser2rep" prompts with each study's own serialization. "end2end"
-    serializes the study's graph from ``graphs``; a study without one
-    becomes an error item, placed after the row's generated items, and
-    one whose graph serializes to no text fails in place. ``InputError``
-    is raised before any request when no eval study has a graph, or when
-    every eval graph serializes to no text. Each shot count must fit the
-    pool, as ``evaluate`` checks.
+    prompts with the serialization of the study's graph, from
+    ``serializations`` (see ``build_resources``); a study without one
+    has no graph and becomes an error item, placed after the row's
+    generated items, and one whose graph serializes to no text fails in
+    place. ``InputError`` is raised before any request when no eval
+    study has a graph, or when every eval graph serializes to no text.
+    Each shot count must fit the pool, as ``evaluate`` checks.
     """
     check_disjoint(eval_records, pool_records)
     source = SOURCES[mode]
@@ -487,8 +505,8 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     for record in eval_records:
         if mode == "ser2rep":
             pairs.append((record, record.serialization))
-        elif record.study_id in graphs:
-            pairs.append((record, serialize(graphs[record.study_id]).rendered))
+        elif record.study_id in serializations:
+            pairs.append((record, serializations[record.study_id]))
         else:
             absent.append(record)
     if cfg.experiment.shots and not any(text.strip() for _, text in pairs):
@@ -598,7 +616,9 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
             raise InputError(f"shots {most} exceeds the {len(pool_records)} "
                              f"studies in pool split "
                              f"{cfg.experiment.pool_split!r}")
-        resources = build_resources(records, cfg)
+        resources = build_resources(
+            records, cfg,
+            {r.study_id for r in eval_records} if mode == "end2end" else ())
         scorer = Scorer(cfg.metrics, resources)
         transport = make_transport(cfg.client, records)
         outputs = load_baseline(cfg.baseline) if cfg.baseline else None
@@ -611,7 +631,7 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
         if enabled:
             gc.enable()
         outcome = run_generation(mode, eval_records, pool_records, cfg,
-                                 scorer, transport, resources.graphs,
+                                 scorer, transport, resources.serializations,
                                  cfg.output.path("spool"))
         if outputs is not None:
             row, baseline_items = score_fixed_outputs(

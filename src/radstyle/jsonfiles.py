@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -56,10 +57,12 @@ def read_json(path) -> Any:
     return _decode(read_text(path), path)
 
 
-def read_study_map(path, convert: Callable[[Any], Any]) -> dict[str, Any]:
+def read_study_map(path, convert: Callable[..., Any],
+                   keyed: bool = False) -> dict[str, Any]:
     """The JSON object keyed by study id in ``path``, each entry passed
-    through ``convert``, as ``study_map`` does; a study id given twice
-    raises ``SchemaError("<path>: duplicate study id '<id>'")``.
+    through ``convert``, as ``study_map`` does, or with ``keyed`` as
+    ``convert(study_id, entry)``; a study id given twice raises
+    ``SchemaError("<path>: duplicate study id '<id>'")``.
 
     The entries are decoded one at a time, and each decoded entry is
     dropped once converted, so the whole decoded document is never held.
@@ -73,7 +76,9 @@ def read_study_map(path, convert: Callable[[Any], Any]) -> dict[str, Any]:
         for study_id, entry in _members(path, text):
             if study_id in out:
                 raise SchemaError(f"{path}: duplicate study id {study_id!r}")
-            out[study_id] = _converted(path, study_id, entry, convert)
+            out[study_id] = _converted(
+                path, study_id, entry,
+                partial(convert, study_id) if keyed else convert)
     except RadstyleError:
         _decode(text, path)
         raise

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,41 +41,28 @@ def tokenize(text: str) -> TokenSequence:
     return _TOKEN.findall(text.lower())
 
 
-def _clipped_matches(cand: Counter, ref: Counter) -> int:
-    """Sum over the candidate's keys of min(candidate count, reference
-    count): the size of the multiset intersection. A multiset meets
-    itself in its own size."""
-    if cand is ref:
-        return sum(cand.values())
-    return sum(map(min, cand.values(), map(ref.get, cand, repeat(0))))
+def _clipped_matches(cand: Iterable, ref: Iterable) -> int:
+    """The size of the intersection of two multisets, each given as its
+    elements, repeats included: the sum over the candidate's distinct
+    elements of the smaller of their two counts."""
+    cand_counts = Counter(cand)
+    ref_counts = Counter(ref)
+    return sum(map(min, cand_counts.values(),
+                   map(ref_counts.get, cand_counts, repeat(0))))
 
 
-@dataclass(frozen=True, slots=True)
-class NgramCounts:
-    """What BLEU-2 reads of one token sequence: its length and its
-    unigram and bigram counts."""
-
-    length: int
-    unigrams: Counter
-    bigrams: Counter
-
-
-def ngram_counts(tokens: Sequence[str] | NgramCounts,
-                 shared: dict | None = None) -> NgramCounts:
-    """Prepare a token sequence for ``bleu2``; prepared input passes
-    through unchanged. With ``shared``, each token and bigram is the
-    object ``shared`` holds for its value, put there if absent."""
-    if isinstance(tokens, NgramCounts):
-        return tokens
-    bigrams = zip(tokens, tokens[1:])
+def ngram_counts(tokens: Sequence[str],
+                 shared: dict | None = None) -> tuple[str, ...]:
+    """Prepare a token sequence for ``bleu2``: its tokens as a tuple, the
+    flat multiset of its unigrams, in order, so that its bigrams follow.
+    With ``shared``, each token is the object ``shared`` holds for its
+    value, put there if absent."""
     if shared is not None:
-        tokens = [shared.setdefault(t, t) for t in tokens]
-        bigrams = [shared.setdefault(b, b) for b in zip(tokens, tokens[1:])]
-    return NgramCounts(len(tokens), Counter(tokens), Counter(bigrams))
+        return tuple(map(shared.setdefault, tokens, tokens))
+    return tuple(tokens)
 
 
-def bleu2(candidate: Sequence[str] | NgramCounts,
-          reference: Sequence[str] | NgramCounts,
+def bleu2(candidate: Sequence[str], reference: Sequence[str],
           eps: float = 1e-9) -> float:
     """Geometric mean of clipped unigram/bigram precision with a brevity
     penalty for short candidates.
@@ -83,23 +70,27 @@ def bleu2(candidate: Sequence[str] | NgramCounts,
     Zero precisions are replaced by ``eps``. An order with no candidate
     n-grams counts as precision 1 when the reference has none either
     (so identical single-token inputs still score 1.0) and 0 otherwise.
-    Either side may be a token sequence or its ``ngram_counts``.
+    Either side may be a token sequence or its ``ngram_counts``; one
+    non-empty sequence passed as both sides scores 1 without its n-grams
+    being counted.
     """
-    cand = ngram_counts(candidate)
-    if cand.length == 0:
+    length = len(candidate)
+    if length == 0:
         return 0.0
-    ref = ngram_counts(reference)
+    if candidate is reference:   # every precision is 1, brevity too
+        return 1.0
     precisions = []
-    for n, cand_counts, ref_counts in ((1, cand.unigrams, ref.unigrams),
-                                       (2, cand.bigrams, ref.bigrams)):
-        total = cand.length - n + 1
+    for n, cand, ref in ((1, candidate, reference),
+                         (2, zip(candidate, candidate[1:]),
+                          zip(reference, reference[1:]))):
+        total = length - n + 1
         if total == 0:
-            p = 1.0 if not ref_counts else 0.0
+            p = 1.0 if len(reference) < n else 0.0
         else:
-            p = _clipped_matches(cand_counts, ref_counts) / total
+            p = _clipped_matches(cand, ref) / total
         precisions.append(p if p > 0.0 else eps)
-    brevity = (math.exp(1.0 - ref.length / cand.length)
-               if cand.length < ref.length else 1.0)
+    brevity = (math.exp(1.0 - len(reference) / length)
+               if length < len(reference) else 1.0)
     return brevity * math.sqrt(precisions[0] * precisions[1])
 
 
@@ -109,9 +100,13 @@ class RadGraphF1(NamedTuple):
     combined: float
 
 
-def _multiset_f1(pred: Counter, n_pred: int, ref: Counter,
-                 n_ref: int) -> float:
-    """F1 of two multisets; ``n_pred`` and ``n_ref`` are their sizes."""
+def _multiset_f1(pred: Sequence, ref: Sequence) -> float:
+    """F1 of two multisets, each given as the sequence of its elements;
+    one sequence passed as both sides scores 1 without being counted."""
+    if pred is ref:
+        return 1.0
+    n_pred = len(pred)
+    n_ref = len(ref)
     if n_pred == 0 and n_ref == 0:
         return 1.0
     if n_pred == 0 or n_ref == 0:
@@ -126,13 +121,12 @@ def _multiset_f1(pred: Counter, n_pred: int, ref: Counter,
 
 @dataclass(frozen=True, slots=True)
 class GraphKeys:
-    """What RadGraph-F1 reads of one graph: the multisets of its entity
-    keys and relation keys, and their sizes."""
+    """What RadGraph-F1 reads of one graph: its entity keys and its
+    relation keys, each a tuple with one element per entity or
+    relation, so a key repeats as often as it occurs."""
 
-    entities: Counter
-    n_entities: int
-    relations: Counter
-    n_relations: int
+    entities: tuple
+    relations: tuple
 
 
 def graph_keys(graph: RadGraph | GraphKeys,
@@ -146,12 +140,11 @@ def graph_keys(graph: RadGraph | GraphKeys,
             for eid, entity in graph.entities.items()}
     if shared is not None:
         keys = {eid: shared.setdefault(key, key) for eid, key in keys.items()}
-    relations = [(keys[r.source], keys[r.target], r.kind)
-                 for r in graph.relations]
+    relations = tuple((keys[r.source], keys[r.target], r.kind)
+                      for r in graph.relations)
     if shared is not None:
-        relations = [shared.setdefault(key, key) for key in relations]
-    return GraphKeys(Counter(keys.values()), len(keys),
-                     Counter(relations), len(relations))
+        relations = tuple(map(shared.setdefault, relations, relations))
+    return GraphKeys(tuple(keys.values()), relations)
 
 
 def radgraph_f1(pred: RadGraph | GraphKeys,
@@ -165,10 +158,8 @@ def radgraph_f1(pred: RadGraph | GraphKeys,
     """
     pred_keys = graph_keys(pred)
     ref_keys = graph_keys(ref)
-    entity_f1 = _multiset_f1(pred_keys.entities, pred_keys.n_entities,
-                             ref_keys.entities, ref_keys.n_entities)
-    relation_f1 = _multiset_f1(pred_keys.relations, pred_keys.n_relations,
-                               ref_keys.relations, ref_keys.n_relations)
+    entity_f1 = _multiset_f1(pred_keys.entities, ref_keys.entities)
+    relation_f1 = _multiset_f1(pred_keys.relations, ref_keys.relations)
     return RadGraphF1(entity_f1, relation_f1, (entity_f1 + relation_f1) / 2.0)
 
 

@@ -88,6 +88,21 @@ def perturb_document(doc: dict, rng: random.Random) -> dict:
     return out
 
 
+def repeat_entities(doc: dict, rng: random.Random) -> dict:
+    """A copy of ``doc`` in which some entities appear once more under a
+    new id, with the same tokens, label and relations, so that their
+    entity keys and relation keys repeat."""
+    out = {eid: (dict(value, relations=[list(p) for p in value["relations"]])
+                 if isinstance(value, dict) else value)
+           for eid, value in doc.items()}
+    entities = [eid for eid, value in doc.items() if isinstance(value, dict)]
+    for i, eid in enumerate(rng.sample(entities,
+                                       rng.randint(0, len(entities)))):
+        out[f"{eid}r{i}"] = dict(
+            out[eid], relations=[list(p) for p in out[eid]["relations"]])
+    return out
+
+
 def edges_of(doc: dict) -> list[tuple[str, str]]:
     edges = []
     for eid, value in doc.items():

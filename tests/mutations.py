@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Deliberate faults in ``src/`` and the test that must catch each one.
+
+    python3 tests/mutations.py                 # every entry
+    python3 tests/mutations.py NAME [NAME...]  # the named entries
+
+Run from anywhere; the repository is found from this file. The
+repository's ``src``, ``tests`` and ``perfbench`` are copied once to a
+temporary directory. Each entry replaces its ``old`` text, which must
+occur exactly once in its file, by ``new`` there, runs its test with
+pytest against the copy, and puts the file back. An entry is caught when
+its test fails. The script prints one line per entry and exits 1 when
+any entry survives or cannot be applied. It is not part of the test
+suite, which only checks (``test_mutations.py``) that every entry still
+applies to exactly one place.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutation(NamedTuple):
+    name: str
+    file: str    # relative to the repository root
+    old: str
+    new: str
+    test: str    # a pytest node id, relative to the repository root
+
+
+MUTATIONS = (
+    Mutation(
+        "candidate-prepared-with-shared-dict", "src/radstyle/harness.py",
+        "else prepare(cand, None))", "else prepare(cand, self._shared))",
+        "tests/test_harness.py::test_scorer_adopts_the_resources_shared_dict"),
+    Mutation(
+        "scorer-keeps-its-own-shared-dict", "src/radstyle/harness.py",
+        "self._shared = resources.shared", "self._shared = {}",
+        "tests/test_harness.py::test_scorer_adopts_the_resources_shared_dict"),
+    Mutation(
+        "empty-multiset-against-itself-scores-zero", "src/radstyle/metrics.py",
+        "    if pred is ref:\n        return 1.0",
+        "    if pred is ref:\n        return float(len(pred) > 0)",
+        "tests/test_metrics.py::"
+        "test_flat_multisets_score_as_counter_intersections"),
+    Mutation(
+        "one-token-candidate-ignores-reference-bigrams",
+        "src/radstyle/metrics.py",
+        "p = 1.0 if len(reference) < n else 0.0",
+        "p = 1.0 if len(reference) <= n else 0.0",
+        "tests/test_metrics.py::"
+        "test_flat_multisets_score_as_counter_intersections"),
+    Mutation(
+        "reference-tokens-kept-as-counter", "src/radstyle/metrics.py",
+        "return tuple(map(shared.setdefault, tokens, tokens))",
+        "return Counter(map(shared.setdefault, tokens, tokens))",
+        "tests/test_metrics.py::"
+        "test_flat_multisets_score_as_counter_intersections"),
+    Mutation(
+        "graph-keys-kept-as-counters", "src/radstyle/metrics.py",
+        "return GraphKeys(tuple(keys.values()), relations)",
+        "return GraphKeys(Counter(keys.values()), Counter(relations))",
+        "tests/test_metrics.py::"
+        "test_flat_multisets_score_as_counter_intersections"),
+    Mutation(
+        "relation-keys-left-unshared", "src/radstyle/metrics.py",
+        "relations = tuple(map(shared.setdefault, relations, relations))",
+        "relations = tuple(relations)",
+        "tests/test_harness.py::"
+        "test_scorer_references_share_one_object_per_key"),
+    Mutation(
+        "resources-keep-the-graph", "src/radstyle/harness.py",
+        "return graph_keys(graph, res.shared)", "return graph",
+        "tests/test_harness.py::"
+        "test_build_resources_keeps_each_graph_as_its_keys"),
+    Mutation(
+        "every-graph-serialized", "src/radstyle/harness.py",
+        "if sid in serialized:", "if sid:",
+        "tests/test_harness.py::"
+        "test_build_resources_keeps_each_graph_as_its_keys"),
+    Mutation(
+        "serialization-made-for-ser2rep", "src/radstyle/harness.py",
+        '{r.study_id for r in eval_records} if mode == "end2end" else ()',
+        "{r.study_id for r in eval_records}",
+        "tests/test_harness.py::"
+        "test_end_to_end_graphs_read_at_load_keep_each_item_in_its_place"),
+    Mutation(
+        "missing-graph-item-fails-in-place", "src/radstyle/harness.py",
+        "            absent.append(record)",
+        "            pairs.append((record, \"\"))",
+        "tests/test_harness.py::"
+        "test_end_to_end_graphs_read_at_load_keep_each_item_in_its_place"),
+    Mutation(
+        "raw-embedding-kept", "src/radstyle/harness.py",
+        'res.embeddings[sid] = unit_rows(emb, "reference")',
+        "res.embeddings[sid] = emb",
+        "tests/test_harness.py::"
+        "test_build_resources_keeps_only_prepared_embeddings"),
+    Mutation(
+        "sidecar-study-id-given-twice-accepted", "src/radstyle/jsonfiles.py",
+        "if study_id in out:", "if False:",
+        "tests/test_jsonfiles.py::test_a_study_id_given_twice_is_refused"),
+)
+
+
+def apply(text: str, mutation: Mutation) -> str:
+    """``text`` with the mutation's ``old`` replaced; ``ValueError`` unless
+    ``old`` occurs exactly once."""
+    count = text.count(mutation.old)
+    if count != 1:
+        raise ValueError(f"{mutation.name}: old text occurs {count} times "
+                         f"in {mutation.file}")
+    return text.replace(mutation.old, mutation.new)
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTATIONS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTATIONS}
+    if unknown:
+        print(f"error: no mutation named {sorted(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="mutations_") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                        ".pytest_cache")
+        for name in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+        for mutation in chosen:
+            path = copy / mutation.file
+            original = path.read_text(encoding="utf-8")
+            try:
+                path.write_text(apply(original, mutation), encoding="utf-8")
+            except ValueError as exc:
+                print(f"not applied  {exc}")
+                failed += 1
+                continue
+            try:
+                run = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-x",
+                     "-p", "no:cacheprovider", mutation.test],
+                    cwd=copy, env=env, capture_output=True, text=True)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            caught = run.returncode == 1   # tests ran and one failed
+            failed += not caught
+            verdict = ("caught" if caught
+                       else f"SURVIVED (pytest exit {run.returncode})")
+            print(f"{verdict:12} {mutation.name}: {mutation.test}",
+                  flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,13 +7,16 @@ exception is the graph ingestion reference, which must build the
 library's own ``RadGraph`` to be compared with it: it keeps the slower
 first form of the checks that the library has since made cheaper. The
 sidecar reader's reference is the library's whole-document reader, as
-first written.
+first written. The ``Counter``-intersection references keep the
+arithmetic the scoring metrics had when they held ``Counter``s, so that
+a flat multiset must score the very same float.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 
 from radstyle.errors import SchemaError
 from radstyle.graph import Entity, RadGraph, Relation, SectionMap
@@ -152,6 +155,63 @@ def radgraph_f1_oracle(pred_doc: dict, ref_doc: dict) -> tuple:
     entity_f1 = _f1_from_lists(list(pred_e.values()), list(ref_e.values()))
     relation_f1 = _f1_from_lists(relation_keys(pred_doc, pred_e),
                                  relation_keys(ref_doc, ref_e))
+    return entity_f1, relation_f1, (entity_f1 + relation_f1) / 2.0
+
+
+def multiset_f1_oracle(pred: Counter, ref: Counter) -> float:
+    """The F1 of two multisets, with matches summed from a Counter ``&``."""
+    n_pred = sum(pred.values())
+    n_ref = sum(ref.values())
+    if n_pred == 0 and n_ref == 0:
+        return 1.0
+    if n_pred == 0 or n_ref == 0:
+        return 0.0
+    matches = sum((pred & ref).values())
+    precision = matches / n_pred
+    recall = matches / n_ref
+    if precision + recall == 0.0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def bleu2_counter_oracle(candidate, reference, eps: float = 1e-9) -> float:
+    """BLEU-2 with each order's clipped matches summed from a Counter
+    ``&`` of the two sides' n-gram counts."""
+    if not candidate:
+        return 0.0
+    precisions = []
+    for n in (1, 2):
+        cand = Counter(tuple(candidate[i:i + n])
+                       for i in range(len(candidate) - n + 1))
+        ref = Counter(tuple(reference[i:i + n])
+                      for i in range(len(reference) - n + 1))
+        total = len(candidate) - n + 1
+        if total == 0:
+            p = 1.0 if not ref else 0.0
+        else:
+            p = sum((cand & ref).values()) / total
+        precisions.append(p if p > 0.0 else eps)
+    brevity = (math.exp(1.0 - len(reference) / len(candidate))
+               if len(candidate) < len(reference) else 1.0)
+    return brevity * math.sqrt(precisions[0] * precisions[1])
+
+
+def graph_key_counts(graph: RadGraph) -> tuple[Counter, Counter]:
+    """The entity keys and relation keys of a graph, counted."""
+    keys = {eid: (entity.tokens.casefold(), entity.label)
+            for eid, entity in graph.entities.items()}
+    return (Counter(keys.values()),
+            Counter((keys[r.source], keys[r.target], r.kind)
+                    for r in graph.relations))
+
+
+def radgraph_f1_counter_oracle(pred: RadGraph, ref: RadGraph) -> tuple:
+    """Entity, relation and combined F1 of two graphs, each F1 from
+    ``multiset_f1_oracle`` of their counted keys."""
+    pred_entities, pred_relations = graph_key_counts(pred)
+    ref_entities, ref_relations = graph_key_counts(ref)
+    entity_f1 = multiset_f1_oracle(pred_entities, ref_entities)
+    relation_f1 = multiset_f1_oracle(pred_relations, ref_relations)
     return entity_f1, relation_f1, (entity_f1 + relation_f1) / 2.0
 
 

@@ -32,10 +32,11 @@ from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
                               run_generation, score_fixed_outputs,
                               split_records, write_outputs,
                               write_scores_jsonl)
-from radstyle.metrics import (MetricReport, UnitRows, bert_score, bleu2,
-                              chexbert_similarity, load_embeddings,
-                              load_pathology_vectors, mean_ci, radcliq,
-                              radgraph_f1, tokenize, unit_rows)
+from radstyle.metrics import (GraphKeys, MetricReport, UnitRows, bert_score,
+                              bleu2, chexbert_similarity, graph_keys,
+                              load_embeddings, load_pathology_vectors,
+                              mean_ci, radcliq, radgraph_f1, tokenize,
+                              unit_rows)
 from radstyle.prompting import INSTRUCTION
 from radstyle.serialize import serialize
 from radstyle.style_study import (StyleEvalSet, assemble_style_eval_sets,
@@ -240,9 +241,9 @@ def test_sidecar_reader_names_the_file_and_the_study(tmp_path, kind):
 
 
 def full_resources():
-    graph = radgraph_from_document(GRAPH_DOC)
+    graph = graph_keys(radgraph_from_document(GRAPH_DOC))
     vec = tuple([1] + [0] * 13)
-    emb = np.array([[1.0, 0.0], [0.0, 1.0]])
+    emb = unit_rows(np.array([[1.0, 0.0], [0.0, 1.0]]))
     return Resources(
         graphs={"a": graph}, vectors={"a": vec}, embeddings={"a": emb},
         graph_by_text={REPORT: graph}, vector_by_text={REPORT: vec},
@@ -314,17 +315,18 @@ def random_resources(rng):
                if rng.random() < 0.3 else None)
         records.append(StudyRecord(sid, report, pathology_vector=own))
         if rng.random() < 0.8:
-            res.graphs[sid] = radgraph_from_document(
-                random_document(rng, max_entities=5, max_relations=5))
+            res.graphs[sid] = graph_keys(radgraph_from_document(
+                random_document(rng, max_entities=5, max_relations=5)),
+                res.shared)
         if rng.random() < 0.8:
             res.vectors[sid] = tuple(
                 int(rng.random() < 0.2) for _ in range(14))
         if own is not None:   # as build_resources: the sidecar comes first
             res.vectors.setdefault(sid, own)
         if rng.random() < 0.8:
-            res.embeddings[sid] = np.array(
+            res.embeddings[sid] = unit_rows(np.array(
                 [[rng.uniform(-1.0, 1.0) for _ in range(3)]
-                 for _ in range(rng.randint(1, 4))])
+                 for _ in range(rng.randint(1, 4))]))
     for record in records:
         sid = record.study_id
         if sid in res.graphs:
@@ -409,7 +411,8 @@ def test_scorer_calls_the_metrics_named_in_harness_at_call_time(
 
 def test_scorer_identity_embedding_takes_general_product():
     emb = np.array(SYMMETRIC_TRAP)
-    res = Resources(embeddings={"a": emb}, embedding_by_text={REPORT: emb})
+    rows = unit_rows(emb)
+    res = Resources(embeddings={"a": rows}, embedding_by_text={REPORT: rows})
     scorer = Scorer(MetricsConfig(names=("bert_score",)), res)
     for _ in range(2):
         assert scorer.score(REPORT, StudyRecord("a", REPORT)) == {
@@ -440,31 +443,30 @@ def test_scorer_keeps_no_features_of_unknown_generations():
         scorer._shared[key] is shared[key] for key in shared)
 
 
-def key_object(counter, value):
-    """The object ``counter`` holds as its key equal to ``value``."""
-    return next(key for key in counter if key == value)
+def key_object(keys, value):
+    """The object ``keys`` holds equal to ``value``."""
+    return next(key for key in keys if key == value)
 
 
-def test_scorer_references_share_one_object_per_key():
+def test_scorer_references_share_one_object_per_key(tmp_path):
     """Two references with equal tokens and equal entity keys hold the
-    very same key objects, so the scorer keeps each value once."""
+    very same key objects, so each value is kept once."""
     text_a = "lungs are clear ."
     text_b = "LUNGS are clear . no edema"
-    graphs = {sid: radgraph_from_document(json.loads(json.dumps(GRAPH_DOC)))
-              for sid in "ab"}
-    res = Resources(graphs=graphs, graph_by_text={text_a: graphs["a"],
-                                                  text_b: graphs["b"]})
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps({"a": GRAPH_DOC, "b": GRAPH_DOC}),
+                    encoding="utf-8")
+    records = [StudyRecord("a", text_a), StudyRecord("b", text_b)]
+    res = build_resources(records, HarnessConfig(graphs=str(path)))
     scorer = Scorer(MetricsConfig(names=("bleu2", "radgraph_f1")), res)
-    for record in (StudyRecord("a", text_a), StudyRecord("b", text_b)):
+    for record in records:
         scorer.score(record.report, record)
     bleu = scorer._references["bleu2"]
+    assert bleu["a"] == tuple(tokenize(text_a))
     for value in ("lungs", "clear", "."):
-        assert (key_object(bleu["a"].unigrams, value)
-                is key_object(bleu["b"].unigrams, value))
-    for value in (("lungs", "are"), ("clear", ".")):
-        assert (key_object(bleu["a"].bigrams, value)
-                is key_object(bleu["b"].bigrams, value))
-    keys = scorer._references["radgraph_f1"]
+        assert key_object(bleu["a"], value) is key_object(bleu["b"], value)
+    keys = res.graphs
+    assert keys["a"] is not keys["b"] and keys["a"] == keys["b"]
     for key in keys["a"].entities:
         assert key_object(keys["b"].entities, key) is key
     for key in keys["a"].relations:
@@ -472,7 +474,7 @@ def test_scorer_references_share_one_object_per_key():
         assert key_object(keys["b"].entities, key[0]) is key[0]
 
 
-def test_build_resources_keeps_only_prepared_embeddings(corpus):
+def test_build_resources_keeps_only_prepared_embeddings(corpus, monkeypatch):
     _, cfg = corpus
     records = load_dataset(cfg.dataset)
     raw = load_embeddings(cfg.embeddings)
@@ -483,11 +485,58 @@ def test_build_resources_keeps_only_prepared_embeddings(corpus):
         assert (res.embeddings[sid].rows.tobytes()
                 == unit_rows(emb).rows.tobytes())
     # the scorer reads them as they are, and keeps no copy
+    seen = []
+    real = harness.bert_score
+    monkeypatch.setattr(harness, "bert_score",
+                        lambda cand, ref: seen.append(ref) or real(cand, ref))
     scorer = Scorer(MetricsConfig(names=("bert_score",)), res)
     for record in records:
         scorer.score(record.report, record)
-    memo = scorer._references["bert_score"]
-    assert memo and all(memo[sid] is res.embeddings[sid] for sid in memo)
+    assert len(seen) == len(records)
+    assert all(ref is res.embeddings[r.study_id]
+               for ref, r in zip(seen, records))
+    assert "bert_score" not in scorer._references
+
+
+def test_build_resources_keeps_each_graph_as_its_keys(corpus):
+    _, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    res = build_resources(records, cfg)
+    raw = load_graph_documents(cfg.graphs)
+    assert res.graphs.keys() == raw.keys()
+    for record in records:
+        sid = record.study_id
+        assert isinstance(res.graphs[sid], GraphKeys)
+        assert res.graphs[sid] == graph_keys(raw[sid])
+        assert res.graph_by_text[record.report] is res.graphs[sid]
+    # each key value is one object, the one in the resources' shared dict
+    for keys in res.graphs.values():
+        for key in keys.entities + keys.relations:
+            assert res.shared[key] is key
+    assert res.serializations == {}
+    # only the studies asked for are serialized, each once
+    evals = [r.study_id for r in records if r.split == "test"]
+    res = build_resources(records, cfg, set(evals))
+    assert res.serializations == {sid: serialize(raw[sid]).rendered
+                                  for sid in evals}
+
+
+def test_scorer_adopts_the_resources_shared_dict(corpus):
+    _, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    res = build_resources(records, cfg)
+    scorer = Scorer(cfg.metrics, res)
+    assert scorer._shared is res.shared
+    for record in records:
+        scorer.score(record.report, record)
+    shared = dict(res.shared)
+    for i in range(20):
+        for record in records:
+            scorer.score(f"unmatched generation {i} .", record)
+            scorer.score(record.report, record)
+    assert scorer._shared is res.shared
+    assert res.shared == shared and all(
+        res.shared[key] is shared[key] for key in shared)
 
 
 _METRIC_NAMES = ("tokenize", "bleu2", "bert_score", "chexbert_similarity",
@@ -848,6 +897,48 @@ def test_end_to_end_missing_graph_becomes_error_item(tmp_path, corpus):
     assert outcome.table.rows[0].n_items == len(test_ids)
 
 
+def test_end_to_end_graphs_read_at_load_keep_each_item_in_its_place(
+        tmp_path, corpus, monkeypatch):
+    # The first eval study has no graph and the second a graph with no
+    # entities: in each row the first comes last, and the second fails
+    # in place, with serialize run once per eval study with a graph.
+    paths, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    evals = [r.study_id for r in records if r.split == "test"]
+    graphs = json.loads(paths["graphs"].read_text(encoding="utf-8"))
+    del graphs[evals[0]]
+    graphs[evals[1]] = {}
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps(graphs), encoding="utf-8")
+    cfg2 = HarnessConfig(
+        dataset=cfg.dataset, graphs=str(path),
+        experiment=ExperimentConfig(shots=(0, 1)),
+        output=OutputConfig(directory=str(tmp_path / "out")))
+    calls = []
+    real = harness.serialize
+
+    def counted(graph):
+        calls.append(graph)
+        return real(graph)
+    monkeypatch.setattr(harness, "serialize", counted)
+    outcome = evaluate(cfg2, "end2end")
+    assert len(calls) == len(evals) - 1
+    items = load_scores_jsonl(outcome.spool)
+    order = evals[1:] + evals[:1]
+    assert [(d["study_id"], d["shots"]) for d in items] == [
+        (sid, k) for k in (0, 1) for sid in order]
+    for d in items:
+        if d["study_id"] == evals[0]:
+            assert d["error"] == f"no graph for study {evals[0]}"
+        elif d["study_id"] == evals[1]:
+            assert d["error"] == "evaluation serialization is empty"
+        else:
+            assert d["error"] is None and d["scores"]["radgraph_f1"] == 1.0
+    assert [row.excluded for row in outcome.table.rows] == [2, 2]
+    assert load_scores_jsonl(evaluate(cfg2, "ser2rep").spool)
+    assert len(calls) == len(evals) - 1   # none in ser2rep
+
+
 class RejectingEchoTransport(EchoReportTransport):
     """The identity mock, except that one serialization gets a 400."""
 
@@ -872,13 +963,13 @@ def test_run_generation_keeps_item_order(tmp_path, corpus, mode):
     pool = split_records(records, "train")
     evals = split_records(records, "test")
     a, b, c, d = (r.study_id for r in evals)
-    resources = build_resources(records, cfg)
-    graphs = dict(resources.graphs)
+    resources = build_resources(records, cfg, {a, b, c, d})
+    serializations = dict(resources.serializations)
     if mode == "ser2rep":
         order, errors = [a, b, c, d], {c: "status 400"}
     else:
-        del graphs[a]
-        graphs[b] = radgraph_from_document({})
+        del serializations[a]
+        serializations[b] = serialize(radgraph_from_document({})).rendered
         order, errors = [b, c, d, a], {a: f"no graph for study {a}",
                                        b: "serialization is empty",
                                        c: "status 400"}
@@ -887,7 +978,8 @@ def test_run_generation_keeps_item_order(tmp_path, corpus, mode):
     two_rows = dataclasses.replace(cfg,
                                    experiment=ExperimentConfig(shots=(0, 1)))
     outcome = run_generation(mode, evals, pool, two_rows,
-                             Scorer(cfg.metrics, resources), transport, graphs,
+                             Scorer(cfg.metrics, resources), transport,
+                             serializations,
                              tmp_path / "run_scores.jsonl.partial")
     items = load_scores_jsonl(outcome.spool)
     assert [(d["study_id"], d["shots"]) for d in items] == [
@@ -922,12 +1014,13 @@ def test_run_generation_names_the_rows_whose_every_request_failed(
     paths, cfg = corpus
     records = load_dataset(cfg.dataset)
     evals = split_records(records, "test")
-    resources = build_resources(records, cfg)
-    graphs = dict(resources.graphs)
+    resources = build_resources(records, cfg, {r.study_id for r in evals})
+    serializations = dict(resources.serializations)
     early = 0
     if mode == "end2end":   # no graph, and a graph with no entities
-        del graphs[evals[1].study_id]
-        graphs[evals[2].study_id] = radgraph_from_document({})
+        del serializations[evals[1].study_id]
+        serializations[evals[2].study_id] = serialize(
+            radgraph_from_document({})).rendered
         early = 2
     two_rows = dataclasses.replace(cfg,
                                    experiment=ExperimentConfig(shots=(0, 1)))
@@ -937,7 +1030,7 @@ def test_run_generation_names_the_rows_whose_every_request_failed(
     pool = split_records(records, "train")
     spool = tmp_path / "run_scores.jsonl.partial"
     outcome = run_generation(mode, evals, pool, two_rows, scorer, transport,
-                             graphs, spool)
+                             serializations, spool)
     assert [row.excluded for row in outcome.table.rows] == [early, 4]
     assert outcome.failed_shots == (1,)
     # A run in which no prompt could be built is bad input: it is refused
@@ -947,14 +1040,15 @@ def test_run_generation_names_the_rows_whose_every_request_failed(
         message = "eval records missing serializations"
     else:
         blank = evals
-        graphs = {r.study_id: radgraph_from_document({}) for r in evals}
+        serializations = {r.study_id: serialize(
+            radgraph_from_document({})).rendered for r in evals}
         message = "no eval study has a graph that serializes to any text"
     sent = []
     transport.post = lambda *args: sent.append(args)
     spool.unlink()
     with pytest.raises(InputError, match=message):
         run_generation(mode, blank, pool, two_rows, scorer, transport,
-                       graphs, spool)
+                       serializations, spool)
     assert sent == [] and not spool.exists()
 
 

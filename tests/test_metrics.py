@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radstyle.errors import ConfigError, InputError, IoError, SchemaError
@@ -20,8 +20,10 @@ from radstyle.metrics import (MetricReport, _multiset_f1,
                               normed_vector, radcliq, radgraph_f1, tokenize,
                               unit_rows, z_test_proportion)
 
-from graphgen import perturb_document, random_document
-from oracles import bleu2_oracle, radgraph_f1_oracle, tokenize_oracle
+from graphgen import perturb_document, random_document, repeat_entities
+from oracles import (bleu2_counter_oracle, bleu2_oracle, graph_key_counts,
+                     multiset_f1_oracle, radgraph_f1_counter_oracle,
+                     radgraph_f1_oracle, tokenize_oracle)
 from test_graph import entity_doc
 
 
@@ -214,22 +216,6 @@ def test_radgraph_f1_matches_oracle():
         assert got.combined == pytest.approx(want[2], abs=1e-12)
 
 
-def _multiset_f1_by_intersection(pred, ref):
-    """The F1 as computed before: matches summed from a Counter ``&``."""
-    n_pred = sum(pred.values())
-    n_ref = sum(ref.values())
-    if n_pred == 0 and n_ref == 0:
-        return 1.0
-    if n_pred == 0 or n_ref == 0:
-        return 0.0
-    matches = sum((pred & ref).values())
-    precision = matches / n_pred
-    recall = matches / n_ref
-    if precision + recall == 0.0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
 multisets = st.dictionaries(
     st.one_of(st.text(alphabet="abc", max_size=2),
               st.tuples(st.sampled_from("ab"), st.sampled_from("ab"))),
@@ -239,8 +225,64 @@ multisets = st.dictionaries(
 @given(multisets, multisets)
 @settings(max_examples=150, deadline=None)
 def test_multiset_f1_min_sum_matches_counter_intersection(pred, ref):
-    assert (_multiset_f1(pred, sum(pred.values()), ref, sum(ref.values()))
-            == _multiset_f1_by_intersection(pred, ref))
+    assert (_multiset_f1(tuple(pred.elements()), tuple(ref.elements()))
+            == multiset_f1_oracle(pred, ref))
+
+
+# Tokens of more than one character, so that a copy is an equal string
+# that is not the same object.
+flat_tokens = st.lists(st.sampled_from(["lungs", "clear", "no", "."]),
+                       max_size=12)
+
+
+@given(flat_tokens, flat_tokens, st.integers(0, 2 ** 32 - 1))
+@example([], [], 0)
+@example([], ["lungs"], 1)
+@example(["lungs"], [], 2)
+@example(["lungs"], ["lungs"], 3)
+@example(["lungs"], ["lungs", "lungs"], 4)
+@settings(max_examples=300, deadline=None)
+def test_flat_multisets_score_as_counter_intersections(cand_tokens,
+                                                        ref_tokens, seed):
+    """References prepared with a shared dict and candidates prepared
+    without one score exactly as the ``Counter`` intersections of their
+    n-grams and keys do, and so does a reference against itself."""
+    shared = {}
+    ref = ngram_counts(ref_tokens, shared)
+    cand = ngram_counts([t.encode().decode() for t in cand_tokens])
+    assert ref == tuple(ref_tokens) and cand == tuple(cand_tokens)
+    assert all(shared[t] is t for t in ref)
+    assert bleu2(cand, ref) == bleu2_counter_oracle(cand_tokens, ref_tokens)
+    assert bleu2(ref, ref) == bleu2_counter_oracle(ref_tokens, ref_tokens)
+    assert bleu2(cand, cand) == bleu2_counter_oracle(cand_tokens, cand_tokens)
+
+    rng = random.Random(seed)
+    ref_doc = repeat_entities(
+        random_document(rng, max_entities=6, max_relations=6), rng)
+    cand_doc = repeat_entities(
+        perturb_document(ref_doc, rng) if rng.random() < 0.7
+        else random_document(rng, max_entities=6, max_relations=6), rng)
+    ref_graph, cand_graph = graph_of(ref_doc), graph_of(cand_doc)
+    ref_keys = graph_keys(ref_graph, shared)
+    cand_keys = graph_keys(cand_graph)
+    assert radgraph_f1(cand_keys, ref_keys) == radgraph_f1_counter_oracle(
+        cand_graph, ref_graph)
+    assert radgraph_f1(ref_keys, ref_keys) == radgraph_f1_counter_oracle(
+        ref_graph, ref_graph)
+    for keys, graph in ((ref_keys, ref_graph), (cand_keys, cand_graph)):
+        entities, relations = graph_key_counts(graph)
+        assert len(keys.entities) == len(graph.entities) == entities.total()
+        assert (len(keys.relations) == len(graph.relations)
+                == relations.total())
+        assert Counter(keys.entities) == entities
+        assert Counter(keys.relations) == relations
+    for pred, gold in ((cand_keys.entities, ref_keys.entities),
+                       (cand_keys.relations, ref_keys.relations),
+                       (ref_keys.entities, ref_keys.entities),
+                       (ref_keys.relations, ref_keys.relations),
+                       (cand, ref), (ref, ref), (ref, cand)):
+        assert _multiset_f1(pred, gold) == multiset_f1_oracle(
+            Counter(pred), Counter(gold))
 
 
 tokens = st.lists(st.sampled_from("abc"), max_size=10)
