@@ -17,7 +17,7 @@ from .graph import radgraph_from_document
 from .harness import (SOURCES, check_disjoint, evaluate, example_pool,
                       load_dataset, render_table, require_serializations,
                       split_records, study_prompt, write_outputs)
-from .jsonfiles import read_json, require_utf8, study_map
+from .jsonfiles import parse_json, parse_study_map, read_text, require_utf8
 from .prompting import wire_messages
 from .serialize import serialize
 from .style_study import assemble_files, render_style_eval_set, score_files
@@ -27,12 +27,14 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
     def render(doc) -> str:
         return serialize(radgraph_from_document(doc)).rendered
 
-    doc = read_json(args.graphs)
+    text = read_text(args.graphs)
+    doc = parse_json(text, args.graphs)
     if _is_graph_document(doc):
         lines = [render(doc)]
-    else:   # a sidecar: every study is rendered before any is printed
-        lines = [f"{study_id}\t{text}" for study_id, text
-                 in study_map(args.graphs, doc, render).items()]
+    else:   # a sidecar, read as every sidecar is; all rendered, then printed
+        lines = [f"{study_id}\t{rendered}" for study_id, rendered
+                 in parse_study_map(text, args.graphs,
+                                    lambda _, entry: render(entry)).items()]
     require_utf8(args.graphs, lines)
     for line in lines:
         print(line)

@@ -10,7 +10,6 @@ serializer builds on.
 from __future__ import annotations
 
 import logging
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -22,8 +21,8 @@ log = logging.getLogger(__name__)
 # the closed vocabularies, spelled as in the document; all else is refused
 LABELS = frozenset({"ANAT-DP", "OBS-DP", "OBS-DA", "OBS-U"})
 KINDS = frozenset({"modify", "located_at", "suggestive_of"})
-# each word keyed to itself: a graph keeps these strings, one per word,
-# and not the decoded document's copy of each
+# each word keyed to itself: graphs, and the graph keys made of them,
+# hold these strings, one per word, not the decoded document's copies
 _LABEL = {word: word for word in LABELS}
 _KIND = {word: word for word in KINDS}
 
@@ -117,9 +116,7 @@ def radgraph_from_document(doc: dict) -> RadGraph:
     for key, value in doc.items():
         if key == "text" or not isinstance(value, dict):
             continue
-        # Ids and tokens repeat across the graphs of a sidecar, which is
-        # decoded one study at a time: interned, each is one string per run.
-        eid = sys.intern(str(key))
+        eid = str(key)
         tokens = value.get("tokens")
         if not isinstance(tokens, str) or not tokens.strip():
             raise SchemaError(f"entity {eid}: missing or empty tokens")
@@ -140,8 +137,7 @@ def radgraph_from_document(doc: dict) -> RadGraph:
         if start_ix > end_ix:
             raise SchemaError(
                 f"entity {eid}: start_ix {start_ix} > end_ix {end_ix}")
-        entities[eid] = Entity(sys.intern(tokens.strip()), label, start_ix,
-                               end_ix)
+        entities[eid] = Entity(tokens.strip(), label, start_ix, end_ix)
 
         rels = value.get("relations", [])
         if not isinstance(rels, list):
@@ -150,8 +146,7 @@ def radgraph_from_document(doc: dict) -> RadGraph:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise SchemaError(f"entity {eid}: relation entries must be "
                                   f"[kind, target] pairs")
-            raw_relations.append(
-                (eid, sys.intern(str(pair[1])), str(pair[0])))
+            raw_relations.append((eid, str(pair[1]), str(pair[0])))
 
     relations: list[Relation] = []
     seen: set[tuple[str, str, str]] = set()

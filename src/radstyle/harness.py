@@ -15,7 +15,6 @@ import gc
 import io
 import json
 from dataclasses import dataclass, field, fields
-from operator import attrgetter, eq, is_
 from pathlib import Path
 from typing import Any, Callable, Collection, Mapping, Sequence
 
@@ -30,8 +29,7 @@ from .metrics import (GraphKeys, MetricReport, PathologyVector, UnitRows,
                       as_pathology_vector, bert_score, bleu2,
                       chexbert_similarity, graph_keys, load_embeddings,
                       load_pathology_vectors, mean_ci, ngram_counts,
-                      normed_vector, radcliq, radgraph_f1, tokenize,
-                      unit_rows)
+                      radcliq, radgraph_f1, tokenize, unit_rows)
 from .prompting import (PromptChain, StylePair, build_prompt,
                         derive_selection_seed, select_examples)
 from .serialize import serialize
@@ -113,8 +111,7 @@ def load_graph_documents(
     as soon as the graph is read; by default, the graph itself.
     """
     return read_study_map(
-        path, lambda sid, doc: keep(sid, radgraph_from_document(doc)),
-        keyed=True)
+        path, lambda sid, doc: keep(sid, radgraph_from_document(doc)))
 
 
 @dataclass
@@ -126,12 +123,13 @@ class Resources:
     the affected metrics are unavailable for that item.
 
     Each study's graph is held only as its ``graph_keys`` and each
-    embedding only as its ``unit_rows``, which ``radgraph_f1`` and
-    ``bert_score`` read as they are. ``shared`` holds one object per
-    distinct entity key and relation key of those graphs, and the
-    ``Scorer`` adds its references' tokens to it. ``serializations``
-    holds the serialization of each graph ``build_resources`` was asked
-    to serialize, since the graph itself is not kept.
+    embedding only as its ``unit_rows``; those and the pathology vectors
+    are what ``radgraph_f1``, ``bert_score`` and ``chexbert_similarity``
+    read, as they are. ``shared`` holds one object per distinct entity
+    key and relation key of those graphs, and the ``Scorer`` adds its
+    references' tokens to it. ``serializations`` holds the serialization
+    of each graph ``build_resources`` was asked to serialize, since the
+    graph itself is not kept.
     """
 
     graphs: dict[str, GraphKeys] = field(default_factory=dict)
@@ -183,22 +181,16 @@ class Scorer:
     A metric whose inputs are unavailable scores None and is excluded
     from that metric's aggregate, shrinking its effective n.
 
-    The graph keys and unit embedding rows that RadGraph-F1 and
-    BERTScore read are the resources' own (see ``Resources``). The
-    features the other metrics read of a report (BLEU-2 tokens, vector
-    norms) are prepared once per study: one memo per such metric, keyed
-    by study id, holds the reference's features and nothing else, so it
-    has at most one entry per study and metric. A candidate whose
-    resource is the reference's own (for BLEU-2, equal text) gets the
-    very same features, which each metric scores without counting them;
-    any other candidate is prepared afresh and never kept. A study id
+    RadGraph-F1, CheXbert similarity and BERTScore read the resources as
+    they are (see ``Resources``): the study's own as the reference, and
+    those the generated text looks up as the candidate. BLEU-2 reads the
+    reference's tokens, made on the first call for its study and kept by
+    study id; they are objects of the resources' ``shared`` dict, adopted
+    here for the life of the scorer, so each distinct token is kept once.
+    A generation equal to its study's reference text is scored as those
+    very tokens, which ``bleu2`` scores without counting; any other is
+    tokenized afresh, without the shared dict, and never kept. A study id
     must name one record throughout, as ``load_dataset`` guarantees.
-
-    References share what repeats among them: the resources' ``shared``
-    dict, adopted here for the life of the scorer, gets one object per
-    distinct BLEU-2 token, and every reference's tokens are those
-    objects. Candidates are prepared without it, so it keeps nothing of
-    a generation.
 
     A generation that reproduces its study's reference text verbatim has
     scores that depend on the study alone, and a K-shot table asks for
@@ -212,41 +204,27 @@ class Scorer:
         needed = {n for n in cfg.names if n != "radcliq"}
         if "radcliq" in cfg.names:
             needed.update(cfg.radcliq_weights)
+        self._bleu2 = "bleu2" in needed
+        # study id -> the BLEU-2 tokens of its reference
+        self._tokens: dict[str, tuple[str, ...]] = {}
         # study id -> the scores of its reference text as a generation
         self._reproduced: dict[str, dict[str, float | None]] = {}
-        # each key value the references' features hold -> its one object
+        # each key or token value the references hold -> its one object
         self._shared = resources.shared
         res = resources
-        # metric -> (reference of a record, candidate of a generated text,
-        # whether a candidate is the reference's own, prepare, metric).
-        # ``prepare`` takes a resource and the shared dict, or None; it is
-        # None where the resource is already what the metric reads. The
-        # lambdas name the functions of this module, so each call finds
-        # whatever those names are bound to then.
-        steps = {
-            "bleu2": (
-                attrgetter("report"), lambda text: text, eq,
-                lambda text, shared: ngram_counts(tokenize(text), shared),
-                lambda cand, ref: bleu2(cand, ref)),
-            "bert_score": (
-                lambda record: res.embeddings.get(record.study_id),
-                res.embedding_by_text.get, is_, None,
-                lambda cand, ref: bert_score(cand, ref)),
-            "chexbert": (
-                lambda record: res.vectors.get(record.study_id),
-                res.vector_by_text.get, is_,
-                lambda vector, _: normed_vector(vector),
-                lambda cand, ref: chexbert_similarity(cand, ref)),
-            "radgraph_f1": (
-                lambda record: res.graphs.get(record.study_id),
-                res.graph_by_text.get, is_, None,
-                lambda cand, ref: radgraph_f1(cand, ref).combined),
+        # metric -> (candidate resources by text, reference resources by
+        # study id, metric). The lambdas name the functions of this
+        # module, so each call finds whatever those names are bound to then.
+        lookups = {
+            "bert_score": (res.embedding_by_text, res.embeddings,
+                           lambda cand, ref: bert_score(cand, ref)),
+            "chexbert": (res.vector_by_text, res.vectors,
+                         lambda cand, ref: chexbert_similarity(cand, ref)),
+            "radgraph_f1": (res.graph_by_text, res.graphs,
+                            lambda cand, ref: radgraph_f1(cand, ref).combined),
         }
-        # metric name -> study id -> the reference's prepared features
-        self._references: dict[str, dict] = {
-            name: {} for name, step in steps.items() if step[3] is not None}
-        self._steps = tuple((name, self._references.get(name), *steps[name])
-                            for name in sorted(needed))
+        self._lookups = tuple((name, *lookups[name])
+                              for name in sorted(needed) if name in lookups)
 
     def score(self, generated: str,
               record: StudyRecord) -> dict[str, float | None]:
@@ -255,21 +233,17 @@ class Scorer:
         if reproduced and sid in self._reproduced:
             return dict(self._reproduced[sid])
         base: dict[str, float | None] = {}
-        for (name, memo, reference, candidate, same, prepare,
-             metric) in self._steps:
-            cand = candidate(generated)
-            ref = None if cand is None else reference(record)
+        if self._bleu2:
+            ref = self._tokens.get(sid)
             if ref is None:
-                base[name] = None
-                continue
-            if prepare is not None:
-                features = memo.get(sid)
-                if features is None:
-                    features = memo[sid] = prepare(ref, self._shared)
-                cand = (features if same(cand, ref)
-                        else prepare(cand, None))
-                ref = features
-            base[name] = metric(cand, ref)
+                ref = self._tokens[sid] = ngram_counts(
+                    tokenize(record.report), self._shared)
+            base["bleu2"] = bleu2(ref if reproduced else tokenize(generated),
+                                  ref)
+        for name, by_text, by_study, metric in self._lookups:
+            cand = by_text.get(generated)
+            ref = None if cand is None else by_study.get(sid)
+            base[name] = None if ref is None else metric(cand, ref)
         out: dict[str, float | None] = {}
         for name in self.cfg.names:
             if name != "radcliq":
@@ -575,7 +549,7 @@ def score_fixed_outputs(records: Sequence[StudyRecord],
     return aggregate_row("baseline", None, items, metric_names), items
 
 
-def _baseline_output(text) -> str:
+def _baseline_output(_, text) -> str:
     if not isinstance(text, str):
         raise SchemaError("baseline output must be a string")
     return text

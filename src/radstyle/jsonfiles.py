@@ -3,15 +3,15 @@
 Every input file is read here, the YAML run config too: a file that
 cannot be read or decoded raises ``IoError``, and text that is not JSON,
 is nested too deeply to decode or holds an integer too long to convert
-raises ``SchemaError``. A sidecar, a JSON object keyed by study id, is
-decoded and checked entry by entry in ``read_study_map``.
+raises ``SchemaError``. Every sidecar, a JSON object keyed by study id,
+is read by ``parse_study_map``, for every command alike: decoded and
+checked one entry at a time, with a study id given twice refused.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -40,7 +40,7 @@ def require_utf8(path, texts: Iterable[str]) -> None:
                               f"cannot encode") from None
 
 
-def _decode(text: str, where) -> Any:
+def parse_json(text: str, where) -> Any:
     """The JSON document ``text``; an error names ``where`` first."""
     try:
         return json.loads(text)
@@ -54,33 +54,41 @@ def _decode(text: str, where) -> Any:
 
 def read_json(path) -> Any:
     """The JSON document in ``path``."""
-    return _decode(read_text(path), path)
+    return parse_json(read_text(path), path)
 
 
-def read_study_map(path, convert: Callable[..., Any],
-                   keyed: bool = False) -> dict[str, Any]:
-    """The JSON object keyed by study id in ``path``, each entry passed
-    through ``convert``, as ``study_map`` does, or with ``keyed`` as
-    ``convert(study_id, entry)``; a study id given twice raises
-    ``SchemaError("<path>: duplicate study id '<id>'")``.
+def read_study_map(path, convert: Callable[[str, Any], Any]
+                   ) -> dict[str, Any]:
+    """The JSON object keyed by study id in ``path``, as
+    ``parse_study_map`` reads it."""
+    return parse_study_map(read_text(path), path, convert)
+
+
+def parse_study_map(text: str, path, convert: Callable[[str, Any], Any]
+                    ) -> dict[str, Any]:
+    """The JSON object keyed by study id ``text``, read from ``path``,
+    each entry passed through ``convert(study_id, entry)``. A study id
+    given twice raises ``SchemaError("<path>: duplicate study id
+    '<id>'")``, and an entry that ``convert`` rejects with any error of
+    this package raises ``SchemaError("<path>: study <id>: <reason>")``.
 
     The entries are decoded one at a time, and each decoded entry is
     dropped once converted, so the whole decoded document is never held.
     On the first problem of any kind the whole text is decoded as
-    ``read_json`` does, so that malformed JSON anywhere in the file is
+    ``parse_json`` does, so that malformed JSON anywhere in the file is
     reported as such, ahead of the problem itself.
     """
-    text = read_text(path)
     out: dict[str, Any] = {}
     try:
         for study_id, entry in _members(path, text):
             if study_id in out:
                 raise SchemaError(f"{path}: duplicate study id {study_id!r}")
-            out[study_id] = _converted(
-                path, study_id, entry,
-                partial(convert, study_id) if keyed else convert)
+            try:
+                out[study_id] = convert(study_id, entry)
+            except RadstyleError as exc:
+                raise SchemaError(f"{path}: study {study_id}: {exc}") from exc
     except RadstyleError:
-        _decode(text, path)
+        parse_json(text, path)
         raise
     return out
 
@@ -122,29 +130,6 @@ def _members(path, text: str) -> Iterator[tuple[str, Any]]:
         raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
 
 
-def study_map(path, doc, convert: Callable[[Any], Any]) -> dict[str, Any]:
-    """``doc``, the JSON document read from ``path``, as an object keyed
-    by study id, each entry passed through ``convert``; with a study id
-    given twice, the last entry is kept, as ``json.loads`` keeps it.
-
-    An entry that ``convert`` rejects with any error of this package
-    raises ``SchemaError("<path>: study <id>: <reason>")``.
-    """
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object keyed by study id")
-    return {study_id: _converted(path, study_id, entry, convert)
-            for study_id, entry in doc.items()}
-
-
-def _converted(path, study_id: str, entry, convert: Callable[[Any], Any]):
-    """``convert(entry)``; an error of this package names ``path`` and
-    ``study_id``."""
-    try:
-        return convert(entry)
-    except RadstyleError as exc:
-        raise SchemaError(f"{path}: study {study_id}: {exc}") from exc
-
-
 def read_jsonl(path) -> Iterator[tuple[int, Any]]:
     """``(lineno, document)`` for each non-blank line, numbered from 1.
 
@@ -154,4 +139,4 @@ def read_jsonl(path) -> Iterator[tuple[int, Any]]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        yield lineno, _decode(line, f"{path}: line {lineno}")
+        yield lineno, parse_json(line, f"{path}: line {lineno}")

@@ -176,39 +176,22 @@ def as_pathology_vector(values) -> PathologyVector:
     return tuple(values)
 
 
-@dataclass(frozen=True, slots=True)
-class NormedVector:
-    """A validated pathology vector and its Euclidean norm."""
-
-    values: PathologyVector
-    norm: float
-
-
-def normed_vector(values: Sequence | NormedVector) -> NormedVector:
-    """Prepare a pathology vector for ``chexbert_similarity``; prepared
-    input passes through unchanged."""
-    if isinstance(values, NormedVector):
-        return values
-    vector = as_pathology_vector(values)
-    return NormedVector(vector, math.sqrt(sum(x * x for x in vector)))
-
-
-def chexbert_similarity(a: Sequence | NormedVector,
-                        b: Sequence | NormedVector) -> float:
+def chexbert_similarity(a: Sequence, b: Sequence) -> float:
     """Cosine similarity of two pathology indicator vectors.
 
     Two all-zero vectors agree perfectly (1.0); exactly one all-zero
-    vector scores 0.0. Either side may be a vector or its
-    ``normed_vector``.
+    vector scores 0.0.
     """
-    va = normed_vector(a)
-    vb = normed_vector(b)
-    if va.norm == 0.0 and vb.norm == 0.0:
+    va = as_pathology_vector(a)
+    vb = as_pathology_vector(b)
+    norm_a = math.sqrt(sum(x * x for x in va))
+    norm_b = math.sqrt(sum(x * x for x in vb))
+    if norm_a == 0.0 and norm_b == 0.0:
         return 1.0
-    if va.norm == 0.0 or vb.norm == 0.0:
+    if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    dot = sum(map(mul, va.values, vb.values))
-    return dot / (va.norm * vb.norm)
+    dot = sum(map(mul, va, vb))
+    return dot / (norm_a * norm_b)
 
 
 def _as_embedding(name: str, rows) -> np.ndarray:
@@ -358,7 +341,7 @@ def z_test_proportion(x: int, n: int, p0: float) -> ZTestResult:
 
 def load_pathology_vectors(path) -> dict[str, PathologyVector]:
     """Read a JSON sidecar mapping study id to a 14-entry indicator array."""
-    return read_study_map(path, as_pathology_vector)
+    return read_study_map(path, lambda _, values: as_pathology_vector(values))
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
@@ -366,7 +349,8 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
 
     Every matrix must have the same width, since any two may be compared.
     """
-    out = read_study_map(path, lambda rows: _as_embedding("embedding", rows))
+    out = read_study_map(path,
+                         lambda _, rows: _as_embedding("embedding", rows))
     first: dict[int, str] = {}   # width -> the first study that has it
     for study_id, emb in out.items():
         first.setdefault(emb.shape[1], study_id)

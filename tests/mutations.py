@@ -39,8 +39,27 @@ class Mutation(NamedTuple):
 MUTATIONS = (
     Mutation(
         "candidate-prepared-with-shared-dict", "src/radstyle/harness.py",
-        "else prepare(cand, None))", "else prepare(cand, self._shared))",
+        "else tokenize(generated),",
+        "else ngram_counts(tokenize(generated), self._shared),",
         "tests/test_harness.py::test_scorer_adopts_the_resources_shared_dict"),
+    Mutation(
+        "reference-token-memo-dropped", "src/radstyle/harness.py",
+        "ref = self._tokens[sid] = ngram_counts(", "ref = ngram_counts(",
+        "tests/test_harness.py::"
+        "test_scorer_keeps_no_features_of_unknown_generations"),
+    Mutation(
+        "reproduced-candidate-tokenized-afresh", "src/radstyle/harness.py",
+        "bleu2(ref if reproduced else tokenize(generated),",
+        "bleu2(tokenize(generated),",
+        "tests/test_harness.py::"
+        "test_scorer_scores_a_reproduced_reference_once_per_study"),
+    Mutation(
+        "part-of-the-reference-scored-as-its-tokens",
+        "src/radstyle/harness.py",
+        "bleu2(ref if reproduced else",
+        "bleu2(ref if generated in record.report else",
+        "tests/test_harness.py::"
+        "test_scorer_memo_matches_bare_metric_functions"),
     Mutation(
         "scorer-keeps-its-own-shared-dict", "src/radstyle/harness.py",
         "self._shared = resources.shared", "self._shared = {}",

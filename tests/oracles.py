@@ -6,10 +6,10 @@ intersection, explicit loops instead of vectorized counting. The one
 exception is the graph ingestion reference, which must build the
 library's own ``RadGraph`` to be compared with it: it keeps the slower
 first form of the checks that the library has since made cheaper. The
-sidecar reader's reference is the library's whole-document reader, as
-first written. The ``Counter``-intersection references keep the
-arithmetic the scoring metrics had when they held ``Counter``s, so that
-a flat multiset must score the very same float.
+sidecar reader's reference decodes the whole document at once, as the
+library's reader was first written. The ``Counter``-intersection
+references keep the arithmetic the scoring metrics had when they held
+``Counter``s, so that a flat multiset must score the very same float.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import logging
 import math
 from collections import Counter
 
-from radstyle.errors import SchemaError
+from radstyle.errors import RadstyleError, SchemaError
 from radstyle.graph import Entity, RadGraph, Relation, SectionMap
-from radstyle.jsonfiles import read_json, study_map
+from radstyle.jsonfiles import read_json
 
 graph_log = logging.getLogger("oracles.graph")
 
@@ -355,4 +355,13 @@ def read_study_map_oracle(path, convert):
     """The sidecar reader as first written: the whole file decoded at once
     by ``json.loads``, then each entry converted. A study id given twice
     keeps its last entry, where ``read_study_map`` refuses it."""
-    return study_map(path, read_json(path), convert)
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object keyed by study id")
+    out = {}
+    for study_id, entry in doc.items():
+        try:
+            out[study_id] = convert(study_id, entry)
+        except RadstyleError as exc:
+            raise SchemaError(f"{path}: study {study_id}: {exc}") from exc
+    return out

@@ -61,16 +61,17 @@ def test_serialize_sidecar_prints_study_per_line(tmp_path, capsys):
     assert lines[1].startswith("s2\t")
 
 
-def test_serialize_sidecar_keeps_the_last_entry_of_a_repeated_id(tmp_path,
-                                                                  capsys):
-    """``serialize`` reads its file as ``json.loads`` does, unlike
-    ``evaluate``, which refuses a repeated study id."""
+def test_serialize_sidecar_refuses_a_repeated_study_id(tmp_path, capsys):
+    """``serialize`` reads a sidecar as ``evaluate`` does: a study id
+    given twice exits 1 with one line naming it, and prints nothing."""
     edema_only = {"3": SINGLE_GRAPH["3"]}
     path = tmp_path / "graphs.json"
     path.write_text(f'{{"s1": {json.dumps(SINGLE_GRAPH)}, '
                     f'"s1": {json.dumps(edema_only)}}}', encoding="utf-8")
-    assert cli.main(["serialize", str(path)]) == 0
-    assert capsys.readouterr().out == "s1\tno edema\n"
+    assert cli.main(["serialize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: duplicate study id 's1'\n"
 
 
 def test_serialize_bad_label_exits_one(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from radstyle.errors import SchemaError
 from radstyle.graph import (KINDS, LABELS, RadGraph, Relation,
                             radgraph_from_document, weakly_connected_components)
-from radstyle.jsonfiles import read_study_map
 
 from graphgen import edges_of, random_document
 from oracles import (derive_sections_oracle, graph_log,
@@ -49,23 +48,6 @@ def test_graphs_share_one_string_per_label_and_kind():
     for a, b in zip(graphs[0].entities.values(), graphs[1].entities.values()):
         assert a.label is b.label
     assert graphs[0].relations[0].kind is graphs[1].relations[0].kind
-
-
-def test_graphs_read_from_one_sidecar_share_ids_and_tokens(tmp_path):
-    """A sidecar is decoded one study at a time, so the decoder shares no
-    string between two studies' documents; each entity id, relation
-    target and token string is still one object per value."""
-    path = tmp_path / "graphs.json"
-    path.write_text(json.dumps({"s1": TWO_ENTITY_DOC, "s2": TWO_ENTITY_DOC}),
-                    encoding="utf-8")
-    graphs = read_study_map(path, radgraph_from_document)
-    a, b = graphs["s1"], graphs["s2"]
-    for (id_a, entity_a), (id_b, entity_b) in zip(a.entities.items(),
-                                                  b.entities.items()):
-        assert id_a is id_b
-        assert entity_a.tokens is entity_b.tokens
-    assert a.relations[0].target is b.relations[0].target
-    assert a.relations[0].target is next(iter(b.entities))
 
 
 def test_parse_empty_entity_map():

@@ -18,8 +18,8 @@ import radstyle.client as client
 import radstyle.harness as harness
 from radstyle.client import (ClientConfig, EchoReportTransport, HttpTransport,
                              TransportResponse)
-from radstyle.config import (ExperimentConfig, HarnessConfig, MetricsConfig,
-                             OutputConfig, load_config)
+from radstyle.config import (BASE_METRICS, ExperimentConfig, HarnessConfig,
+                             MetricsConfig, OutputConfig, load_config)
 from radstyle.errors import ConfigError, InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
 from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
@@ -364,9 +364,20 @@ def bare_scores(cfg, res, generated, record):
     return {name: base[name] for name in cfg.names}
 
 
-@given(st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([MetricsConfig(),
-                        MetricsConfig(names=("chexbert", "bleu2"))]))
+# every way the scorer picks its metrics: the defaults, a few named
+# metrics, each base metric alone, and radcliq weighting a strict subset
+# of them, alone or beside a metric it does not weight
+SCORER_CONFIGS = [
+    MetricsConfig(), MetricsConfig(names=("chexbert", "bleu2")),
+    *(MetricsConfig(names=(name,)) for name in BASE_METRICS),
+    MetricsConfig(names=("radcliq",),
+                  radcliq_weights={"radgraph_f1": 0.5, "bert_score": -0.5}),
+    MetricsConfig(names=("chexbert", "radcliq"),
+                  radcliq_weights={"bleu2": 1.5}, radcliq_bias=-0.25),
+]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(SCORER_CONFIGS))
 @settings(max_examples=150, deadline=None)
 def test_scorer_memo_matches_bare_metric_functions(seed, cfg):
     rng = random.Random(seed)
@@ -424,20 +435,19 @@ def test_scorer_keeps_no_features_of_unknown_generations():
     scorer = Scorer(MetricsConfig(), res)
     for record in records:
         scorer.score(record.report, record)
-    kept = {name: dict(memo) for name, memo in scorer._references.items()}
+    kept = dict(scorer._tokens)
     shared = dict(scorer._shared)
     for i in range(50):
         for record in records:
             scorer.score(f"unmatched generation {i}", record)
             scorer.score(record.report, record)
-    # One entry at most per study and metric, each the reference's own;
-    # neither unknown nor identity candidates added or replaced any.
-    study_ids = {r.study_id for r in records}
-    assert all(set(memo) <= study_ids
-               for memo in scorer._references.values())
-    for name, memo in scorer._references.items():
-        assert memo.keys() == kept[name].keys()
-        assert all(memo[sid] is kept[name][sid] for sid in memo)
+    # One entry per study, its reference's tokens; neither unknown nor
+    # identity candidates added or replaced any.
+    assert scorer._tokens.keys() == {r.study_id for r in records}
+    assert scorer._tokens.keys() == kept.keys()
+    assert all(scorer._tokens[sid] is kept[sid] for sid in kept)
+    assert all(kept[r.study_id] == tuple(tokenize(r.report))
+               for r in records)
     # the keys the references share did not grow either
     assert scorer._shared == shared and all(
         scorer._shared[key] is shared[key] for key in shared)
@@ -461,7 +471,7 @@ def test_scorer_references_share_one_object_per_key(tmp_path):
     scorer = Scorer(MetricsConfig(names=("bleu2", "radgraph_f1")), res)
     for record in records:
         scorer.score(record.report, record)
-    bleu = scorer._references["bleu2"]
+    bleu = scorer._tokens
     assert bleu["a"] == tuple(tokenize(text_a))
     for value in ("lungs", "clear", "."):
         assert key_object(bleu["a"], value) is key_object(bleu["b"], value)
@@ -495,7 +505,7 @@ def test_build_resources_keeps_only_prepared_embeddings(corpus, monkeypatch):
     assert len(seen) == len(records)
     assert all(ref is res.embeddings[r.study_id]
                for ref, r in zip(seen, records))
-    assert "bert_score" not in scorer._references
+    assert scorer._tokens == {}   # its one memo holds no embedding
 
 
 def test_build_resources_keeps_each_graph_as_its_keys(corpus):

@@ -34,7 +34,7 @@ PUNCTUATION = st.sampled_from(MARKS)
 CHARACTERS = PUNCTUATION | st.characters()
 
 
-def convert(entry):
+def convert(_, entry):
     """Each entry as it is, but an object with a "reject" key."""
     if isinstance(entry, dict) and "reject" in entry:
         raise SchemaError("rejected")

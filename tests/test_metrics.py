@@ -16,9 +16,9 @@ from radstyle.metrics import (MetricReport, _multiset_f1,
                               as_pathology_vector, bert_score, bleu2,
                               chexbert_similarity, graph_keys,
                               load_embeddings, load_pathology_vectors,
-                              mean_ci, ngram_counts, normal_cdf,
-                              normed_vector, radcliq, radgraph_f1, tokenize,
-                              unit_rows, z_test_proportion)
+                              mean_ci, ngram_counts, normal_cdf, radcliq,
+                              radgraph_f1, tokenize, unit_rows,
+                              z_test_proportion)
 
 from graphgen import perturb_document, random_document, repeat_entities
 from oracles import (bleu2_counter_oracle, bleu2_oracle, graph_key_counts,
@@ -289,14 +289,11 @@ tokens = st.lists(st.sampled_from("abc"), max_size=10)
 vectors = st.lists(st.integers(0, 1), min_size=14, max_size=14)
 
 
-@given(tokens, tokens, vectors, vectors, st.integers(0, 2 ** 32 - 1))
+@given(tokens, tokens, st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_prepared_features_score_exactly_like_raw_inputs(
-        cand, ref, va, vb, seed):
+def test_prepared_features_score_exactly_like_raw_inputs(cand, ref, seed):
     assert (bleu2(ngram_counts(cand), ngram_counts(ref))
             == bleu2(cand, ngram_counts(ref)) == bleu2(cand, ref))
-    assert (chexbert_similarity(normed_vector(va), normed_vector(vb))
-            == chexbert_similarity(va, vb))
     rng = random.Random(seed)
     pred = graph_of(random_document(rng, max_entities=6, max_relations=6))
     gold = graph_of(random_document(rng, max_entities=6, max_relations=6))
