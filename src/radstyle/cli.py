@@ -12,12 +12,13 @@ import json
 import sys
 
 from .config import load_config
-from .errors import ClientError, InputError, RadstyleError
+from .errors import ClientError, InputError, RadstyleError, SchemaError
 from .graph import radgraph_from_document
 from .harness import (SOURCES, check_disjoint, evaluate, example_pool,
                       load_dataset, render_table, require_serializations,
                       split_records, study_prompt, write_outputs)
-from .jsonfiles import parse_json, parse_study_map, read_text, require_utf8
+from .jsonfiles import (object_members, parse_json, read_text, require_utf8,
+                        study_map_from)
 from .prompting import wire_messages
 from .serialize import serialize
 from .style_study import assemble_files, render_style_eval_set, score_files
@@ -28,13 +29,18 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
         return serialize(radgraph_from_document(doc)).rendered
 
     text = read_text(args.graphs)
-    doc = parse_json(text, args.graphs)
+    try:   # each member is decoded once, for both readings below
+        members = list(object_members(text, args.graphs))
+    except SchemaError:   # no JSON object: the whole text says what it is
+        doc = parse_json(text, args.graphs)   # a non-object, or an error
+    else:
+        doc = dict(members)   # as the whole text decodes
     if _is_graph_document(doc):
         lines = [render(doc)]
     else:   # a sidecar, read as every sidecar is; all rendered, then printed
         lines = [f"{study_id}\t{rendered}" for study_id, rendered
-                 in parse_study_map(text, args.graphs,
-                                    lambda _, entry: render(entry)).items()]
+                 in study_map_from(members, args.graphs,
+                                   lambda _, entry: render(entry)).items()]
     require_utf8(args.graphs, lines)
     for line in lines:
         print(line)

@@ -29,7 +29,7 @@ from .metrics import (GraphKeys, MetricReport, PathologyVector, UnitRows,
                       as_pathology_vector, bert_score, bleu2,
                       chexbert_similarity, graph_keys, load_embeddings,
                       load_pathology_vectors, mean_ci, ngram_counts,
-                      radcliq, radgraph_f1, tokenize, unit_rows)
+                      radcliq, radgraph_f1, tokenize)
 from .prompting import (PromptChain, StylePair, build_prompt,
                         derive_selection_seed, select_examples)
 from .serialize import serialize
@@ -57,17 +57,21 @@ def load_dataset(path) -> list[StudyRecord]:
     """
     records: list[StudyRecord] = []
     seen: dict[str, int] = {}   # study id -> its line
+    values: dict[str, str] = {}   # split or radiologist id -> its one object
     for lineno, doc in read_jsonl(path):
         try:
-            records.append(_study_record(doc, seen))
+            records.append(_study_record(doc, seen, values))
         except RadstyleError as exc:
             raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
         seen[doc["study_id"]] = lineno
     return records
 
 
-def _study_record(doc, seen: Mapping[str, int]) -> StudyRecord:
-    """The record of one dataset line, unless its study id is in ``seen``."""
+def _study_record(doc, seen: Mapping[str, int],
+                  values: dict[str, str]) -> StudyRecord:
+    """The record of one dataset line, unless its study id is in ``seen``;
+    its split and radiologist id are the objects ``values`` holds for
+    them, put there if absent."""
     if not isinstance(doc, dict):
         raise SchemaError("expected an object")
     unknown = sorted(set(doc) - _RECORD_KEYS)
@@ -87,12 +91,15 @@ def _study_record(doc, seen: Mapping[str, int]) -> StudyRecord:
         value = doc.get(key)
         if value is not None and not isinstance(value, str):
             raise SchemaError(f"{key} must be a string")
+    split = doc.get("split")
+    radiologist = doc.get("radiologist_id")
     return StudyRecord(
         study_id=sid,
         report=doc["report"],
-        split="train" if doc.get("split") is None else doc["split"],
+        split="train" if split is None else values.setdefault(split, split),
         serialization=doc.get("serialization"),
-        radiologist_id=doc.get("radiologist_id"),
+        radiologist_id=(None if radiologist is None
+                        else values.setdefault(radiologist, radiologist)),
         pathology_vector=vector,
     )
 
@@ -104,14 +111,15 @@ def split_records(records: Sequence[StudyRecord],
 
 def load_graph_documents(
         path, keep: Callable[[str, RadGraph], Any] = lambda _, graph: graph,
-        ) -> dict[str, Any]:
+        ids: Mapping[str, str] | None = None) -> dict[str, Any]:
     """Read a JSON sidecar mapping study id to a report-graph document.
 
     Each study's graph is held only as ``keep(study_id, graph)``, made
-    as soon as the graph is read; by default, the graph itself.
+    as soon as the graph is read; by default, the graph itself. ``ids``
+    is as ``jsonfiles.study_map_from`` takes it.
     """
     return read_study_map(
-        path, lambda sid, doc: keep(sid, radgraph_from_document(doc)))
+        path, lambda sid, doc: keep(sid, radgraph_from_document(doc)), ids)
 
 
 @dataclass
@@ -144,22 +152,21 @@ class Resources:
 
 def build_resources(records: Sequence[StudyRecord], cfg: HarnessConfig,
                     serialized: Collection[str] = ()) -> Resources:
-    """The resources of ``records`` and the sidecars ``cfg`` names; the
-    graph of each study named in ``serialized`` is also serialized."""
+    """The resources of ``records`` and the sidecars ``cfg`` names, keyed
+    by the records' own study id objects; the graph of each study named in
+    ``serialized`` is also serialized."""
     res = Resources()
+    ids = {r.study_id: r.study_id for r in records}
     if cfg.graphs:
         def keep(sid: str, graph: RadGraph) -> GraphKeys:
             if sid in serialized:
                 res.serializations[sid] = serialize(graph).rendered
             return graph_keys(graph, res.shared)
-        res.graphs = load_graph_documents(cfg.graphs, keep)
+        res.graphs = load_graph_documents(cfg.graphs, keep, ids)
     if cfg.vectors:
-        res.vectors = load_pathology_vectors(cfg.vectors)
+        res.vectors = load_pathology_vectors(cfg.vectors, ids)
     if cfg.embeddings:
-        res.embeddings = load_embeddings(cfg.embeddings)
-        # each raw matrix is dropped as soon as it is prepared
-        for sid, emb in res.embeddings.items():
-            res.embeddings[sid] = unit_rows(emb, "reference")
+        res.embeddings = load_embeddings(cfg.embeddings, ids)
     for record in records:
         if record.pathology_vector is not None:
             res.vectors.setdefault(record.study_id, record.pathology_vector)
@@ -290,24 +297,41 @@ class ResultTable:
 @dataclass(frozen=True)
 class RunOutcome:
     """A run's table, and the spool that holds its items, one JSON line
-    each, written row by row in table order; the next run with the same
-    output settings overwrites it. ``failed_shots`` holds the shot count
-    of each row that sent requests and got no completion back."""
+    each, written in table order as they are scored; the next run with
+    the same output settings overwrites it. ``failed_shots`` holds the
+    shot count of each row that sent requests and got no completion
+    back."""
 
     table: ResultTable
     spool: Path
     failed_shots: tuple[int, ...] = ()
 
 
-def aggregate_row(method: str, shots: int | None, items: Sequence[RunItem],
-                  metric_names: Sequence[str]) -> ResultRow:
+class RowTally:
+    """What ``aggregate_row`` reads of a row's items, added as they are
+    spooled: their number, the number that failed, and each named
+    metric's scores that are not None, in item order. The items are not
+    kept."""
+
+    def __init__(self, metric_names: Sequence[str]) -> None:
+        self.n_items = 0
+        self.excluded = 0
+        self.values: dict[str, list[float]] = {n: [] for n in metric_names}
+
+    def add(self, items: Sequence[RunItem]) -> None:
+        self.n_items += len(items)
+        self.excluded += sum(item.error is not None for item in items)
+        for name, values in self.values.items():
+            values.extend([item.scores[name] for item in items
+                           if item.scores.get(name) is not None])
+
+
+def aggregate_row(method: str, shots: int | None,
+                  tally: RowTally) -> ResultRow:
     reports: dict[str, MetricReport | None] = {}
-    for name in metric_names:
-        values = [item.scores[name] for item in items
-                  if item.scores.get(name) is not None]
+    for name, values in tally.values.items():
         reports[name] = mean_ci(values, name) if values else None
-    excluded = sum(1 for item in items if item.error is not None)
-    return ResultRow(method, shots, len(items), excluded, reports)
+    return ResultRow(method, shots, tally.n_items, tally.excluded, reports)
 
 
 def render_table(table: ResultTable) -> str:
@@ -446,19 +470,30 @@ def study_prompt(pool: Sequence[StylePair], seed: int, k: int,
 SOURCES = {"ser2rep": "ground_truth", "end2end": "predicted"}
 
 
+# An in-process row is built, completed, scored and spooled this many
+# eval studies at a time, so its chains, completions and items are never
+# all held at once.
+SLICE = 64
+
+
 def run_generation(mode: str, eval_records: Sequence[StudyRecord],
                    pool_records: Sequence[StudyRecord], cfg: HarnessConfig,
                    scorer: Scorer, transport: Transport,
                    serializations: Mapping[str, str],
                    spool: Path) -> RunOutcome:
-    """Generate and score a report for each eval study, one table row
-    (and one client batch) per shot count.
+    """Generate and score a report for each eval study, one table row per
+    shot count.
 
-    Each row's items are appended to ``spool`` once the row is scored,
-    and released before the next row's prompts are built. The spool,
-    and its directory, are created after every input check and before
-    the first request, so that an input error writes nothing and an
-    output directory that cannot be created costs no request.
+    On the mocks, which answer on this thread, a row's prompts are built,
+    completed in one client batch, scored and appended to ``spool``
+    ``SLICE`` eval studies at a time, and each slice's items are released
+    before the next slice's prompts are built. Over ``HttpTransport`` a
+    row is one slice, and so one batch: a batch boundary would leave its
+    workers idle while a retry waits out its backoff. Of a row, only what
+    ``aggregate_row`` reads is kept. The spool, and its directory, are
+    created after every input check and before the first request, so
+    that an input error writes nothing and an output directory that
+    cannot be created costs no request.
 
     "ser2rep" prompts with each study's own serialization. "end2end"
     prompts with the serialization of the study's graph, from
@@ -493,71 +528,90 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     write_scores_jsonl(spool, ())
     # Only a transport that waits on the network gains from more workers;
     # the mocks answer at once, so they run on this thread.
-    workers = (cfg.client.parallelism
-               if isinstance(transport, HttpTransport) else 1)
+    network = isinstance(transport, HttpTransport)
+    workers = cfg.client.parallelism if network else 1
+    size = len(pairs) if network else SLICE
     rows: list[ResultRow] = []
     failed_shots: list[int] = []
     for k in cfg.experiment.shots:
-        chains: list[PromptChain] = []
-        for record, text in pairs:
-            if text.strip():
-                chains.append(study_prompt(pool_pairs, cfg.experiment.seed,
-                                           k, record.study_id, text))
-        results = iter(complete_batch(
-            chains, cfg.client, parallelism=workers, transport=transport))
-        row: list[RunItem] = []
-        failures = 0
-        for record, text in pairs:
-            result = next(results) if text.strip() else None
-            if result is None:
-                row.append(RunItem(record.study_id, mode, k, source, None,
-                                   {}, "evaluation serialization is empty"))
-            elif isinstance(result, Exception):
-                failures += 1
-                row.append(RunItem(record.study_id, mode, k, source, None,
-                                   {}, str(result)))
-            else:
-                row.append(RunItem(record.study_id, mode, k, source,
-                                   result.text,
-                                   scorer.score(result.text, record)))
-        row.extend(RunItem(r.study_id, mode, k, source, None, {},
-                           f"no graph for study {r.study_id}")
-                   for r in absent)
-        if chains and failures == len(chains):
+        tally = RowTally(cfg.metrics.names)
+        sent = failures = 0
+        for start in range(0, len(pairs), size):
+            part = pairs[start:start + size]
+            chains = [study_prompt(pool_pairs, cfg.experiment.seed, k,
+                                   record.study_id, text)
+                      for record, text in part if text.strip()]
+            results = iter(complete_batch(chains, cfg.client,
+                                          parallelism=workers,
+                                          transport=transport))
+            items: list[RunItem] = []
+            for record, text in part:
+                result = next(results) if text.strip() else None
+                if result is None:
+                    items.append(RunItem(
+                        record.study_id, mode, k, source, None, {},
+                        "evaluation serialization is empty"))
+                elif isinstance(result, Exception):
+                    failures += 1
+                    items.append(RunItem(record.study_id, mode, k, source,
+                                         None, {}, str(result)))
+                else:
+                    items.append(RunItem(record.study_id, mode, k, source,
+                                         result.text,
+                                         scorer.score(result.text, record)))
+            sent += len(chains)
+            _spool(spool, tally, items)
+        _spool(spool, tally, [RunItem(r.study_id, mode, k, source, None, {},
+                                      f"no graph for study {r.study_id}")
+                              for r in absent])
+        if sent and failures == sent:
             failed_shots.append(k)
-        rows.append(aggregate_row(mode, k, row, cfg.metrics.names))
-        write_scores_jsonl(spool, row, "a")
-        del chains, results, row   # before the next row's prompts exist
+        rows.append(aggregate_row(mode, k, tally))
     return RunOutcome(ResultTable(tuple(cfg.metrics.names), tuple(rows)),
                       spool, tuple(failed_shots))
 
 
+def _spool(spool: Path, tally: RowTally, items: Sequence[RunItem]) -> None:
+    """Append ``items`` to ``spool`` and add them to their row's tally."""
+    write_scores_jsonl(spool, items, "a")
+    tally.add(items)
+
+
 def score_fixed_outputs(records: Sequence[StudyRecord],
                         outputs: Mapping[str, str], scorer: Scorer,
-                        metric_names: Sequence[str],
-                        ) -> tuple[ResultRow, list[RunItem]]:
-    """Score a comparison system's outputs, keyed by study id."""
-    items: list[RunItem] = []
-    for record in records:
-        text = outputs.get(record.study_id)
-        if text is None:
-            items.append(RunItem(record.study_id, "baseline", None,
-                                 "provided", None, {}, "no output for study"))
-        else:
-            items.append(RunItem(record.study_id, "baseline", None,
-                                 "provided", text, scorer.score(text, record)))
-    return aggregate_row("baseline", None, items, metric_names), items
+                        metric_names: Sequence[str], spool: Path) -> ResultRow:
+    """Score a comparison system's outputs, keyed by study id, as the
+    baseline row; its items are appended to ``spool`` ``SLICE`` at a
+    time."""
+    tally = RowTally(metric_names)
+    for start in range(0, len(records), SLICE):
+        items: list[RunItem] = []
+        for record in records[start:start + SLICE]:
+            text = outputs.get(record.study_id)
+            if text is None:
+                items.append(RunItem(record.study_id, "baseline", None,
+                                     "provided", None, {},
+                                     "no output for study"))
+            else:
+                items.append(RunItem(record.study_id, "baseline", None,
+                                     "provided", text,
+                                     scorer.score(text, record)))
+        _spool(spool, tally, items)
+    return aggregate_row("baseline", None, tally)
 
 
-def _baseline_output(_, text) -> str:
-    if not isinstance(text, str):
-        raise SchemaError("baseline output must be a string")
-    return text
+def load_baseline(path, ids: Mapping[str, str] | None = None
+                  ) -> dict[str, str]:
+    """Read a JSON file mapping study id to a fixed comparison output;
+    an output given for many studies is kept once. ``ids`` is as
+    ``jsonfiles.study_map_from`` takes it."""
+    texts: dict[str, str] = {}   # each output -> its one object
 
-
-def load_baseline(path) -> dict[str, str]:
-    """Read a JSON file mapping study id to a fixed comparison output."""
-    return read_study_map(path, _baseline_output)
+    def output(_, text) -> str:
+        if not isinstance(text, str):
+            raise SchemaError("baseline output must be a string")
+        return texts.setdefault(text, text)
+    return read_study_map(path, output, ids)
 
 
 def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
@@ -595,7 +649,10 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
             {r.study_id for r in eval_records} if mode == "end2end" else ())
         scorer = Scorer(cfg.metrics, resources)
         transport = make_transport(cfg.client, records)
-        outputs = load_baseline(cfg.baseline) if cfg.baseline else None
+        outputs = None
+        if cfg.baseline:
+            outputs = load_baseline(
+                cfg.baseline, {r.study_id: r.study_id for r in eval_records})
         if outputs is not None and not any(r.study_id in outputs
                                            for r in eval_records):
             raise InputError(f"baseline {cfg.baseline} covers no study in "
@@ -608,9 +665,8 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
                                  scorer, transport, resources.serializations,
                                  cfg.output.path("spool"))
         if outputs is not None:
-            row, baseline_items = score_fixed_outputs(
-                eval_records, outputs, scorer, cfg.metrics.names)
-            write_scores_jsonl(outcome.spool, baseline_items, "a")
+            row = score_fixed_outputs(eval_records, outputs, scorer,
+                                      cfg.metrics.names, outcome.spool)
             outcome = RunOutcome(
                 ResultTable(outcome.table.metric_names,
                             outcome.table.rows + (row,)),

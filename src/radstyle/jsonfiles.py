@@ -4,7 +4,7 @@ Every input file is read here, the YAML run config too: a file that
 cannot be read or decoded raises ``IoError``, and text that is not JSON,
 is nested too deeply to decode or holds an integer too long to convert
 raises ``SchemaError``. Every sidecar, a JSON object keyed by study id,
-is read by ``parse_study_map``, for every command alike: decoded and
+is read by ``study_map_from``, for every command alike: decoded and
 checked one entry at a time, with a study id given twice refused.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import IoError, RadstyleError, SchemaError
 
@@ -57,20 +57,17 @@ def read_json(path) -> Any:
     return parse_json(read_text(path), path)
 
 
-def read_study_map(path, convert: Callable[[str, Any], Any]
-                   ) -> dict[str, Any]:
+def read_study_map(path, convert: Callable[[str, Any], Any],
+                   ids: Mapping[str, str] | None = None) -> dict[str, Any]:
     """The JSON object keyed by study id in ``path``, as
     ``parse_study_map`` reads it."""
-    return parse_study_map(read_text(path), path, convert)
+    return parse_study_map(read_text(path), path, convert, ids)
 
 
-def parse_study_map(text: str, path, convert: Callable[[str, Any], Any]
-                    ) -> dict[str, Any]:
-    """The JSON object keyed by study id ``text``, read from ``path``,
-    each entry passed through ``convert(study_id, entry)``. A study id
-    given twice raises ``SchemaError("<path>: duplicate study id
-    '<id>'")``, and an entry that ``convert`` rejects with any error of
-    this package raises ``SchemaError("<path>: study <id>: <reason>")``.
+def parse_study_map(text: str, path, convert: Callable[[str, Any], Any],
+                    ids: Mapping[str, str] | None = None) -> dict[str, Any]:
+    """The JSON object keyed by study id ``text``, read from ``path``, as
+    ``study_map_from`` builds it from the object's members.
 
     The entries are decoded one at a time, and each decoded entry is
     dropped once converted, so the whole decoded document is never held.
@@ -78,18 +75,35 @@ def parse_study_map(text: str, path, convert: Callable[[str, Any], Any]
     ``parse_json`` does, so that malformed JSON anywhere in the file is
     reported as such, ahead of the problem itself.
     """
-    out: dict[str, Any] = {}
     try:
-        for study_id, entry in _members(path, text):
-            if study_id in out:
-                raise SchemaError(f"{path}: duplicate study id {study_id!r}")
-            try:
-                out[study_id] = convert(study_id, entry)
-            except RadstyleError as exc:
-                raise SchemaError(f"{path}: study {study_id}: {exc}") from exc
+        return study_map_from(object_members(text, path), path, convert,
+                              ids)
     except RadstyleError:
         parse_json(text, path)
         raise
+
+
+def study_map_from(members: Iterable[tuple[str, Any]], path,
+                   convert: Callable[[str, Any], Any],
+                   ids: Mapping[str, str] | None = None) -> dict[str, Any]:
+    """Each ``(study id, entry)`` of ``members``, read from ``path``, with
+    the entry passed through ``convert(study_id, entry)``. A study id
+    given twice raises ``SchemaError("<path>: duplicate study id
+    '<id>'")``, and an entry that ``convert`` rejects with any error of
+    this package raises ``SchemaError("<path>: study <id>: <reason>")``.
+    A study id that ``ids`` holds is kept as the object it maps to, so
+    that a sidecar shares the dataset's id objects.
+    """
+    out: dict[str, Any] = {}
+    for study_id, entry in members:
+        if study_id in out:
+            raise SchemaError(f"{path}: duplicate study id {study_id!r}")
+        if ids is not None:
+            study_id = ids.get(study_id, study_id)
+        try:
+            out[study_id] = convert(study_id, entry)
+        except RadstyleError as exc:
+            raise SchemaError(f"{path}: study {study_id}: {exc}") from exc
     return out
 
 
@@ -98,7 +112,7 @@ _SPACE = re.compile(r"[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
 
 
-def _members(path, text: str) -> Iterator[tuple[str, Any]]:
+def object_members(text: str, path) -> Iterator[tuple[str, Any]]:
     """``(key, decoded value)`` of each member of the JSON object
     ``text``, each value decoded when it is reached. Text that is not one
     JSON object raises ``SchemaError``."""

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -231,7 +231,12 @@ def unit_rows(emb, name: str = "candidate") -> UnitRows:
     prepared input passes through unchanged. ``name`` labels errors."""
     if isinstance(emb, UnitRows):
         return emb
-    arr = _as_embedding(f"{name} embedding", emb)
+    return _scaled(_as_embedding(f"{name} embedding", emb))
+
+
+def _scaled(arr: np.ndarray) -> UnitRows:
+    """A checked float matrix with its non-zero rows scaled to unit
+    length."""
     # the reduction ``np.linalg.norm(arr, axis=1, keepdims=True)`` runs on
     # real input, without its Python wrapper: the bits are the same
     norms = np.sqrt(np.add.reduce(arr * arr, axis=1, keepdims=True))
@@ -339,21 +344,27 @@ def z_test_proportion(x: int, n: int, p0: float) -> ZTestResult:
     return ZTestResult(x, n, p0, phat, z, 1.0 - normal_cdf(z))
 
 
-def load_pathology_vectors(path) -> dict[str, PathologyVector]:
-    """Read a JSON sidecar mapping study id to a 14-entry indicator array."""
-    return read_study_map(path, lambda _, values: as_pathology_vector(values))
+def load_pathology_vectors(path, ids: Mapping[str, str] | None = None
+                           ) -> dict[str, PathologyVector]:
+    """Read a JSON sidecar mapping study id to a 14-entry indicator array;
+    ``ids`` is as ``jsonfiles.study_map_from`` takes it."""
+    return read_study_map(path, lambda _, values: as_pathology_vector(values),
+                          ids)
 
 
-def load_embeddings(path) -> dict[str, np.ndarray]:
-    """Read a JSON sidecar mapping study id to an array-of-arrays of reals.
+def load_embeddings(path, ids: Mapping[str, str] | None = None
+                    ) -> dict[str, UnitRows]:
+    """Read a JSON sidecar mapping study id to an array-of-arrays of reals,
+    each kept only as its ``unit_rows``; ``ids`` is as
+    ``jsonfiles.study_map_from`` takes it.
 
     Every matrix must have the same width, since any two may be compared.
     """
-    out = read_study_map(path,
-                         lambda _, rows: _as_embedding("embedding", rows))
+    out = read_study_map(
+        path, lambda _, rows: _scaled(_as_embedding("embedding", rows)), ids)
     first: dict[int, str] = {}   # width -> the first study that has it
     for study_id, emb in out.items():
-        first.setdefault(emb.shape[1], study_id)
+        first.setdefault(emb.rows.shape[1], study_id)
     if len(first) > 1:
         (w1, s1), (w2, s2) = list(first.items())[:2]
         raise SchemaError(f"{path}: embedding widths differ: study {s1} has "

@@ -118,11 +118,20 @@ MUTATIONS = (
         "tests/test_harness.py::"
         "test_end_to_end_graphs_read_at_load_keep_each_item_in_its_place"),
     Mutation(
-        "raw-embedding-kept", "src/radstyle/harness.py",
-        'res.embeddings[sid] = unit_rows(emb, "reference")',
-        "res.embeddings[sid] = emb",
+        "raw-embedding-kept", "src/radstyle/metrics.py",
+        '_scaled(_as_embedding("embedding", rows))',
+        'UnitRows(_as_embedding("embedding", rows))',
         "tests/test_harness.py::"
         "test_build_resources_keeps_only_prepared_embeddings"),
+    Mutation(
+        "network-row-sliced", "src/radstyle/harness.py",
+        "size = len(pairs) if network else SLICE", "size = SLICE",
+        "tests/test_harness.py::test_a_network_row_is_one_client_batch"),
+    Mutation(
+        "absent-items-spooled-per-slice", "src/radstyle/harness.py",
+        "            _spool(spool, tally, items)\n        _spool(",
+        "            _spool(spool, tally, items)\n            _spool(",
+        "tests/test_harness.py::test_slicing_a_row_changes_no_artifact_byte"),
     Mutation(
         "sidecar-study-id-given-twice-accepted", "src/radstyle/jsonfiles.py",
         "if study_id in out:", "if False:",

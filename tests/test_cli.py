@@ -121,9 +121,14 @@ def test_serialize_reads_a_sidecar_once(tmp_path, capsys, monkeypatch):
             reads.append(self)
         return real_read_text(self, *args, **kwargs)
     monkeypatch.setattr(Path, "read_text", read_text)
+    # and decoded once: member by member, never also as a whole
+    wholes = []
+    monkeypatch.setattr(cli, "parse_json",
+                        lambda *args: wholes.append(args))
     assert cli.main(["serialize", str(path)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert len(reads) == 1
+    assert wholes == []
 
 
 @pytest.mark.parametrize("where", ["token", "study_id"])

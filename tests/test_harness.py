@@ -7,10 +7,13 @@ import math
 import os
 import random
 import re
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +25,8 @@ from radstyle.config import (BASE_METRICS, ExperimentConfig, HarnessConfig,
                              MetricsConfig, OutputConfig, load_config)
 from radstyle.errors import ConfigError, InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
-from radstyle.harness import (Resources, ResultRow, ResultTable, RunItem,
+from radstyle.harness import (Resources, ResultRow, ResultTable, RowTally,
+                              RunItem,
                               Scorer, StudyRecord, aggregate_row,
                               build_resources, evaluate,
                               load_baseline, load_dataset,
@@ -397,10 +401,13 @@ def test_scorer_memo_matches_bare_metric_functions(seed, cfg):
             assert scorer.score(text, record) == bare_scores(
                 cfg, res, text, record)
     outputs = {r.study_id: rng.choice(texts) for r in records}
-    _, items = score_fixed_outputs(records, outputs, scorer, cfg.names)
-    for record, item in zip(records, items):
-        assert item.scores == bare_scores(cfg, res, outputs[record.study_id],
-                                          record)
+    with tempfile.TemporaryDirectory() as tmp:
+        spool = Path(tmp) / "spool.jsonl"
+        score_fixed_outputs(records, outputs, scorer, cfg.names, spool)
+        items = load_scores_jsonl(spool)
+    for record, item in zip(records, items, strict=True):
+        assert item["scores"] == bare_scores(
+            cfg, res, outputs[record.study_id], record)
 
 
 def test_scorer_calls_the_metrics_named_in_harness_at_call_time(
@@ -487,7 +494,7 @@ def test_scorer_references_share_one_object_per_key(tmp_path):
 def test_build_resources_keeps_only_prepared_embeddings(corpus, monkeypatch):
     _, cfg = corpus
     records = load_dataset(cfg.dataset)
-    raw = load_embeddings(cfg.embeddings)
+    raw = json.loads(Path(cfg.embeddings).read_text(encoding="utf-8"))
     res = build_resources(records, cfg)
     assert res.embeddings.keys() == raw.keys()
     for sid, emb in raw.items():
@@ -506,6 +513,24 @@ def test_build_resources_keeps_only_prepared_embeddings(corpus, monkeypatch):
     assert all(ref is res.embeddings[r.study_id]
                for ref, r in zip(seen, records))
     assert scorer._tokens == {}   # its one memo holds no embedding
+
+
+def test_loaded_inputs_keep_one_object_per_repeated_string(corpus):
+    _, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    for field_name in ("split", "radiologist_id"):
+        values = [getattr(r, field_name) for r in records]
+        assert len({id(v) for v in values}) == len(set(values)) > 1
+    # each sidecar keys its entries by the dataset's own id objects
+    by_id = {r.study_id: r for r in records}
+    res = build_resources(records, cfg)
+    outputs = load_baseline(cfg.baseline,
+                            {r.study_id: r.study_id for r in records})
+    for table in (res.graphs, res.embeddings, outputs):
+        assert table
+        assert all(sid is by_id[sid].study_id for sid in table)
+    # the corpus gives every study one baseline text
+    assert len({id(text) for text in outputs.values()}) == 1
 
 
 def test_build_resources_keeps_each_graph_as_its_keys(corpus):
@@ -643,7 +668,10 @@ def test_aggregate_row_skips_missing_scores():
              item("b", {"bleu2": 0.5}),
              item("c", {"bleu2": None}),
              item("d", {}, error="boom")]
-    row = aggregate_row("m", 1, items, ["bleu2"])
+    tally = RowTally(["bleu2"])
+    tally.add(items[:3])
+    tally.add(items[3:])
+    row = aggregate_row("m", 1, tally)
     assert row.n_items == 4
     assert row.excluded == 1
     report = row.metrics["bleu2"]
@@ -652,7 +680,9 @@ def test_aggregate_row_skips_missing_scores():
 
 
 def test_aggregate_row_all_missing_gives_none():
-    row = aggregate_row("m", None, [item("a", {"x": None})], ["x"])
+    tally = RowTally(["x"])
+    tally.add([item("a", {"x": None})])
+    row = aggregate_row("m", None, tally)
     assert row.metrics["x"] is None
 
 
@@ -1062,6 +1092,158 @@ def test_run_generation_names_the_rows_whose_every_request_failed(
     assert sent == [] and not spool.exists()
 
 
+# ---------------------------------------------------------------- slices
+
+
+@pytest.fixture(scope="module")
+def slice_corpus(tmp_path_factory):
+    """28 eval studies: the first has no graph, the sixth a graph that
+    serializes to no text; a baseline covers all but the last."""
+    out = tmp_path_factory.mktemp("slices")
+    paths = make_synthetic_corpus(out, n_records=40, n_train=12, seed=3)
+    evals = [r.study_id for r in load_dataset(paths["dataset"])
+             if r.split == "test"]
+    graphs = json.loads(paths["graphs"].read_text(encoding="utf-8"))
+    del graphs[evals[0]]
+    graphs[evals[5]] = {}
+    paths["graphs"].write_text(json.dumps(graphs), encoding="utf-8")
+    baseline = json.loads(paths["baseline"].read_text(encoding="utf-8"))
+    del baseline[evals[-1]]
+    paths["baseline"].write_text(json.dumps(baseline), encoding="utf-8")
+    return paths, evals
+
+
+def run_cli(paths, mode, out_dir, capsys):
+    """``radstyle evaluate`` writing to ``out_dir``: its exit code, its
+    stderr with ``out_dir`` read as ``<out>``, and the bytes of its three
+    artifacts."""
+    from radstyle import cli
+    config = yaml.safe_load(paths["config"].read_text(encoding="utf-8"))
+    config["output"]["directory"] = str(out_dir)
+    path = out_dir.parent / f"{out_dir.name}.json"   # JSON is valid YAML
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = cli.main(["evaluate", "--mode", mode, "--config", str(path)])
+    err = capsys.readouterr().err.replace(str(out_dir), "<out>")
+    return code, err, {name: (out_dir / name).read_bytes() for name in
+                       ("mock_table.txt", "mock_table.csv",
+                        "mock_scores.jsonl")}
+
+
+ECHO_POST = EchoReportTransport.post
+
+
+def reject_examples(self, url, headers, payload, timeout):
+    """The identity mock, except that a chain with an example gets a 400."""
+    if len(json.loads(payload)["messages"]) > 2:
+        return TransportResponse(400, "rejected")
+    return ECHO_POST(self, url, headers, payload, timeout)
+
+
+@pytest.mark.parametrize("rejecting", [False, True])
+@pytest.mark.parametrize("mode", ["ser2rep", "end2end"])
+def test_slicing_a_row_changes_no_artifact_byte(
+        tmp_path, slice_corpus, monkeypatch, capsys, mode, rejecting):
+    # Each slice size gives the bytes of one slice per row: the empty
+    # serialization fails in place, the study without a graph comes at
+    # the end of its row, and a row whose every request failed, slice
+    # after slice, still exits 2.
+    paths, evals = slice_corpus
+    if rejecting:
+        monkeypatch.setattr(EchoReportTransport, "post", reject_examples)
+    runs = {}
+    for size in (1, 7, 10_000):
+        monkeypatch.setattr(harness, "SLICE", size)
+        runs[size] = run_cli(paths, mode, tmp_path / f"out{size}", capsys)
+    assert runs[1] == runs[7] == runs[10_000]
+    code, err, artifacts = runs[1]
+    if rejecting:
+        assert code == 2
+        assert err.startswith("client error: every request of shot rows "
+                              "1, 5, 10 failed")
+    else:
+        assert (code, err) == (0, "")
+    items = [json.loads(line) for line
+             in artifacts["mock_scores.jsonl"].decode().splitlines()]
+    assert len(items) == 5 * len(evals)
+    if mode == "end2end":
+        for k in (0, 1, 5, 10):
+            row = [d for d in items if d["shots"] == k]
+            assert row[-1]["error"] == f"no graph for study {evals[0]}"
+            assert row[4]["study_id"] == evals[5]
+            assert row[4]["error"] == "evaluation serialization is empty"
+
+
+class EchoOverHttp(HttpTransport):
+    """An ``HttpTransport`` that answers as the identity mock, with no
+    network."""
+
+    def __init__(self, mapping):
+        super().__init__()
+        self.echo = EchoReportTransport(mapping)
+
+    def post(self, url, headers, payload, timeout):
+        return self.echo.post(url, headers, payload, timeout)
+
+
+def test_a_network_row_is_one_client_batch(tmp_path, corpus, monkeypatch):
+    # A batch boundary would leave the HTTP workers idle through a
+    # retry's backoff, so only in-process rows are sliced.
+    paths, cfg = corpus
+    records = load_dataset(cfg.dataset)
+    pool = split_records(records, "train")
+    evals = split_records(records, "test")
+    cfg = dataclasses.replace(cfg, experiment=ExperimentConfig(shots=(0, 1)))
+    monkeypatch.setenv(cfg.client.api_key_env, "k")
+    monkeypatch.setattr(harness, "SLICE", 1)
+    batches = []
+    real = harness.complete_batch
+
+    def spy(chains, *args, **kwargs):
+        batches.append(len(chains))
+        return real(chains, *args, **kwargs)
+    monkeypatch.setattr(harness, "complete_batch", spy)
+    mapping = {r.serialization: r.report for r in records}
+    spools = {}
+    for name, transport in (("http", EchoOverHttp(mapping)),
+                            ("echo", EchoReportTransport(mapping))):
+        resources = build_resources(records, cfg)
+        spools[name] = tmp_path / f"{name}.jsonl.partial"
+        run_generation("ser2rep", evals, pool, cfg,
+                       Scorer(cfg.metrics, resources), transport, {},
+                       spools[name])
+    assert batches == [len(evals)] * 2 + [1] * (2 * len(evals))
+    assert (spools["http"].read_bytes() == spools["echo"].read_bytes())
+
+
+def test_an_interrupted_row_leaves_the_slices_already_scored(
+        tmp_path, slice_corpus, monkeypatch, capsys):
+    paths, evals = slice_corpus
+    _, _, artifacts = run_cli(paths, "ser2rep", tmp_path / "whole", capsys)
+    whole = artifacts["mock_scores.jsonl"].decode().splitlines(True)
+    monkeypatch.setattr(harness, "SLICE", 5)
+    sent = []
+
+    def post(self, *args):
+        if len(sent) == len(evals) + 12:   # the third slice of row 1
+            raise KeyboardInterrupt
+        sent.append(args)
+        return ECHO_POST(self, *args)
+    monkeypatch.setattr(EchoReportTransport, "post", post)
+    config = yaml.safe_load(paths["config"].read_text(encoding="utf-8"))
+    config["output"]["directory"] = str(tmp_path / "cut")
+    cfg = load_config_text(tmp_path / "cut.json", config)
+    with pytest.raises(KeyboardInterrupt):
+        evaluate(cfg, "ser2rep")
+    spool = cfg.output.path("spool").read_text(encoding="utf-8")
+    # row 0 whole, and two slices of row 1, each line as the whole run's
+    assert spool.splitlines(True) == whole[:len(evals) + 10]
+
+
+def load_config_text(path, config):
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return load_config(path)
+
+
 def test_end_to_end_without_a_graphs_file_fails_before_any_request(
         corpus, monkeypatch):
     # tests/test_cli.py covers a graphs file that holds no eval study.
@@ -1190,13 +1372,16 @@ def test_end2end_items_equal_ser2rep_items_under_faults(larger_corpus, salt):
                for item in items["ser2rep"])
 
 
-def test_score_fixed_outputs_missing_study():
+def test_score_fixed_outputs_missing_study(tmp_path):
     scorer = Scorer(MetricsConfig(names=("bleu2",)), Resources())
     records = [StudyRecord("a", "x y"), StudyRecord("b", "z")]
-    row, items = score_fixed_outputs(records, {"a": "x y"}, scorer, ("bleu2",))
-    assert row.excluded == 1
-    assert items[0].scores["bleu2"] == 1.0
-    assert items[1].error == "no output for study"
+    spool = tmp_path / "spool.jsonl"
+    row = score_fixed_outputs(records, {"a": "x y"}, scorer, ("bleu2",),
+                              spool)
+    assert (row.n_items, row.excluded) == (2, 1)
+    items = load_scores_jsonl(spool)
+    assert items[0]["scores"]["bleu2"] == 1.0
+    assert items[1]["error"] == "no output for study"
 
 
 def test_build_client_modes(corpus):

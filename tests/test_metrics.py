@@ -574,7 +574,7 @@ def test_load_embeddings(tmp_path):
     path = tmp_path / "emb.json"
     path.write_text(json.dumps({"s1": [[1.0, 2.0], [3.0, 4.0]]}))
     emb = load_embeddings(path)
-    assert emb["s1"].shape == (2, 2)
+    assert emb["s1"].rows.shape == (2, 2)
     path.write_text(json.dumps({"s1": []}))
     with pytest.raises(SchemaError, match="s1"):
         load_embeddings(path)
