@@ -16,7 +16,7 @@ import io
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Collection, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from .client import (ClientConfig, EchoReportTransport, FixedReplyTransport,
                      HttpTransport, Transport, complete_batch,
@@ -266,20 +266,6 @@ class Scorer:
 
 
 @dataclass(frozen=True)
-class RunItem:
-    """One scored generation. ``error`` is set when the item failed
-    before scoring; its scores dict is then empty."""
-
-    study_id: str
-    method: str
-    shots: int | None
-    source: str
-    generated: str | None
-    scores: dict[str, float | None]
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class ResultRow:
     method: str
     shots: int | None
@@ -298,40 +284,28 @@ class ResultTable:
 class RunOutcome:
     """A run's table, and the spool that holds its items, one JSON line
     each, written in table order as they are scored; the next run with
-    the same output settings overwrites it. ``failed_shots`` holds the
-    shot count of each row that sent requests and got no completion
-    back."""
+    the same output settings overwrites it."""
 
     table: ResultTable
     spool: Path
-    failed_shots: tuple[int, ...] = ()
+
+    @property
+    def failed_shots(self) -> tuple[int, ...]:
+        """The shot count of each shot row in which every item failed:
+        as ``run_generation`` describes, each such row sent requests and
+        got no completion back."""
+        return tuple(row.shots for row in self.table.rows
+                     if row.shots is not None and row.excluded == row.n_items)
 
 
-class RowTally:
-    """What ``aggregate_row`` reads of a row's items, added as they are
-    spooled: their number, the number that failed, and each named
-    metric's scores that are not None, in item order. The items are not
-    kept."""
-
-    def __init__(self, metric_names: Sequence[str]) -> None:
-        self.n_items = 0
-        self.excluded = 0
-        self.values: dict[str, list[float]] = {n: [] for n in metric_names}
-
-    def add(self, items: Sequence[RunItem]) -> None:
-        self.n_items += len(items)
-        self.excluded += sum(item.error is not None for item in items)
-        for name, values in self.values.items():
-            values.extend([item.scores[name] for item in items
-                           if item.scores.get(name) is not None])
-
-
-def aggregate_row(method: str, shots: int | None,
-                  tally: RowTally) -> ResultRow:
-    reports: dict[str, MetricReport | None] = {}
-    for name, values in tally.values.items():
-        reports[name] = mean_ci(values, name) if values else None
-    return ResultRow(method, shots, tally.n_items, tally.excluded, reports)
+def aggregate_row(method: str, shots: int | None, n_items: int,
+                  excluded: int,
+                  values: Mapping[str, Sequence[float]]) -> ResultRow:
+    """The row of ``n_items`` items, ``excluded`` of which failed, from
+    each metric's scores that are not None, in item order."""
+    return ResultRow(method, shots, n_items, excluded,
+                     {name: mean_ci(scores, name) if scores else None
+                      for name, scores in values.items()})
 
 
 def render_table(table: ResultTable) -> str:
@@ -465,15 +439,51 @@ def study_prompt(pool: Sequence[StylePair], seed: int, k: int,
     return build_prompt(select_examples(pool, k, draw_seed), text)
 
 
-# evaluation mode -> RunItem.source: where the prompted serialization
-# comes from
+# evaluation mode -> its items' source: where its prompted text comes from
 SOURCES = {"ser2rep": "ground_truth", "end2end": "predicted"}
 
 
-# An in-process row is built, completed, scored and spooled this many
-# eval studies at a time, so its chains, completions and items are never
-# all held at once.
+# An in-process shot row is built, completed, scored and spooled, and the
+# baseline row scored and spooled, this many eval studies at a time, so a
+# row's chains, completions and items are never all held at once.
 SLICE = 64
+
+
+def spool_row(spool: Path, scorer: Scorer, names: Sequence[str],
+              method: str, shots: int | None, source: str,
+              parts: Iterable[Sequence[tuple]]) -> ResultRow:
+    """Score one table row, append its items to ``spool`` and return it.
+
+    ``parts`` yields the row a slice at a time, each item as ``(record,
+    generated text, error)``; an item with an error is not scored. Each
+    slice is spooled before the next is drawn. Of the row, only what
+    ``aggregate_row`` reads is kept: its item and failed counts, and each
+    of the ``names`` metrics' scores that are not None, in item order.
+    """
+    n_items = excluded = 0
+    values: dict[str, list[float]] = {name: [] for name in names}
+    for part in parts:
+        items = []
+        for record, generated, error in part:
+            scores = scorer.score(generated, record) if error is None else {}
+            items.append({"study_id": record.study_id, "method": method,
+                          "shots": shots, "source": source,
+                          "generated": generated, "scores": scores,
+                          "error": error})
+            excluded += error is not None
+            for name, kept in values.items():
+                if scores.get(name) is not None:
+                    kept.append(scores[name])
+        n_items += len(items)
+        write_scores_jsonl(spool, items, "a")
+    return aggregate_row(method, shots, n_items, excluded, values)
+
+
+def _shot_item(record: StudyRecord, result) -> tuple:
+    """The item of ``record`` given its request's result."""
+    if isinstance(result, Exception):
+        return record, None, str(result)
+    return record, result.text, None
 
 
 def run_generation(mode: str, eval_records: Sequence[StudyRecord],
@@ -482,27 +492,26 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
                    serializations: Mapping[str, str],
                    spool: Path) -> RunOutcome:
     """Generate and score a report for each eval study, one table row per
-    shot count.
+    shot count, each through ``spool_row``.
 
-    On the mocks, which answer on this thread, a row's prompts are built,
-    completed in one client batch, scored and appended to ``spool``
-    ``SLICE`` eval studies at a time, and each slice's items are released
-    before the next slice's prompts are built. Over ``HttpTransport`` a
-    row is one slice, and so one batch: a batch boundary would leave its
-    workers idle while a retry waits out its backoff. Of a row, only what
-    ``aggregate_row`` reads is kept. The spool, and its directory, are
-    created after every input check and before the first request, so
-    that an input error writes nothing and an output directory that
-    cannot be created costs no request.
+    On the mocks, which answer on this thread, a row's prompts are built
+    and completed in one client batch ``SLICE`` eval studies at a time,
+    as ``spool_row`` draws each slice. Over ``HttpTransport`` a row is one
+    batch: a batch boundary would leave its workers idle while a retry
+    waits out its backoff. An item is scored only if its request returned
+    a completion. The spool and its directory are created after every
+    input check and before the first request, so that an input error
+    writes nothing and an output directory that cannot be created costs
+    no request.
 
-    "ser2rep" prompts with each study's own serialization. "end2end"
-    prompts with the serialization of the study's graph, from
-    ``serializations`` (see ``build_resources``); a study without one
-    has no graph and becomes an error item, placed after the row's
-    generated items, and one whose graph serializes to no text fails in
-    place. ``InputError`` is raised before any request when no eval
-    study has a graph, or when every eval graph serializes to no text.
-    Each shot count must fit the pool, as ``evaluate`` checks.
+    "ser2rep" prompts with each study's own serialization, which every
+    eval study must have. "end2end" prompts with the serialization of the
+    study's graph, from ``serializations`` (see ``build_resources``); a
+    study without one has no graph and becomes an error item, placed
+    after the row's generated items, and one whose graph serializes to no
+    text fails in place. With shots set, ``InputError`` is raised before
+    any request unless some eval study has text to send. Each shot count
+    must fit the pool, as ``evaluate`` checks.
     """
     check_disjoint(eval_records, pool_records)
     source = SOURCES[mode]
@@ -531,11 +540,8 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
     network = isinstance(transport, HttpTransport)
     workers = cfg.client.parallelism if network else 1
     size = len(pairs) if network else SLICE
-    rows: list[ResultRow] = []
-    failed_shots: list[int] = []
-    for k in cfg.experiment.shots:
-        tally = RowTally(cfg.metrics.names)
-        sent = failures = 0
+
+    def parts(k: int):
         for start in range(0, len(pairs), size):
             part = pairs[start:start + size]
             chains = [study_prompt(pool_pairs, cfg.experiment.seed, k,
@@ -544,60 +550,31 @@ def run_generation(mode: str, eval_records: Sequence[StudyRecord],
             results = iter(complete_batch(chains, cfg.client,
                                           parallelism=workers,
                                           transport=transport))
-            items: list[RunItem] = []
-            for record, text in part:
-                result = next(results) if text.strip() else None
-                if result is None:
-                    items.append(RunItem(
-                        record.study_id, mode, k, source, None, {},
-                        "evaluation serialization is empty"))
-                elif isinstance(result, Exception):
-                    failures += 1
-                    items.append(RunItem(record.study_id, mode, k, source,
-                                         None, {}, str(result)))
-                else:
-                    items.append(RunItem(record.study_id, mode, k, source,
-                                         result.text,
-                                         scorer.score(result.text, record)))
-            sent += len(chains)
-            _spool(spool, tally, items)
-        _spool(spool, tally, [RunItem(r.study_id, mode, k, source, None, {},
-                                      f"no graph for study {r.study_id}")
-                              for r in absent])
-        if sent and failures == sent:
-            failed_shots.append(k)
-        rows.append(aggregate_row(mode, k, tally))
-    return RunOutcome(ResultTable(tuple(cfg.metrics.names), tuple(rows)),
-                      spool, tuple(failed_shots))
+            yield [_shot_item(record, next(results)) if text.strip()
+                   else (record, None, "evaluation serialization is empty")
+                   for record, text in part]
+        yield [(record, None, f"no graph for study {record.study_id}")
+               for record in absent]
 
-
-def _spool(spool: Path, tally: RowTally, items: Sequence[RunItem]) -> None:
-    """Append ``items`` to ``spool`` and add them to their row's tally."""
-    write_scores_jsonl(spool, items, "a")
-    tally.add(items)
+    rows = tuple(spool_row(spool, scorer, cfg.metrics.names, mode, k, source,
+                           parts(k))
+                 for k in cfg.experiment.shots)
+    return RunOutcome(ResultTable(tuple(cfg.metrics.names), rows), spool)
 
 
 def score_fixed_outputs(records: Sequence[StudyRecord],
                         outputs: Mapping[str, str], scorer: Scorer,
                         metric_names: Sequence[str], spool: Path) -> ResultRow:
     """Score a comparison system's outputs, keyed by study id, as the
-    baseline row; its items are appended to ``spool`` ``SLICE`` at a
-    time."""
-    tally = RowTally(metric_names)
-    for start in range(0, len(records), SLICE):
-        items: list[RunItem] = []
-        for record in records[start:start + SLICE]:
-            text = outputs.get(record.study_id)
-            if text is None:
-                items.append(RunItem(record.study_id, "baseline", None,
-                                     "provided", None, {},
-                                     "no output for study"))
-            else:
-                items.append(RunItem(record.study_id, "baseline", None,
-                                     "provided", text,
-                                     scorer.score(text, record)))
-        _spool(spool, tally, items)
-    return aggregate_row("baseline", None, tally)
+    baseline row through ``spool_row``, ``SLICE`` items at a time; a
+    study without an output is an error item in its place."""
+    parts = ([(record, outputs[record.study_id], None)
+              if record.study_id in outputs
+              else (record, None, "no output for study")
+              for record in records[start:start + SLICE]]
+             for start in range(0, len(records), SLICE))
+    return spool_row(spool, scorer, metric_names, "baseline", None,
+                     "provided", parts)
 
 
 def load_baseline(path, ids: Mapping[str, str] | None = None
@@ -670,7 +647,7 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
             outcome = RunOutcome(
                 ResultTable(outcome.table.metric_names,
                             outcome.table.rows + (row,)),
-                outcome.spool, outcome.failed_shots)
+                outcome.spool)
         return outcome
     finally:
         if freeze:
@@ -679,21 +656,13 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
             gc.enable()
 
 
-def item_to_dict(item: RunItem) -> dict:
-    return {"study_id": item.study_id, "method": item.method,
-            "shots": item.shots, "source": item.source,
-            "generated": item.generated, "scores": item.scores,
-            "error": item.error}
-
-
-def write_scores_jsonl(path, items: Sequence[RunItem],
-                       mode: str = "w") -> None:
-    """Persist per-item scores so every table cell can be audited; with
-    ``mode`` "a", append them."""
+def write_scores_jsonl(path, items: Iterable[dict], mode: str = "w") -> None:
+    """Persist per-item scores, each item as the dict of its line, so
+    every table cell can be audited; with ``mode`` "a", append them."""
     try:
         with open(path, mode, encoding="utf-8") as fh:
             for item in items:
-                fh.write(json.dumps(item_to_dict(item)) + "\n")
+                fh.write(json.dumps(item) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -60,13 +60,6 @@ def read_json(path) -> Any:
 def read_study_map(path, convert: Callable[[str, Any], Any],
                    ids: Mapping[str, str] | None = None) -> dict[str, Any]:
     """The JSON object keyed by study id in ``path``, as
-    ``parse_study_map`` reads it."""
-    return parse_study_map(read_text(path), path, convert, ids)
-
-
-def parse_study_map(text: str, path, convert: Callable[[str, Any], Any],
-                    ids: Mapping[str, str] | None = None) -> dict[str, Any]:
-    """The JSON object keyed by study id ``text``, read from ``path``, as
     ``study_map_from`` builds it from the object's members.
 
     The entries are decoded one at a time, and each decoded entry is
@@ -75,6 +68,7 @@ def parse_study_map(text: str, path, convert: Callable[[str, Any], Any],
     ``parse_json`` does, so that malformed JSON anywhere in the file is
     reported as such, ahead of the problem itself.
     """
+    text = read_text(path)
     try:
         return study_map_from(object_members(text, path), path, convert,
                               ids)

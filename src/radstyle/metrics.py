@@ -237,6 +237,12 @@ def unit_rows(emb, name: str = "candidate") -> UnitRows:
 def _scaled(arr: np.ndarray) -> UnitRows:
     """A checked float matrix with its non-zero rows scaled to unit
     length."""
+    # Each row is first scaled by the power of two that brings its largest
+    # magnitude into [0.5, 1): exact, and its sum of squares is then in
+    # [0.25, width], so it neither overflows nor underflows.
+    _, exponents = np.frexp(np.maximum.reduce(np.abs(arr), axis=1,
+                                              keepdims=True))
+    arr = np.ldexp(arr, -exponents)
     # the reduction ``np.linalg.norm(arr, axis=1, keepdims=True)`` runs on
     # real input, without its Python wrapper: the bits are the same
     norms = np.sqrt(np.add.reduce(arr * arr, axis=1, keepdims=True))

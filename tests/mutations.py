@@ -129,9 +129,24 @@ MUTATIONS = (
         "tests/test_harness.py::test_a_network_row_is_one_client_batch"),
     Mutation(
         "absent-items-spooled-per-slice", "src/radstyle/harness.py",
-        "            _spool(spool, tally, items)\n        _spool(",
-        "            _spool(spool, tally, items)\n            _spool(",
+        "                   for record, text in part]\n        yield [",
+        "                   for record, text in part]\n            yield [",
         "tests/test_harness.py::test_slicing_a_row_changes_no_artifact_byte"),
+    Mutation(
+        "error-item-scored", "src/radstyle/harness.py",
+        "scorer.score(generated, record) if error is None else {}",
+        "scorer.score(generated or \"\", record)",
+        "tests/test_harness.py::test_run_generation_keeps_item_order"),
+    Mutation(
+        "partly-failed-row-named-failed", "src/radstyle/harness.py",
+        "row.excluded == row.n_items", "row.excluded <= row.n_items",
+        "tests/test_harness.py::"
+        "test_run_generation_names_the_rows_whose_every_request_failed"),
+    Mutation(
+        "failed-baseline-row-named-failed", "src/radstyle/harness.py",
+        "if row.shots is not None and row.excluded", "if row.excluded",
+        "tests/test_harness.py::"
+        "test_failed_shots_are_the_shot_rows_with_every_item_excluded"),
     Mutation(
         "sidecar-study-id-given-twice-accepted", "src/radstyle/jsonfiles.py",
         "if study_id in out:", "if False:",

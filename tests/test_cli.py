@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import radstyle.cli as cli
 import radstyle.harness as harness
 from radstyle.client import EchoReportTransport
-from radstyle.config import BASE_METRICS, load_config
+from radstyle.config import BASE_METRICS, DEFAULT_METRICS, load_config
 from radstyle.errors import InputError, RequestError
 from radstyle.harness import load_dataset, parse_table_csv
 from radstyle.prompting import INSTRUCTION, SYSTEM_PROMPT
@@ -360,6 +360,40 @@ def test_evaluate_exits_two_when_a_shot_row_scored_nothing(
     else:
         assert captured.err == ""
         assert all(row.excluded < row.n_items for row in table.rows)
+
+
+@pytest.mark.parametrize("mode, client", [("ser2rep", "identity-mock"),
+                                          ("end2end", "http")])
+def test_a_setup_only_run_scores_nothing_and_exits_zero(
+        corpus, tmp_path, capsys, monkeypatch, chat_server, mode, client):
+    # The benchmark's set-up-only run: no shot row and no baseline. It
+    # loads and checks every input, sends nothing and writes empty tables.
+    monkeypatch.setenv("RADSTYLE_TEST_KEY", "sk-test")
+    sent = _scripted_echo(monkeypatch)
+    config = {"dataset": str(corpus["dataset"]),
+              "graphs": str(corpus["graphs"]),
+              "embeddings": str(corpus["embeddings"]),
+              "client": {"mode": client, "endpoint": chat_server.url,
+                         "api_key_env": "RADSTYLE_TEST_KEY"},
+              "experiment": {"shots": []},
+              "output": {"directory": str(tmp_path / "out"),
+                         "prefix": "bench"}}
+    path = tmp_path / "setup.json"   # JSON is valid YAML
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["evaluate", "--mode", mode, "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sent == [] and chat_server.received == []
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bench_scores.jsonl", "bench_table.csv", "bench_table.txt"]
+    assert (out / "bench_scores.jsonl").read_bytes() == b""
+    text = (out / "bench_table.txt").read_text(encoding="utf-8")
+    assert text.splitlines() == [captured.out.splitlines()[0]]
+    assert text.split() == ["method", "shots", "n", "excl", *DEFAULT_METRICS]
+    table = parse_table_csv(
+        (out / "bench_table.csv").read_text(encoding="utf-8"))
+    assert table.rows == () and table.metric_names == DEFAULT_METRICS
 
 
 @pytest.mark.parametrize("argv, start", [

@@ -25,8 +25,7 @@ from radstyle.config import (BASE_METRICS, ExperimentConfig, HarnessConfig,
                              MetricsConfig, OutputConfig, load_config)
 from radstyle.errors import ConfigError, InputError, IoError, SchemaError
 from radstyle.graph import radgraph_from_document
-from radstyle.harness import (Resources, ResultRow, ResultTable, RowTally,
-                              RunItem,
+from radstyle.harness import (Resources, ResultRow, ResultTable, RunOutcome,
                               Scorer, StudyRecord, aggregate_row,
                               build_resources, evaluate,
                               load_baseline, load_dataset,
@@ -34,7 +33,7 @@ from radstyle.harness import (Resources, ResultRow, ResultTable, RowTally,
                               load_scores_jsonl, make_transport,
                               parse_table_csv, render_table, render_table_csv,
                               run_generation, score_fixed_outputs,
-                              split_records, write_outputs,
+                              split_records, spool_row, write_outputs,
                               write_scores_jsonl)
 from radstyle.metrics import (GraphKeys, MetricReport, UnitRows, bert_score,
                               bleu2, chexbert_similarity, graph_keys,
@@ -658,32 +657,73 @@ def test_scorer_result_can_be_changed_by_its_caller():
 # ------------------------------------------------------------ aggregation
 
 
-def item(sid, scores, error=None):
-    return RunItem(sid, "m", 1, "ground_truth",
-                   None if error else "text", scores, error)
+class ScoresByStudy:
+    """A scorer that gives each study the scores it was given for it."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score(self, generated, record):
+        return dict(self.scores[record.study_id])
 
 
-def test_aggregate_row_skips_missing_scores():
-    items = [item("a", {"bleu2": 1.0}),
-             item("b", {"bleu2": 0.5}),
-             item("c", {"bleu2": None}),
-             item("d", {}, error="boom")]
-    tally = RowTally(["bleu2"])
-    tally.add(items[:3])
-    tally.add(items[3:])
-    row = aggregate_row("m", 1, tally)
+def test_aggregate_row_skips_missing_scores(tmp_path):
+    a, b, c, d = (StudyRecord(sid, "x") for sid in "abcd")
+    scorer = ScoresByStudy({"a": {"bleu2": 1.0}, "b": {"bleu2": 0.5},
+                            "c": {"bleu2": None}})
+    parts = [[(a, "text", None), (b, "text", None), (c, "text", None)],
+             [(d, None, "boom")]]
+    row = spool_row(tmp_path / "spool.jsonl", scorer, ["bleu2"], "m", 1,
+                    "ground_truth", parts)
     assert row.n_items == 4
     assert row.excluded == 1
     report = row.metrics["bleu2"]
     assert report.n == 2
     assert report.mean == pytest.approx(0.75)
+    assert row == aggregate_row("m", 1, 4, 1, {"bleu2": [1.0, 0.5]})
 
 
-def test_aggregate_row_all_missing_gives_none():
-    tally = RowTally(["x"])
-    tally.add([item("a", {"x": None})])
-    row = aggregate_row("m", None, tally)
+def test_aggregate_row_all_missing_gives_none(tmp_path):
+    scorer = ScoresByStudy({"a": {"x": None}})
+    row = spool_row(tmp_path / "spool.jsonl", scorer, ["x"], "m", None,
+                    "provided", [[(StudyRecord("a", "r"), "text", None)]])
     assert row.metrics["x"] is None
+
+
+def test_spool_row_scores_only_the_items_without_an_error(tmp_path):
+    calls = []
+
+    class Recording(ScoresByStudy):
+        def score(self, generated, record):
+            calls.append((generated, record.study_id))
+            return super().score(generated, record)
+
+    records = [StudyRecord(sid, "x") for sid in "abc"]
+    spool = tmp_path / "spool.jsonl"
+    row = spool_row(spool, Recording({"a": {"bleu2": 0.25}}), ["bleu2"],
+                    "ser2rep", 5, "ground_truth",
+                    [[(records[0], "gen", None), (records[1], None, "")],
+                     [(records[2], None, "status 400")]])
+    assert calls == [("gen", "a")]
+    assert (row.n_items, row.excluded) == (3, 2)
+    assert load_scores_jsonl(spool) == [
+        {"study_id": "a", "method": "ser2rep", "shots": 5,
+         "source": "ground_truth", "generated": "gen",
+         "scores": {"bleu2": 0.25}, "error": None},
+        {"study_id": "b", "method": "ser2rep", "shots": 5,
+         "source": "ground_truth", "generated": None, "scores": {},
+         "error": ""},
+        {"study_id": "c", "method": "ser2rep", "shots": 5,
+         "source": "ground_truth", "generated": None, "scores": {},
+         "error": "status 400"}]
+
+
+def test_failed_shots_are_the_shot_rows_with_every_item_excluded():
+    def row(shots, excluded):
+        return ResultRow("m", shots, 3, excluded, {})
+    table = ResultTable((), (row(0, 3), row(1, 2), row(5, 0), row(10, 3),
+                             row(None, 3)))
+    assert RunOutcome(table, Path("spool")).failed_shots == (0, 10)
 
 
 def sample_table():
@@ -1399,9 +1439,12 @@ def test_build_client_modes(corpus):
 
 
 def test_scores_jsonl_round_trip(tmp_path):
-    items = [RunItem("a", "ser2rep", 0, "ground_truth", "text",
-                     {"bleu2": 0.5, "chexbert": None}),
-             RunItem("b", "ser2rep", 0, "ground_truth", None, {}, "boom")]
+    items = [{"study_id": "a", "method": "ser2rep", "shots": 0,
+              "source": "ground_truth", "generated": "text",
+              "scores": {"bleu2": 0.5, "chexbert": None}, "error": None},
+             {"study_id": "b", "method": "ser2rep", "shots": 0,
+              "source": "ground_truth", "generated": None, "scores": {},
+              "error": "boom"}]
     path = tmp_path / "scores.jsonl"
     write_scores_jsonl(path, items)
     docs = load_scores_jsonl(path)

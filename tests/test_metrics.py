@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -379,6 +380,43 @@ def test_unit_rows_and_bert_score_equal_their_numpy_method_formulas(seed):
         assert (unit_rows(a).rows.tobytes()
                 == _unit_rows_reference(a).tobytes())   # bit for bit
         assert bert_score(a, b) == _bert_score_reference(a, b)
+
+
+# 0 or a magnitude in [2**-20, 2**20], so that scaling by 2**k for
+# |k| <= 1000 is exact and stays a normal float
+_EXACT_ENTRIES = st.builds(lambda sign, m: sign * m,
+                           st.sampled_from([-1.0, 0.0, 1.0]),
+                           st.floats(2.0 ** -20, 2.0 ** 20))
+
+
+def _matrices(dim):
+    return st.lists(st.lists(_EXACT_ENTRIES, min_size=dim, max_size=dim),
+                    min_size=1, max_size=6).map(np.array)
+
+
+@given(st.integers(1, 5).flatmap(lambda dim: st.tuples(_matrices(dim),
+                                                       _matrices(dim))),
+       st.integers(-1000, 1000))
+@settings(max_examples=200, deadline=None)
+def test_bert_score_is_bit_equal_under_power_of_two_scaling(pair, k):
+    """Cosines do not depend on a row's scale: a matrix scaled by 2**k,
+    far past where its squares overflow or underflow, scores bit for bit
+    as itself, with no floating-point warning."""
+    a, b = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = np.ldexp(a, k)
+        assert unit_rows(scaled).rows.tobytes() == unit_rows(a).rows.tobytes()
+        assert bert_score(scaled, b) == bert_score(a, b)
+        assert bert_score(b, scaled) == bert_score(b, a)
+
+
+def test_unit_rows_scale_rows_of_any_finite_magnitude():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unit_rows([[1e-170, 0.0]]).rows.tolist() == [[1.0, 0.0]]
+        assert bert_score([[1e200, 1e200], [1, 0]],
+                          [[1, 1], [1, 0]]) == pytest.approx(1.0)
 
 
 def test_chexbert_similarity():
