@@ -357,8 +357,9 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
 
     Results align with the input order; an item that fails with a
     ``ClientError`` yields that exception instead of aborting the batch.
-    Any other exception stops the batch: workers send nothing more, and
-    it is re-raised once they have all finished.
+    Any other exception, on a worker or on the caller's thread (a Ctrl-C,
+    say), stops the batch: workers send nothing more, and it is re-raised
+    once they have all finished.
     """
     if parallelism < 1:
         raise InputError(f"parallelism must be positive, got {parallelism}")
@@ -371,6 +372,8 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
     lock = threading.Lock()
     failures: list[BaseException] = []
     rng: random.Random | None = None
+    done = threading.Condition(lock)   # notified as each worker finishes
+    finished = 0   # workers that have finished
 
     def take() -> tuple[float | None, int, int, float | None] | None:
         """A due retry, else the next fresh item, else the earliest
@@ -412,22 +415,35 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
         results[i] = CompletionResult(text, usage, latency, attempts + 1)
 
     def work() -> None:
+        nonlocal finished
         try:
             while (item := take()) is not None:
                 send(*item)
         except BaseException as exc:   # re-raised by the caller below
             with lock:
                 failures.append(exc)
+        finally:
+            with done:
+                finished += 1
+                done.notify()
 
     n_workers = min(parallelism, len(chains))
     if n_workers == 1:
         work()
     else:
-        workers = [threading.Thread(target=work) for _ in range(n_workers)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        # Not ``Thread.join``: on Python 3.11 a join that a signal
+        # interrupts marks the thread stopped while it still runs.
+        started = 0
+        with done:
+            try:
+                for _ in range(n_workers):
+                    threading.Thread(target=work).start()
+                    started += 1
+                done.wait_for(lambda: finished >= started)
+            except BaseException as exc:   # stop the workers first
+                failures.append(exc)
+                done.wait_for(lambda: finished >= started)
+                raise
     if failures:
         raise failures[0]
     return results

@@ -14,6 +14,7 @@ import csv
 import gc
 import io
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
@@ -57,21 +58,18 @@ def load_dataset(path) -> list[StudyRecord]:
     """
     records: list[StudyRecord] = []
     seen: dict[str, int] = {}   # study id -> its line
-    values: dict[str, str] = {}   # split or radiologist id -> its one object
     for lineno, doc in read_jsonl(path):
         try:
-            records.append(_study_record(doc, seen, values))
+            records.append(_study_record(doc, seen))
         except RadstyleError as exc:
             raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
         seen[doc["study_id"]] = lineno
     return records
 
 
-def _study_record(doc, seen: Mapping[str, int],
-                  values: dict[str, str]) -> StudyRecord:
+def _study_record(doc, seen: Mapping[str, int]) -> StudyRecord:
     """The record of one dataset line, unless its study id is in ``seen``;
-    its split and radiologist id are the objects ``values`` holds for
-    them, put there if absent."""
+    its study id, split and radiologist id are interned."""
     if not isinstance(doc, dict):
         raise SchemaError("expected an object")
     unknown = sorted(set(doc) - _RECORD_KEYS)
@@ -80,7 +78,7 @@ def _study_record(doc, seen: Mapping[str, int],
     for key in ("study_id", "report"):
         if not isinstance(doc.get(key), str) or not doc[key].strip():
             raise SchemaError(f"{key} must be a non-empty string")
-    sid = doc["study_id"]
+    sid = sys.intern(doc["study_id"])
     if sid in seen:
         raise SchemaError(f"duplicate study id {sid!r} "
                           f"(first seen on line {seen[sid]})")
@@ -96,10 +94,10 @@ def _study_record(doc, seen: Mapping[str, int],
     return StudyRecord(
         study_id=sid,
         report=doc["report"],
-        split="train" if split is None else values.setdefault(split, split),
+        split="train" if split is None else sys.intern(split),
         serialization=doc.get("serialization"),
         radiologist_id=(None if radiologist is None
-                        else values.setdefault(radiologist, radiologist)),
+                        else sys.intern(radiologist)),
         pathology_vector=vector,
     )
 
@@ -110,16 +108,15 @@ def split_records(records: Sequence[StudyRecord],
 
 
 def load_graph_documents(
-        path, keep: Callable[[str, RadGraph], Any] = lambda _, graph: graph,
-        ids: Mapping[str, str] | None = None) -> dict[str, Any]:
+        path, keep: Callable[[str, RadGraph], Any] = lambda _, graph: graph
+        ) -> dict[str, Any]:
     """Read a JSON sidecar mapping study id to a report-graph document.
 
     Each study's graph is held only as ``keep(study_id, graph)``, made
-    as soon as the graph is read; by default, the graph itself. ``ids``
-    is as ``jsonfiles.study_map_from`` takes it.
+    as soon as the graph is read; by default, the graph itself.
     """
     return read_study_map(
-        path, lambda sid, doc: keep(sid, radgraph_from_document(doc)), ids)
+        path, lambda sid, doc: keep(sid, radgraph_from_document(doc)))
 
 
 @dataclass
@@ -133,11 +130,9 @@ class Resources:
     Each study's graph is held only as its ``graph_keys`` and each
     embedding only as its ``unit_rows``; those and the pathology vectors
     are what ``radgraph_f1``, ``bert_score`` and ``chexbert_similarity``
-    read, as they are. ``shared`` holds one object per distinct entity
-    key and relation key of those graphs, and the ``Scorer`` adds its
-    references' tokens to it. ``serializations`` holds the serialization
-    of each graph ``build_resources`` was asked to serialize, since the
-    graph itself is not kept.
+    read, as they are. ``serializations`` holds the serialization of each
+    graph ``build_resources`` was asked to serialize, since the graph
+    itself is not kept.
     """
 
     graphs: dict[str, GraphKeys] = field(default_factory=dict)
@@ -147,26 +142,27 @@ class Resources:
     vector_by_text: dict[str, PathologyVector] = field(default_factory=dict)
     embedding_by_text: dict[str, UnitRows] = field(default_factory=dict)
     serializations: dict[str, str] = field(default_factory=dict)
-    shared: dict = field(default_factory=dict)
 
 
 def build_resources(records: Sequence[StudyRecord], cfg: HarnessConfig,
                     serialized: Collection[str] = ()) -> Resources:
-    """The resources of ``records`` and the sidecars ``cfg`` names, keyed
-    by the records' own study id objects; the graph of each study named in
-    ``serialized`` is also serialized."""
+    """The resources of ``records`` and the sidecars ``cfg`` names; the
+    graph of each study named in ``serialized`` is also serialized. Equal
+    entity keys, and equal relation keys, across the graphs are one
+    object."""
     res = Resources()
-    ids = {r.study_id: r.study_id for r in records}
     if cfg.graphs:
+        keys: dict = {}   # each entity or relation key -> its one object
+
         def keep(sid: str, graph: RadGraph) -> GraphKeys:
             if sid in serialized:
                 res.serializations[sid] = serialize(graph).rendered
-            return graph_keys(graph, res.shared)
-        res.graphs = load_graph_documents(cfg.graphs, keep, ids)
+            return graph_keys(graph, keys)
+        res.graphs = load_graph_documents(cfg.graphs, keep)
     if cfg.vectors:
-        res.vectors = load_pathology_vectors(cfg.vectors, ids)
+        res.vectors = load_pathology_vectors(cfg.vectors)
     if cfg.embeddings:
-        res.embeddings = load_embeddings(cfg.embeddings, ids)
+        res.embeddings = load_embeddings(cfg.embeddings)
     for record in records:
         if record.pathology_vector is not None:
             res.vectors.setdefault(record.study_id, record.pathology_vector)
@@ -192,12 +188,11 @@ class Scorer:
     they are (see ``Resources``): the study's own as the reference, and
     those the generated text looks up as the candidate. BLEU-2 reads the
     reference's tokens, made on the first call for its study and kept by
-    study id; they are objects of the resources' ``shared`` dict, adopted
-    here for the life of the scorer, so each distinct token is kept once.
-    A generation equal to its study's reference text is scored as those
-    very tokens, which ``bleu2`` scores without counting; any other is
-    tokenized afresh, without the shared dict, and never kept. A study id
-    must name one record throughout, as ``load_dataset`` guarantees.
+    study id, interned by ``ngram_counts``. A generation equal to its
+    study's reference text is scored as those very tokens, which
+    ``bleu2`` scores without counting; any other is tokenized afresh, not
+    interned, and never kept. A study id must name one record
+    throughout, as ``load_dataset`` guarantees.
 
     A generation that reproduces its study's reference text verbatim has
     scores that depend on the study alone, and a K-shot table asks for
@@ -216,8 +211,6 @@ class Scorer:
         self._tokens: dict[str, tuple[str, ...]] = {}
         # study id -> the scores of its reference text as a generation
         self._reproduced: dict[str, dict[str, float | None]] = {}
-        # each key or token value the references hold -> its one object
-        self._shared = resources.shared
         res = resources
         # metric -> (candidate resources by text, reference resources by
         # study id, metric). The lambdas name the functions of this
@@ -243,8 +236,7 @@ class Scorer:
         if self._bleu2:
             ref = self._tokens.get(sid)
             if ref is None:
-                ref = self._tokens[sid] = ngram_counts(
-                    tokenize(record.report), self._shared)
+                ref = self._tokens[sid] = ngram_counts(tokenize(record.report))
             base["bleu2"] = bleu2(ref if reproduced else tokenize(generated),
                                   ref)
         for name, by_text, by_study, metric in self._lookups:
@@ -577,18 +569,14 @@ def score_fixed_outputs(records: Sequence[StudyRecord],
                      "provided", parts)
 
 
-def load_baseline(path, ids: Mapping[str, str] | None = None
-                  ) -> dict[str, str]:
+def load_baseline(path) -> dict[str, str]:
     """Read a JSON file mapping study id to a fixed comparison output;
-    an output given for many studies is kept once. ``ids`` is as
-    ``jsonfiles.study_map_from`` takes it."""
-    texts: dict[str, str] = {}   # each output -> its one object
-
+    each output is interned, so one given for many studies is kept once."""
     def output(_, text) -> str:
         if not isinstance(text, str):
             raise SchemaError("baseline output must be a string")
-        return texts.setdefault(text, text)
-    return read_study_map(path, output, ids)
+        return sys.intern(text)
+    return read_study_map(path, output)
 
 
 def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
@@ -628,8 +616,7 @@ def evaluate(cfg: HarnessConfig, mode: str) -> RunOutcome:
         transport = make_transport(cfg.client, records)
         outputs = None
         if cfg.baseline:
-            outputs = load_baseline(
-                cfg.baseline, {r.study_id: r.study_id for r in eval_records})
+            outputs = load_baseline(cfg.baseline)
         if outputs is not None and not any(r.study_id in outputs
                                            for r in eval_records):
             raise InputError(f"baseline {cfg.baseline} covers no study in "

@@ -5,15 +5,17 @@ cannot be read or decoded raises ``IoError``, and text that is not JSON,
 is nested too deeply to decode or holds an integer too long to convert
 raises ``SchemaError``. Every sidecar, a JSON object keyed by study id,
 is read by ``study_map_from``, for every command alike: decoded and
-checked one entry at a time, with a study id given twice refused.
+checked one entry at a time, with a study id given twice refused, and
+keyed by interned study ids.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import IoError, RadstyleError, SchemaError
 
@@ -57,8 +59,8 @@ def read_json(path) -> Any:
     return parse_json(read_text(path), path)
 
 
-def read_study_map(path, convert: Callable[[str, Any], Any],
-                   ids: Mapping[str, str] | None = None) -> dict[str, Any]:
+def read_study_map(path, convert: Callable[[str, Any], Any]
+                   ) -> dict[str, Any]:
     """The JSON object keyed by study id in ``path``, as
     ``study_map_from`` builds it from the object's members.
 
@@ -70,30 +72,27 @@ def read_study_map(path, convert: Callable[[str, Any], Any],
     """
     text = read_text(path)
     try:
-        return study_map_from(object_members(text, path), path, convert,
-                              ids)
+        return study_map_from(object_members(text, path), path, convert)
     except RadstyleError:
         parse_json(text, path)
         raise
 
 
 def study_map_from(members: Iterable[tuple[str, Any]], path,
-                   convert: Callable[[str, Any], Any],
-                   ids: Mapping[str, str] | None = None) -> dict[str, Any]:
+                   convert: Callable[[str, Any], Any]) -> dict[str, Any]:
     """Each ``(study id, entry)`` of ``members``, read from ``path``, with
     the entry passed through ``convert(study_id, entry)``. A study id
     given twice raises ``SchemaError("<path>: duplicate study id
     '<id>'")``, and an entry that ``convert`` rejects with any error of
     this package raises ``SchemaError("<path>: study <id>: <reason>")``.
-    A study id that ``ids`` holds is kept as the object it maps to, so
-    that a sidecar shares the dataset's id objects.
+    Each study id is kept interned, so a sidecar shares the dataset's id
+    objects.
     """
     out: dict[str, Any] = {}
     for study_id, entry in members:
         if study_id in out:
             raise SchemaError(f"{path}: duplicate study id {study_id!r}")
-        if ids is not None:
-            study_id = ids.get(study_id, study_id)
+        study_id = sys.intern(study_id)
         try:
             out[study_id] = convert(study_id, entry)
         except RadstyleError as exc:
@@ -141,9 +140,11 @@ def object_members(text: str, path) -> Iterator[tuple[str, Any]]:
 def read_jsonl(path) -> Iterator[tuple[int, Any]]:
     """``(lineno, document)`` for each non-blank line, numbered from 1.
 
+    A line ends at a line feed alone: a JSON string may hold a raw
+    U+0085, U+2028 or U+2029, and a carriage return is JSON white space.
     The whole file is read before the first document is yielded.
     """
-    lines = read_text(path).splitlines()
+    lines = read_text(path).split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

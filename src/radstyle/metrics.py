@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,15 +52,12 @@ def _clipped_matches(cand: Iterable, ref: Iterable) -> int:
                    map(ref_counts.get, cand_counts, repeat(0))))
 
 
-def ngram_counts(tokens: Sequence[str],
-                 shared: dict | None = None) -> tuple[str, ...]:
-    """Prepare a token sequence for ``bleu2``: its tokens as a tuple, the
-    flat multiset of its unigrams, in order, so that its bigrams follow.
-    With ``shared``, each token is the object ``shared`` holds for its
-    value, put there if absent."""
-    if shared is not None:
-        return tuple(map(shared.setdefault, tokens, tokens))
-    return tuple(tokens)
+def ngram_counts(tokens: Sequence[str]) -> tuple[str, ...]:
+    """Prepare a reference's tokens for ``bleu2``: its tokens as a tuple,
+    the flat multiset of its unigrams, in order, so that its bigrams
+    follow. Each token is interned, so a token that many references hold
+    is kept once; a candidate is scored as its plain token list."""
+    return tuple(map(sys.intern, tokens))
 
 
 def bleu2(candidate: Sequence[str], reference: Sequence[str],
@@ -350,24 +348,19 @@ def z_test_proportion(x: int, n: int, p0: float) -> ZTestResult:
     return ZTestResult(x, n, p0, phat, z, 1.0 - normal_cdf(z))
 
 
-def load_pathology_vectors(path, ids: Mapping[str, str] | None = None
-                           ) -> dict[str, PathologyVector]:
-    """Read a JSON sidecar mapping study id to a 14-entry indicator array;
-    ``ids`` is as ``jsonfiles.study_map_from`` takes it."""
-    return read_study_map(path, lambda _, values: as_pathology_vector(values),
-                          ids)
+def load_pathology_vectors(path) -> dict[str, PathologyVector]:
+    """Read a JSON sidecar mapping study id to a 14-entry indicator array."""
+    return read_study_map(path, lambda _, values: as_pathology_vector(values))
 
 
-def load_embeddings(path, ids: Mapping[str, str] | None = None
-                    ) -> dict[str, UnitRows]:
+def load_embeddings(path) -> dict[str, UnitRows]:
     """Read a JSON sidecar mapping study id to an array-of-arrays of reals,
-    each kept only as its ``unit_rows``; ``ids`` is as
-    ``jsonfiles.study_map_from`` takes it.
+    each kept only as its ``unit_rows``.
 
     Every matrix must have the same width, since any two may be compared.
     """
     out = read_study_map(
-        path, lambda _, rows: _scaled(_as_embedding("embedding", rows)), ids)
+        path, lambda _, rows: _scaled(_as_embedding("embedding", rows)))
     first: dict[int, str] = {}   # width -> the first study that has it
     for study_id, emb in out.items():
         first.setdefault(emb.rows.shape[1], study_id)

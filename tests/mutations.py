@@ -38,10 +38,10 @@ class Mutation(NamedTuple):
 
 MUTATIONS = (
     Mutation(
-        "candidate-prepared-with-shared-dict", "src/radstyle/harness.py",
+        "candidate-tokens-interned", "src/radstyle/harness.py",
         "else tokenize(generated),",
-        "else ngram_counts(tokenize(generated), self._shared),",
-        "tests/test_harness.py::test_scorer_adopts_the_resources_shared_dict"),
+        "else ngram_counts(tokenize(generated)),",
+        "tests/test_harness.py::test_scorer_interns_only_reference_tokens"),
     Mutation(
         "reference-token-memo-dropped", "src/radstyle/harness.py",
         "ref = self._tokens[sid] = ngram_counts(", "ref = ngram_counts(",
@@ -61,10 +61,6 @@ MUTATIONS = (
         "tests/test_harness.py::"
         "test_scorer_memo_matches_bare_metric_functions"),
     Mutation(
-        "scorer-keeps-its-own-shared-dict", "src/radstyle/harness.py",
-        "self._shared = resources.shared", "self._shared = {}",
-        "tests/test_harness.py::test_scorer_adopts_the_resources_shared_dict"),
-    Mutation(
         "empty-multiset-against-itself-scores-zero", "src/radstyle/metrics.py",
         "    if pred is ref:\n        return 1.0",
         "    if pred is ref:\n        return float(len(pred) > 0)",
@@ -79,8 +75,8 @@ MUTATIONS = (
         "test_flat_multisets_score_as_counter_intersections"),
     Mutation(
         "reference-tokens-kept-as-counter", "src/radstyle/metrics.py",
-        "return tuple(map(shared.setdefault, tokens, tokens))",
-        "return Counter(map(shared.setdefault, tokens, tokens))",
+        "return tuple(map(sys.intern, tokens))",
+        "return Counter(map(sys.intern, tokens))",
         "tests/test_metrics.py::"
         "test_flat_multisets_score_as_counter_intersections"),
     Mutation(
@@ -97,7 +93,7 @@ MUTATIONS = (
         "test_scorer_references_share_one_object_per_key"),
     Mutation(
         "resources-keep-the-graph", "src/radstyle/harness.py",
-        "return graph_keys(graph, res.shared)", "return graph",
+        "return graph_keys(graph, keys)", "return graph",
         "tests/test_harness.py::"
         "test_build_resources_keeps_each_graph_as_its_keys"),
     Mutation(
@@ -151,6 +147,37 @@ MUTATIONS = (
         "sidecar-study-id-given-twice-accepted", "src/radstyle/jsonfiles.py",
         "if study_id in out:", "if False:",
         "tests/test_jsonfiles.py::test_a_study_id_given_twice_is_refused"),
+    # One entry per place a repeated string is interned as it is read.
+    Mutation(
+        "dataset-study-id-not-interned", "src/radstyle/harness.py",
+        'sid = sys.intern(doc["study_id"])', 'sid = doc["study_id"]',
+        "tests/test_harness.py::"
+        "test_loaded_inputs_keep_one_object_per_repeated_string"),
+    Mutation(
+        "split-not-interned", "src/radstyle/harness.py",
+        "else sys.intern(split),", "else split,",
+        "tests/test_harness.py::"
+        "test_loaded_inputs_keep_one_object_per_repeated_string"),
+    Mutation(
+        "radiologist-id-not-interned", "src/radstyle/harness.py",
+        "else sys.intern(radiologist)),", "else radiologist),",
+        "tests/test_harness.py::"
+        "test_loaded_inputs_keep_one_object_per_repeated_string"),
+    Mutation(
+        "sidecar-study-id-not-interned", "src/radstyle/jsonfiles.py",
+        "study_id = sys.intern(study_id)", "study_id = study_id",
+        "tests/test_harness.py::"
+        "test_loaded_inputs_keep_one_object_per_repeated_string"),
+    Mutation(
+        "baseline-output-not-interned", "src/radstyle/harness.py",
+        "return sys.intern(text)", "return text",
+        "tests/test_harness.py::"
+        "test_loaded_inputs_keep_one_object_per_repeated_string"),
+    Mutation(
+        "reference-tokens-not-interned", "src/radstyle/metrics.py",
+        "return tuple(map(sys.intern, tokens))", "return tuple(tokens)",
+        "tests/test_harness.py::"
+        "test_loaded_inputs_keep_one_object_per_repeated_string"),
 )
 
 

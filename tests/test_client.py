@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import random
+import signal
 import socket
 import subprocess
 import sys
@@ -748,6 +749,42 @@ def test_one_worker_batch_stops_at_an_interrupt(n):
                        transport=transport, sleep=lambda _: None)
     assert threads == [threading.get_ident()] * n
     assert transport.sent == [f"s{i}" for i in range(n - 1)]
+
+
+def test_an_interrupt_of_the_caller_stops_the_workers():
+    # A Ctrl-C reaches the caller's thread while it waits for the
+    # workers. They take no chain after it, and the batch re-raises it
+    # only once every worker has finished.
+    n, parallelism = 3, 2
+    sent = []
+    lock = threading.Lock()
+    caller = threading.get_ident()
+
+    class Interrupting:
+        def post(self, url, headers, payload, timeout):
+            with lock:
+                sent.append(payload)
+                count = len(sent)
+            if count == n:
+                signal.pthread_kill(caller, signal.SIGINT)
+            time.sleep(0.02)
+            return TransportResponse(200, completion_body("ok"))
+
+    before = set(threading.enumerate())
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            complete_batch([chain_for(f"s{i}") for i in range(200)],
+                           ClientConfig(), parallelism=parallelism,
+                           transport=Interrupting(), sleep=lambda _: None)
+        at_raise = len(sent)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    workers = set(threading.enumerate()) - before
+    for worker in workers:
+        worker.join(timeout=10)
+    assert not any(worker.is_alive() for worker in workers)
+    assert n <= len(sent) == at_raise <= n + parallelism
 
 
 def test_retry_heap_under_frequent_thread_switches():

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -307,6 +308,7 @@ def random_resources(rng):
     own pathology vector."""
     records = []
     res = Resources()
+    keys = {}   # each entity or relation key -> its one object
     for i in range(rng.randint(1, 5)):
         sid = f"s{i}"
         if records and rng.random() < 0.2:
@@ -319,8 +321,7 @@ def random_resources(rng):
         records.append(StudyRecord(sid, report, pathology_vector=own))
         if rng.random() < 0.8:
             res.graphs[sid] = graph_keys(radgraph_from_document(
-                random_document(rng, max_entities=5, max_relations=5)),
-                res.shared)
+                random_document(rng, max_entities=5, max_relations=5)), keys)
         if rng.random() < 0.8:
             res.vectors[sid] = tuple(
                 int(rng.random() < 0.2) for _ in range(14))
@@ -442,7 +443,6 @@ def test_scorer_keeps_no_features_of_unknown_generations():
     for record in records:
         scorer.score(record.report, record)
     kept = dict(scorer._tokens)
-    shared = dict(scorer._shared)
     for i in range(50):
         for record in records:
             scorer.score(f"unmatched generation {i}", record)
@@ -454,9 +454,6 @@ def test_scorer_keeps_no_features_of_unknown_generations():
     assert all(scorer._tokens[sid] is kept[sid] for sid in kept)
     assert all(kept[r.study_id] == tuple(tokenize(r.report))
                for r in records)
-    # the keys the references share did not grow either
-    assert scorer._shared == shared and all(
-        scorer._shared[key] is shared[key] for key in shared)
 
 
 def key_object(keys, value):
@@ -514,22 +511,36 @@ def test_build_resources_keeps_only_prepared_embeddings(corpus, monkeypatch):
     assert scorer._tokens == {}   # its one memo holds no embedding
 
 
-def test_loaded_inputs_keep_one_object_per_repeated_string(corpus):
+def test_loaded_inputs_keep_one_object_per_repeated_string(corpus,
+                                                           tmp_path):
     _, cfg = corpus
     records = load_dataset(cfg.dataset)
     for field_name in ("split", "radiologist_id"):
         values = [getattr(r, field_name) for r in records]
         assert len({id(v) for v in values}) == len(set(values)) > 1
     # each sidecar keys its entries by the dataset's own id objects
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps({r.study_id: [0] * 14 for r in records}),
+                       encoding="utf-8")
+    res = build_resources(records,
+                          dataclasses.replace(cfg, vectors=str(vectors)))
+    outputs = load_baseline(cfg.baseline)
     by_id = {r.study_id: r for r in records}
-    res = build_resources(records, cfg)
-    outputs = load_baseline(cfg.baseline,
-                            {r.study_id: r.study_id for r in records})
-    for table in (res.graphs, res.embeddings, outputs):
+    for table in (res.graphs, res.vectors, res.embeddings, outputs):
         assert table
         assert all(sid is by_id[sid].study_id for sid in table)
     # the corpus gives every study one baseline text
     assert len({id(text) for text in outputs.values()}) == 1
+    # each reference token is the interned object of its value, so a
+    # token that many references hold is one object (CPython shares each
+    # one-character string anyway)
+    scorer = Scorer(MetricsConfig(names=("bleu2",)), res)
+    for record in records:
+        scorer.score(record.report, record)
+    tokens = [token for ref in scorer._tokens.values() for token in ref
+              if len(token) > 1]
+    assert len(tokens) > len(set(tokens))
+    assert all(sys.intern(token) is token for token in tokens)
 
 
 def test_build_resources_keeps_each_graph_as_its_keys(corpus):
@@ -543,10 +554,12 @@ def test_build_resources_keeps_each_graph_as_its_keys(corpus):
         assert isinstance(res.graphs[sid], GraphKeys)
         assert res.graphs[sid] == graph_keys(raw[sid])
         assert res.graph_by_text[record.report] is res.graphs[sid]
-    # each key value is one object, the one in the resources' shared dict
-    for keys in res.graphs.values():
-        for key in keys.entities + keys.relations:
-            assert res.shared[key] is key
+    # equal keys across the graphs are one object
+    first = {}   # each key value -> the first object seen for it
+    every = [key for keys in res.graphs.values()
+             for key in keys.entities + keys.relations]
+    assert all(first.setdefault(key, key) is key for key in every)
+    assert len(every) > len(first)
     assert res.serializations == {}
     # only the studies asked for are serialized, each once
     evals = [r.study_id for r in records if r.split == "test"]
@@ -555,22 +568,26 @@ def test_build_resources_keeps_each_graph_as_its_keys(corpus):
                                   for sid in evals}
 
 
-def test_scorer_adopts_the_resources_shared_dict(corpus):
+def test_scorer_interns_only_reference_tokens(corpus, monkeypatch):
+    """Each reference's tokens are interned once, on the first call for
+    its study; no generation's tokens are, so none outlives its call."""
     _, cfg = corpus
     records = load_dataset(cfg.dataset)
-    res = build_resources(records, cfg)
-    scorer = Scorer(cfg.metrics, res)
-    assert scorer._shared is res.shared
+    scorer = Scorer(cfg.metrics, build_resources(records, cfg))
+    interned = []
+    real = sys.intern
+    monkeypatch.setattr(sys, "intern",
+                        lambda text: interned.append(text) or real(text))
     for record in records:
         scorer.score(record.report, record)
-    shared = dict(res.shared)
+    assert interned == [token for record in records
+                        for token in tokenize(record.report)]
+    interned.clear()
     for i in range(20):
         for record in records:
             scorer.score(f"unmatched generation {i} .", record)
             scorer.score(record.report, record)
-    assert scorer._shared is res.shared
-    assert res.shared == shared and all(
-        res.shared[key] is shared[key] for key in shared)
+    assert interned == []
 
 
 _METRIC_NAMES = ("tokenize", "bleu2", "bert_score", "chexbert_similarity",

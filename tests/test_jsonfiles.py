@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radstyle.errors import SchemaError
-from radstyle.jsonfiles import read_study_map
+from radstyle.jsonfiles import read_jsonl, read_study_map
 
 from oracles import read_study_map_oracle
 
@@ -183,3 +183,21 @@ def test_a_study_id_given_twice_is_refused(tmp_path, text, message):
     with pytest.raises(SchemaError) as info:
         read_study_map(path, convert)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_json_lines_end_at_a_newline_alone(tmp_path):
+    """A raw U+0085, U+2028 or U+2029 inside a string, as
+    ``json.dumps(..., ensure_ascii=False)`` writes it, stays in its line,
+    and a CRLF line end still ends one."""
+    docs = [{"study_id": f"s{i}", "report": f"lungs{mark}clear"}
+            for i, mark in enumerate("\x85\u2028\u2029")]
+    lines = [json.dumps(doc, ensure_ascii=False) for doc in docs]
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(f"{lines[0]}\r\n{lines[1]}\n\n{lines[2]}\n"
+                     .encode("utf-8"))
+    assert list(read_jsonl(path)) == [(1, docs[0]), (2, docs[1]),
+                                      (4, docs[2])]
+    path.write_bytes("\n".join(lines + ["{"]).encode("utf-8"))
+    with pytest.raises(SchemaError) as info:
+        list(read_jsonl(path))
+    assert str(info.value).startswith(f"{path}: line 4: malformed JSON")

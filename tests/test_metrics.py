@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import sys
 import time
 import warnings
 from collections import Counter
@@ -245,14 +246,15 @@ flat_tokens = st.lists(st.sampled_from(["lungs", "clear", "no", "."]),
 @settings(max_examples=300, deadline=None)
 def test_flat_multisets_score_as_counter_intersections(cand_tokens,
                                                         ref_tokens, seed):
-    """References prepared with a shared dict and candidates prepared
-    without one score exactly as the ``Counter`` intersections of their
-    n-grams and keys do, and so does a reference against itself."""
-    shared = {}
-    ref = ngram_counts(ref_tokens, shared)
-    cand = ngram_counts([t.encode().decode() for t in cand_tokens])
-    assert ref == tuple(ref_tokens) and cand == tuple(cand_tokens)
-    assert all(shared[t] is t for t in ref)
+    """References prepared by ``ngram_counts`` and by ``graph_keys`` with
+    a key dict, and candidates as plain tokens and unshared keys, score
+    exactly as the ``Counter`` intersections of their n-grams and keys
+    do, and so does a reference against itself."""
+    keys = {}   # each entity or relation key -> its one object
+    ref = ngram_counts(ref_tokens)
+    cand = [t.encode().decode() for t in cand_tokens]
+    assert ref == tuple(ref_tokens)
+    assert all(sys.intern(t) is t for t in ref)
     assert bleu2(cand, ref) == bleu2_counter_oracle(cand_tokens, ref_tokens)
     assert bleu2(ref, ref) == bleu2_counter_oracle(ref_tokens, ref_tokens)
     assert bleu2(cand, cand) == bleu2_counter_oracle(cand_tokens, cand_tokens)
@@ -264,7 +266,7 @@ def test_flat_multisets_score_as_counter_intersections(cand_tokens,
         perturb_document(ref_doc, rng) if rng.random() < 0.7
         else random_document(rng, max_entities=6, max_relations=6), rng)
     ref_graph, cand_graph = graph_of(ref_doc), graph_of(cand_doc)
-    ref_keys = graph_keys(ref_graph, shared)
+    ref_keys = graph_keys(ref_graph, keys)
     cand_keys = graph_keys(cand_graph)
     assert radgraph_f1(cand_keys, ref_keys) == radgraph_f1_counter_oracle(
         cand_graph, ref_graph)
