@@ -113,10 +113,10 @@ def main(argv=None) -> int:
                     "side": label, "n_eval": n_eval, "n_pool": N_POOL,
                     "findings": [4, 6], "seed": SEED, "shots": list(SHOTS),
                     "baseline": True,
-                    "median_peak_rss_mb": statistics.median(
-                        r["peak_rss_mb"] for r in label_runs),
-                    "median_wall_s": statistics.median(
-                        r["wall_s"] for r in label_runs),
+                    "median_peak_rss_mb": round(statistics.median(
+                        r["peak_rss_mb"] for r in label_runs), 3),
+                    "median_wall_s": round(statistics.median(
+                        r["wall_s"] for r in label_runs), 4),
                     "artifacts_identical": len(hashes) == 1,
                     "runs": [{key: r[key] for key in
                               ("code", "peak_rss_mb", "wall_s")}

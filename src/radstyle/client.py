@@ -338,7 +338,7 @@ def complete(chain: PromptChain, cfg: ClientConfig, transport: Transport,
 
 def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
                    parallelism: int, transport: Transport,
-                   sleep: Callable[[float], None] = time.sleep,
+                   sleep: Callable[[float], None] | None = None,
                    ) -> list[CompletionResult | ClientError]:
     """Complete many chains with ``parallelism`` workers: the client's
     only retry loop.
@@ -349,11 +349,12 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
     failure does not hold its worker: the item goes on a heap keyed by
     the time its backoff ends, and the worker moves on. A worker sends a
     due retry first, then the next fresh chain; once no fresh chain is
-    left, it takes the earliest retry and calls ``sleep`` only for what
-    is left of its backoff. An item's result is built once, when it is
-    final, with its latency measured from its first send. The credential
-    is checked once, before any request is sent, and one
-    ``PayloadEncoder`` serves the batch.
+    left, it takes the earliest retry and waits only for what is left of
+    its backoff: by ``sleep``, if given, else on an event that the
+    batch's first failure sets, so that a Ctrl-C ends the wait at once.
+    An item's result is built once, when it is final, with its latency
+    measured from its first send. The credential is checked once, before
+    any request is sent, and one ``PayloadEncoder`` serves the batch.
 
     Results align with the input order; an item that fails with a
     ``ClientError`` yields that exception instead of aborting the batch.
@@ -371,6 +372,8 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
     retries: list[tuple[float, int, int, float]] = []
     lock = threading.Lock()
     failures: list[BaseException] = []
+    failed = threading.Event()   # set as the first failure is appended
+    pause = sleep or failed.wait
     rng: random.Random | None = None
     done = threading.Condition(lock)   # notified as each worker finishes
     finished = 0   # workers that have finished
@@ -394,7 +397,7 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
         if due is None:
             first = time.perf_counter()
         elif (wait := due - time.perf_counter()) > 0:
-            sleep(wait)
+            pause(wait)
             if failures:
                 return
         try:
@@ -422,6 +425,7 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
         except BaseException as exc:   # re-raised by the caller below
             with lock:
                 failures.append(exc)
+            failed.set()
         finally:
             with done:
                 finished += 1
@@ -442,6 +446,7 @@ def complete_batch(chains: Sequence[PromptChain], cfg: ClientConfig,
                 done.wait_for(lambda: finished >= started)
             except BaseException as exc:   # stop the workers first
                 failures.append(exc)
+                failed.set()
                 done.wait_for(lambda: finished >= started)
                 raise
     if failures:

@@ -6,14 +6,19 @@ is nested too deeply to decode or holds an integer too long to convert
 raises ``SchemaError``. Every sidecar, a JSON object keyed by study id,
 is read by ``study_map_from``, for every command alike: decoded and
 checked one entry at a time, with a study id given twice refused, and
-keyed by interned study ids.
+keyed by interned study ids. A sidecar or JSON-lines file is read a chunk
+or a line at a time, never whole, until a problem is found; then it is
+read again whole, so that every error reads as the whole text gives it.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 import sys
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -64,12 +69,21 @@ def read_study_map(path, convert: Callable[[str, Any], Any]
     """The JSON object keyed by study id in ``path``, as
     ``study_map_from`` builds it from the object's members.
 
-    The entries are decoded one at a time, and each decoded entry is
-    dropped once converted, so the whole decoded document is never held.
-    On the first problem of any kind the whole text is decoded as
-    ``parse_json`` does, so that malformed JSON anywhere in the file is
-    reported as such, ahead of the problem itself.
+    The file is read ``CHUNK`` bytes at a time and its entries are
+    decoded one at a time, each dropped once converted, so neither the
+    whole text nor the whole decoded document is ever held. On the first
+    problem of any kind the file is read again whole and decoded as
+    ``parse_json`` does, so that each error reads as it would from the
+    whole text, and malformed JSON anywhere in the file is reported as
+    such, ahead of the problem itself.
     """
+    try:
+        with _open_to_reread(path) as file:
+            return study_map_from(object_members("", path, _texts(file)),
+                                  path, convert)
+    # a ValueError: undecodable bytes, or a path open() refuses
+    except (OSError, ValueError, RadstyleError):
+        pass
     text = read_text(path)
     try:
         return study_map_from(object_members(text, path), path, convert)
@@ -103,36 +117,103 @@ def study_map_from(members: Iterable[tuple[str, Any]], path,
 # JSON whitespace, as ``json.loads`` skips it
 _SPACE = re.compile(r"[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
+CHUNK = 1 << 16   # bytes of a file read at a time
 
 
-def object_members(text: str, path) -> Iterator[tuple[str, Any]]:
+def _open_to_reread(path):
+    """``path`` opened to read bytes in a pass that a whole read may
+    repeat. A file that cannot be read twice, such as a pipe, raises
+    ``OSError`` before anything is read from it, so it is read whole."""
+    file = open(path, "rb")
+    if not file.seekable():
+        file.close()
+        raise OSError(f"{path} cannot be read twice")
+    return file
+
+
+def _texts(file) -> Iterator[str]:
+    """The UTF-8 text of the binary ``file``, ``CHUNK`` bytes at a time;
+    undecodable bytes raise ``UnicodeDecodeError``."""
+    return codecs.iterdecode(iter(partial(file.read, CHUNK), b""), "utf-8")
+
+
+def object_members(text: str, path, more: Iterable[str] = ()
+                   ) -> Iterator[tuple[str, Any]]:
     """``(key, decoded value)`` of each member of the JSON object
     ``text``, each value decoded when it is reached. Text that is not one
-    JSON object raises ``SchemaError``."""
-    pos = _SPACE.match(text).end()
-    if not text.startswith("{", pos):
-        raise SchemaError(f"{path}: expected a JSON object keyed by study id")
+    JSON object raises ``SchemaError``.
+
+    ``more`` gives the rest of the text, if ``text`` is only its start. A
+    step of the parse (the opening, a member with the mark after it, the
+    end) is taken only once it has read past its own end, or the text has
+    ended: a step that fails, or that ends where the text held does, is
+    tried again with more text, at least as much again as is held. So a
+    number or literal cut at a chunk's end (``12|3``, ``tr|ue``) is not
+    taken, and the text of the members taken is dropped. A position in an
+    error counts from the first character held.
+    """
+    more = iter(more)
+    pos = 0   # just past the last '{', ',' or '}' taken
+    ended = False
+
+    def settled(step):
+        """``step()``, as the text held allows: see above."""
+        nonlocal text, pos, ended
+        while True:
+            try:
+                out = step()
+                if ended or out[0] < len(text):
+                    return out
+            except (ValueError, RecursionError):   # JSONDecodeError too
+                if ended:
+                    raise
+            parts, size = [], 0
+            for part in more:
+                parts.append(part)
+                if (size := size + len(part)) >= len(text) - pos:
+                    break
+            else:
+                ended = True
+            if parts:
+                text, pos = text[pos:] + "".join(parts), 0
+
+    def opening() -> tuple[int, bool]:
+        at = _SPACE.match(text, pos).end()
+        if not text.startswith("{", at):
+            raise ValueError("no '{'")
+        at = _SPACE.match(text, at + 1).end()
+        return (at + 1, True) if text.startswith("}", at) else (at, False)
+
+    def member() -> tuple[int, str, Any, bool]:
+        at = _SPACE.match(text, pos).end()
+        if not text.startswith('"', at):
+            raise ValueError(f"no member name at char {at}")
+        key, at = _DECODER.raw_decode(text, at)
+        at = _SPACE.match(text, at).end()
+        if not text.startswith(":", at):
+            raise ValueError(f"no ':' at char {at}")
+        value, at = _DECODER.raw_decode(text, _SPACE.match(text, at + 1).end())
+        at = _SPACE.match(text, at).end()
+        closed = text.startswith("}", at)
+        if not closed and not text.startswith(",", at):
+            raise ValueError(f"no ',' at char {at}")
+        return at + 1, key, value, closed
+
+    def end() -> tuple[int]:
+        if _SPACE.match(text, pos).end() != len(text):
+            raise ValueError(f"extra data at char {pos}")
+        return (len(text),)
+
     try:
-        pos = _SPACE.match(text, pos + 1).end()
-        closed = text.startswith("}", pos)
+        pos, closed = settled(opening)
+    except ValueError:
+        raise SchemaError(f"{path}: expected a JSON object keyed by study "
+                          f"id") from None
+    try:
         while not closed:
-            if not text.startswith('"', pos):
-                raise ValueError(f"no member name at char {pos}")
-            key, pos = _DECODER.raw_decode(text, pos)
-            pos = _SPACE.match(text, pos).end()
-            if not text.startswith(":", pos):
-                raise ValueError(f"no ':' at char {pos}")
-            value, pos = _DECODER.raw_decode(
-                text, _SPACE.match(text, pos + 1).end())
+            pos, key, value, closed = settled(member)
             yield key, value
-            pos = _SPACE.match(text, pos).end()
-            closed = text.startswith("}", pos)
-            if not closed:
-                if not text.startswith(",", pos):
-                    raise ValueError(f"no ',' at char {pos}")
-                pos = _SPACE.match(text, pos + 1).end()
-        if _SPACE.match(text, pos + 1).end() != len(text):
-            raise ValueError(f"extra data at char {pos + 1}")
+        settled(end)
     except (ValueError, RecursionError) as exc:   # JSONDecodeError too
         raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
 
@@ -142,10 +223,37 @@ def read_jsonl(path) -> Iterator[tuple[int, Any]]:
 
     A line ends at a line feed alone: a JSON string may hold a raw
     U+0085, U+2028 or U+2029, and a carriage return is JSON white space.
-    The whole file is read before the first document is yielded.
+    The file is checked to be UTF-8 ``CHUNK`` bytes at a time, then read
+    and decoded a line at a time, so its whole text is never held. On the
+    first problem of any kind the file is read again whole, and the
+    documents not yet yielded are yielded from its text, so that each
+    error reads as it would from the whole text.
     """
-    lines = read_text(path).split("\n")
+    done = 0   # documents yielded
+    try:
+        with _open_to_reread(path) as file:
+            for _ in _texts(file):
+                pass
+            file.seek(0)
+            for document in _documents(path, map(_line, file)):
+                yield document
+                done += 1
+        return
+    # a ValueError: undecodable bytes, a path open() refuses, or a
+    # carriage return that a text file reads as a line end
+    except (OSError, ValueError, RadstyleError):
+        pass
+    yield from islice(_documents(path, read_text(path).split("\n")), done,
+                      None)
+
+
+def _line(line: bytes) -> str:
+    if line.count(b"\r") > line.endswith(b"\r\n"):
+        raise ValueError("a carriage return before the end of a line")
+    return line.decode("utf-8")
+
+
+def _documents(path, lines: Iterable[str]) -> Iterator[tuple[int, Any]]:
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        yield lineno, parse_json(line, f"{path}: line {lineno}")
+        if line.strip():
+            yield lineno, parse_json(line, f"{path}: line {lineno}")

@@ -8,7 +8,7 @@ them, so they are module constants rather than configuration.
 
 from __future__ import annotations
 
-import hashlib
+import importlib
 import json
 import random
 from dataclasses import dataclass
@@ -99,12 +99,27 @@ def select_examples(pool: Sequence[StylePair], k: int,
     return random.Random(seed).sample(pool, k)
 
 
+def _builtin_sha256():
+    """The interpreter's own SHA-256, built in as ``_sha256`` up to Python
+    3.11 and as ``_sha2`` from 3.12 (so each is imported by name);
+    ``hashlib``'s only as a last resort, since loading ``hashlib`` maps
+    OpenSSL. The digests are the same."""
+    for name in ("_sha256", "_sha2", "hashlib"):
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
+
+
+_sha256 = _builtin_sha256()
+
+
 def derive_selection_seed(seed: int, k: int, study_id: str) -> int:
     """Stable per-study seed so example draws do not depend on iteration
     order or on runs for other studies. Any id hashes, one holding a lone
     surrogate too; no UTF-8 text encodes as a surrogate does."""
     key = f"{seed}:{k}:{study_id}".encode("utf-8", "surrogatepass")
-    digest = hashlib.sha256(key).digest()
+    digest = _sha256(key).digest()
     return int.from_bytes(digest[:8], "big")
 
 

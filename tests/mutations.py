@@ -147,6 +147,15 @@ MUTATIONS = (
         "sidecar-study-id-given-twice-accepted", "src/radstyle/jsonfiles.py",
         "if study_id in out:", "if False:",
         "tests/test_jsonfiles.py::test_a_study_id_given_twice_is_refused"),
+    Mutation(
+        "step-ending-at-the-chunk-end-taken", "src/radstyle/jsonfiles.py",
+        "if ended or out[0] < len(text):", "if ended or out[0] <= len(text):",
+        "tests/test_chunked_reading.py::"
+        "test_a_broken_sidecar_fails_in_chunks_as_it_does_whole"),
+    Mutation(
+        "selection-seed-from-other-digest-bytes", "src/radstyle/prompting.py",
+        "digest[:8]", "digest[8:16]",
+        "tests/test_prompting.py::test_selection_seed_is_hashlibs_digest"),
     # One entry per place a repeated string is interned as it is read.
     Mutation(
         "dataset-study-id-not-interned", "src/radstyle/harness.py",

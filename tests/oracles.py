@@ -7,13 +7,16 @@ exception is the graph ingestion reference, which must build the
 library's own ``RadGraph`` to be compared with it: it keeps the slower
 first form of the checks that the library has since made cheaper. The
 sidecar reader's reference decodes the whole document at once, as the
-library's reader was first written. The ``Counter``-intersection
+library's reader was first written. The example-draw seed's reference
+takes its digest from ``hashlib``, where the library uses the
+interpreter's built-in module. The ``Counter``-intersection
 references keep the arithmetic the scoring metrics had when they held
 ``Counter``s, so that a flat multiset must score the very same float.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from collections import Counter
@@ -365,3 +368,10 @@ def read_study_map_oracle(path, convert):
         except RadstyleError as exc:
             raise SchemaError(f"{path}: study {study_id}: {exc}") from exc
     return out
+
+
+def derive_selection_seed_oracle(seed: int, k: int, study_id: str) -> int:
+    """The first 8 bytes, big-endian, of ``hashlib``'s SHA-256 of
+    ``"<seed>:<k>:<study id>"``, a lone surrogate encoded as itself."""
+    key = f"{seed}:{k}:{study_id}".encode("utf-8", "surrogatepass")
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")

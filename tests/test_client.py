@@ -25,6 +25,7 @@ from radstyle.errors import (ConfigError, InputError, ProtocolError,
                              RequestError, TransportError)
 from radstyle.prompting import (INSTRUCTION, PromptChain, PromptMessage,
                                 StylePair, build_prompt, wire_messages)
+from radstyle.synthetic import make_synthetic_corpus
 
 from conftest import completion_body, running_chat_server
 from oracles import retry_oracle
@@ -547,6 +548,27 @@ def test_importing_the_cli_leaves_requests_unloaded():
     assert out.stdout.strip() == "False False"
 
 
+def test_an_in_process_evaluate_leaves_openssl_and_urllib_unloaded(
+        tmp_path):
+    # An identity-mock run hashes each chain's seed with the interpreter's
+    # own SHA-256 and sends nothing, so it maps no OpenSSL.
+    paths = make_synthetic_corpus(tmp_path, n_records=14, n_train=10, seed=1)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from radstyle.cli import main; "
+         "code = main(['evaluate', '--mode', 'ser2rep', '--config', "
+         f"{str(paths['config'])!r}]); "
+         "print([m for m in ('_hashlib', 'ssl', 'urllib.request') "
+         "if m in sys.modules]); sys.exit(code)"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_retry_after_sets_the_least_delay(clock):
     transport = ScriptedTransport([
         TransportResponse(429, "slow down", retry_after=3.0),
@@ -785,6 +807,39 @@ def test_an_interrupt_of_the_caller_stops_the_workers():
         worker.join(timeout=10)
     assert not any(worker.is_alive() for worker in workers)
     assert n <= len(sent) == at_raise <= n + parallelism
+
+
+def test_an_interrupt_ends_a_backoff_wait_at_once():
+    # s0's 429 asks for 3 s, so its worker waits out the backoff; a Ctrl-C
+    # 0.3 s into s1 ends that wait, and the batch re-raises it at once.
+    caller = threading.get_ident()
+    signalled = []
+
+    class Interrupting(KeyedTransport):
+        def post(self, url, headers, payload, timeout):
+            key = json.loads(payload)["messages"][-1]["content"].split()[-1]
+            if key == "s0":
+                return TransportResponse(429, "slow down", retry_after=3.0)
+            time.sleep(0.3)
+            signalled.append(time.perf_counter())
+            signal.pthread_kill(caller, signal.SIGINT)
+            return super().post(url, headers, payload, timeout)
+
+    before = set(threading.enumerate())
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            complete_batch([chain_for("s0"), chain_for("s1")],
+                           ClientConfig(max_retries=1), parallelism=2,
+                           transport=Interrupting({}))
+        raised = time.perf_counter()
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    for worker in set(threading.enumerate()) - before:
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    # the rest of the backoff, 2.7 s, where the worker slept it out
+    assert raised - signalled[0] < 1.0
 
 
 def test_retry_heap_under_frequent_thread_switches():

@@ -11,6 +11,8 @@ from radstyle.prompting import (INSTRUCTION, SYSTEM_PROMPT, PromptMessage,
                                 derive_selection_seed, select_examples,
                                 wire_messages)
 
+from oracles import derive_selection_seed_oracle
+
 DATA = Path(__file__).parent / "data"
 
 GOLDEN_EXAMPLES = [
@@ -175,3 +177,17 @@ def test_build_prompt_matches_a_message_by_message_oracle(pool, evals, k,
         for j, pair in enumerate(examples):
             assert chain.messages[1 + 2 * j] is pair.messages[0]
             assert chain.messages[2 + 2 * j] is pair.messages[1]
+
+
+# any character, lone surrogates too, which UTF-8 text cannot hold, and
+# a high one followed by a low one, which ``surrogatepass`` encodes apart
+ID_CHARACTERS = st.characters(blacklist_categories=()) | st.sampled_from(
+    ["\ud800", "\udbff", "\udc00", "\udfff"])
+
+
+@given(seed=st.integers(-2**70, 2**70), k=st.integers(0, 100),
+       study_id=st.text(ID_CHARACTERS, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_selection_seed_is_hashlibs_digest(seed, k, study_id):
+    assert (derive_selection_seed(seed, k, study_id)
+            == derive_selection_seed_oracle(seed, k, study_id))
